@@ -6,7 +6,6 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "src/cypher/parser.h"
 #include "src/emul/apoc_emulator.h"
 
 namespace pgt {
@@ -17,11 +16,12 @@ using bench::MustExec;
 Params CaptureParams(Database& db, const std::string& statement) {
   auto tx = std::move(db.BeginTx()).value();
   tx->PushDeltaScope();
-  auto q = cypher::Parser::ParseQuery(statement);
-  if (!q.ok()) std::abort();
+  auto stmt = db.Prepare(statement);
+  if (!stmt.ok()) std::abort();
+  const cypher::plan::PlanProgram& prog = *(*stmt)->program;
   cypher::EvalContext ctx = db.MakeEvalContext(tx.get(), nullptr, nullptr);
-  cypher::Executor exec(ctx);
-  auto res = exec.Run(q.value(), cypher::Row{});
+  cypher::plan::PlanExecutor exec(ctx, prog.slot_names);
+  auto res = exec.Run(prog.steps, exec.NewFrame());
   if (!res.ok()) {
     std::fprintf(stderr, "FATAL: %s\n", res.status().ToString().c_str());
     std::abort();

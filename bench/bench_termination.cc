@@ -1,6 +1,7 @@
 // S4b — termination analysis (Section 6.2.3 and the Baralis/Ceri/Widom
-// reference [9]): static triggering-graph reports for the paper's trigger
-// sets, and the runtime behavior of guarded vs unguarded relocation —
+// reference [9]): static triggering-graph reports (the plan-grounded
+// analyzer, docs/analysis.md) for the paper's trigger sets, and the runtime
+// behavior of guarded vs unguarded relocation —
 // "recursion terminates when the availability of beds is tested prior to
 // moving patients, while failure to do the test may lead to potential
 // non-termination".
@@ -11,7 +12,6 @@
 #include "src/covid/generator.h"
 #include "src/covid/triggers.h"
 #include "src/covid/workload.h"
-#include "src/termination/triggering_graph.h"
 
 namespace pgt {
 namespace {
@@ -53,26 +53,20 @@ int main() {
     Database db;
     auto st = covid::InstallPaperTriggers(db);
     if (!st.ok()) return 1;
-    termination::TriggeringGraph g =
-        termination::TriggeringGraph::Build(db.catalog().All());
     std::printf("Section 6.2 trigger set:\n%s\n",
-                g.Analyze().ToString().c_str());
+                db.AnalyzeTriggers().ToString().c_str());
   }
   {
     Database db;
     if (!db.Execute(covid::UnguardedMoveTriggerDdl()).ok()) return 1;
-    termination::TriggeringGraph g =
-        termination::TriggeringGraph::Build(db.catalog().All());
     std::printf("Unguarded relocation (CascadingRelocation):\n%s\n",
-                g.Analyze().ToString().c_str());
+                db.AnalyzeTriggers().ToString().c_str());
   }
   {
     Database db;
     if (!db.Execute(GuardedRelocationDdl()).ok()) return 1;
-    termination::TriggeringGraph g =
-        termination::TriggeringGraph::Build(db.catalog().All());
     std::printf("Guarded relocation (GuardedRelocation):\n%s",
-                g.Analyze().ToString().c_str());
+                db.AnalyzeTriggers().ToString().c_str());
     std::printf("  (static analysis is conservative: the cycle remains; "
                 "the guard decides at runtime)\n\n");
   }

@@ -7,7 +7,6 @@
 
 #include <cstdio>
 
-#include "src/termination/triggering_graph.h"
 #include "src/trigger/database.h"
 
 using namespace pgt;
@@ -90,10 +89,8 @@ int main() {
 
   // Static termination analysis: Restock writes Warehouse.stock and
   // monitors Warehouse.stock — a (guarded) cycle the analyzer must flag.
-  termination::TriggeringGraph graph =
-      termination::TriggeringGraph::Build(db.catalog().All());
   std::printf("static termination analysis:\n%s\n",
-              graph.Analyze().ToString().c_str());
+              db.AnalyzeTriggers().ToString().c_str());
 
   // Place orders. The first one leaves Milan at 4 -> restock from Rome
   // (50 -> 30); Rome stays above threshold, the cascade stops.

@@ -4,7 +4,6 @@
 
 #include "src/cypher/ast.h"
 #include "src/cypher/plan/program.h"
-#include "src/termination/triggering_graph.h"
 #include "src/trigger/trigger_plan.h"
 
 namespace pgt::analysis {
@@ -12,8 +11,6 @@ namespace pgt::analysis {
 namespace {
 
 namespace plan = cypher::plan;
-
-constexpr const char* kWildcard = "*";
 
 /// Static knowledge about the item a slot can hold at a program point.
 struct VarState {
@@ -388,80 +385,27 @@ void CollectSettableLabels(const std::vector<plan::PStep>& steps,
   }
 }
 
-/// Conversion of the widened AST-level signature for triggers without a
-/// usable compiled plan. Wildcard entries become label_wildcard events with
-/// no lower bound; every SET-prop entry also emits a paired kRemove event
-/// (the AST extractor cannot see `SET p = null` removals).
-WriteSet FromAstSignature(const TriggerDef& def) {
-  termination::WriteSignature sig = termination::ExtractWriteSignature(def);
+/// The write set of an action the analysis cannot see: any event on any
+/// item. (Every parsed trigger compiles; this keeps a compile error sound.)
+WriteSet AnyWrite() {
   WriteSet ws;
-  ws.from_plan = false;
-  auto structural = [&](ItemKind item, TriggerEvent ev,
-                        const std::set<std::string>& ls) {
-    for (const std::string& l : ls) {
+  for (ItemKind item : {ItemKind::kNode, ItemKind::kRelationship}) {
+    for (TriggerEvent ev : {TriggerEvent::kCreate, TriggerEvent::kDelete,
+                            TriggerEvent::kSet, TriggerEvent::kRemove}) {
       WriteEvent e;
       e.item = item;
       e.event = ev;
-      if (l == kWildcard) {
-        e.label_wildcard = true;
-      } else {
-        e.labels = {l};
+      e.label_wildcard = true;
+      e.prop_wildcard = ev == TriggerEvent::kSet || ev == TriggerEvent::kRemove;
+      ws.events.push_back(e);
+      if (item == ItemKind::kNode && e.prop_wildcard) {
+        e.prop_wildcard = false;
+        e.is_label_write = true;
+        e.carrier_wildcard = true;
+        ws.events.push_back(std::move(e));
       }
-      ws.events.push_back(std::move(e));
     }
-  };
-  structural(ItemKind::kNode, TriggerEvent::kCreate, sig.created_node_labels);
-  structural(ItemKind::kRelationship, TriggerEvent::kCreate,
-             sig.created_rel_types);
-  structural(ItemKind::kNode, TriggerEvent::kDelete, sig.deleted_node_labels);
-  structural(ItemKind::kRelationship, TriggerEvent::kDelete,
-             sig.deleted_rel_types);
-  auto label_writes = [&](TriggerEvent ev, const std::set<std::string>& ls) {
-    for (const std::string& l : ls) {
-      WriteEvent e;
-      e.item = ItemKind::kNode;
-      e.event = ev;
-      e.is_label_write = true;
-      if (l == kWildcard) {
-        e.label_wildcard = true;
-      } else {
-        e.labels = {l};
-      }
-      e.carrier_wildcard = true;
-      ws.events.push_back(std::move(e));
-    }
-  };
-  label_writes(TriggerEvent::kSet, sig.set_labels);
-  label_writes(TriggerEvent::kRemove, sig.removed_labels);
-  auto props = [&](ItemKind item, TriggerEvent ev, bool pair_remove,
-                   const std::set<std::pair<std::string, std::string>>& ps) {
-    for (const auto& [l, p] : ps) {
-      WriteEvent e;
-      e.item = item;
-      e.event = ev;
-      if (l == kWildcard) {
-        e.label_wildcard = true;
-      } else {
-        e.labels = {l};
-      }
-      if (p == kWildcard) {
-        e.prop_wildcard = true;
-      } else {
-        e.prop = p;
-      }
-      if (pair_remove) {
-        WriteEvent r = e;
-        r.event = TriggerEvent::kRemove;
-        ws.events.push_back(std::move(r));
-      }
-      ws.events.push_back(std::move(e));
-    }
-  };
-  props(ItemKind::kNode, TriggerEvent::kSet, true, sig.set_node_props);
-  props(ItemKind::kNode, TriggerEvent::kRemove, false, sig.removed_node_props);
-  props(ItemKind::kRelationship, TriggerEvent::kSet, true, sig.set_rel_props);
-  props(ItemKind::kRelationship, TriggerEvent::kRemove, false,
-        sig.removed_rel_props);
+  }
   return ws;
 }
 
@@ -503,20 +447,18 @@ std::string WriteEvent::ToString() const {
 
 std::string WriteSet::ToString() const {
   std::ostringstream os;
-  os << (from_plan ? "[plan]" : "[ast]");
+  os << "[plan]";  // part of SHOW TRIGGER ANALYSIS's stable output
   for (const WriteEvent& e : events) os << " " << e.ToString();
   return os.str();
 }
 
 WriteSet InferWriteSet(const TriggerDef& def, const GraphStore& store,
                        uint64_t plan_epoch) {
-  const std::shared_ptr<const TriggerPlans> plans =
-      GetOrCompileTriggerPlans(def, store, plan_epoch);
-  if (plans == nullptr || !plans->usable) return FromAstSignature(def);
-  const plan::TriggerProgram& prog = plans->program;
+  auto plans = GetOrCompileTriggerPlans(def, store, plan_epoch);
+  if (!plans.ok()) return AnyWrite();
+  const plan::TriggerProgram& prog = plans.value()->program;
 
   WriteSet ws;
-  ws.from_plan = true;
   InferCtx cx;
   cx.def = &def;
   cx.out = &ws;

@@ -52,19 +52,15 @@ struct WriteEvent {
 
 struct WriteSet {
   std::vector<WriteEvent> events;
-  /// True when inferred from the compiled TriggerProgram; false when the
-  /// trigger has no usable plan and the widened AST signature
-  /// (termination::ExtractWriteSignature) was converted instead.
-  bool from_plan = false;
 
   std::string ToString() const;
 };
 
 /// Infers the write set of `def`'s action over its compiled TriggerProgram
 /// (slot universe + SymbolRefs — MERGE/FOREACH/DETACH DELETE and
-/// late-interned symbols are handled once, in one place), falling back to
-/// the AST-level signature for the plan shapes the compiler declines
-/// (CALL, RETURN *). `plan_epoch` is the caller's plan epoch
+/// late-interned symbols are handled once, in one place). Procedures a
+/// CALL invokes are opaque to the analysis; only the variables they yield
+/// are modeled (as unknown items). `plan_epoch` is the caller's plan epoch
 /// (Database::PlanEpoch()); passing the engine's value shares the cached
 /// per-trigger plan.
 WriteSet InferWriteSet(const TriggerDef& def, const GraphStore& store,

@@ -43,8 +43,8 @@ enum class UnOp { kNot, kNeg, kIsNull, kIsNotNull };
 
 struct Pattern;  // forward (pattern predicates / EXISTS)
 
-/// Expression node. A single struct with a kind tag keeps the interpreter
-/// compact; only the fields relevant to the kind are populated.
+/// Expression node. A single struct with a kind tag keeps the parser and
+/// compiler compact; only the fields relevant to the kind are populated.
 struct Expr {
   enum class Kind {
     kLiteral,      ///< literal             (value)

@@ -2,10 +2,7 @@
 
 #include <cmath>
 
-#include "src/common/macros.h"
 #include "src/common/str_util.h"
-#include "src/cypher/functions.h"
-#include "src/cypher/matcher.h"
 
 namespace pgt::cypher {
 
@@ -70,10 +67,6 @@ namespace {
 Status TypeErrAt(int line, int col, const std::string& msg) {
   return Status::TypeError(msg + " at " + std::to_string(line) + ":" +
                            std::to_string(col));
-}
-
-Status TypeErr(const Expr& e, const std::string& msg) {
-  return TypeErrAt(e.line, e.col, msg);
 }
 
 /// Three-valued logic encoding: -1 = null, 0 = false, 1 = true.
@@ -292,211 +285,6 @@ Result<Value> EvalUnaryOp(UnOp op, const Value& a, int line, int col) {
       return Value::Bool(!a.is_null());
   }
   return TypeErr("unknown unary operator");
-}
-
-Result<Value> EvalExpr(const Expr& e, const Row& row, EvalContext& ctx) {
-  switch (e.kind) {
-    case Expr::Kind::kLiteral:
-      return e.value;
-    case Expr::Kind::kParam: {
-      if (ctx.params != nullptr) {
-        auto it = ctx.params->find(e.name);
-        if (it != ctx.params->end()) return it->second;
-      }
-      return Status::InvalidArgument("unbound parameter $" + e.name);
-    }
-    case Expr::Kind::kVar: {
-      const Value* v = row.Get(e.name);
-      if (v != nullptr) return *v;
-      return Status::InvalidArgument("unbound variable '" + e.name + "' at " +
-                                     std::to_string(e.line) + ":" +
-                                     std::to_string(e.col));
-    }
-    case Expr::Kind::kProp: {
-      PGT_ASSIGN_OR_RETURN(Value base, EvalExpr(*e.a, row, ctx));
-      if (base.is_null()) return Value::Null();
-      if (base.is_map()) {
-        auto it = base.map_value().find(e.name);
-        return it == base.map_value().end() ? Value::Null() : it->second;
-      }
-      if (!base.is_node() && !base.is_rel()) {
-        return TypeErr(e, "property access on " +
-                              std::string(base.type_name()));
-      }
-      auto key = ctx.store()->LookupPropKey(e.name);
-      if (!key.has_value()) return Value::Null();
-      // OLD transition views: reads through an old-view variable see the
-      // pre-event property image.
-      if (ctx.transition != nullptr && e.a->kind == Expr::Kind::kVar &&
-          ctx.transition->IsOldView(e.a->name)) {
-        const uint64_t id =
-            base.is_node() ? base.node_id().value : base.rel_id().value;
-        const Value* old =
-            ctx.transition->FindOldProp(base.is_node(), id, *key);
-        if (old != nullptr) return *old;
-      }
-      return ReadItemProp(ctx, base, *key);
-    }
-    case Expr::Kind::kBinary: {
-      PGT_ASSIGN_OR_RETURN(Value a, EvalExpr(*e.a, row, ctx));
-      // Short-circuit when possible (left false AND, left true OR).
-      if (e.bin_op == BinOp::kAnd && a.is_bool() && !a.bool_value()) {
-        return Value::Bool(false);
-      }
-      if (e.bin_op == BinOp::kOr && a.is_bool() && a.bool_value()) {
-        return Value::Bool(true);
-      }
-      PGT_ASSIGN_OR_RETURN(Value b, EvalExpr(*e.b, row, ctx));
-      return EvalBinaryOp(e.bin_op, a, b, e.line, e.col);
-    }
-    case Expr::Kind::kUnary: {
-      PGT_ASSIGN_OR_RETURN(Value a, EvalExpr(*e.a, row, ctx));
-      return EvalUnaryOp(e.un_op, a, e.line, e.col);
-    }
-    case Expr::Kind::kFunc: {
-      if (IsAggregateFunctionName(e.name)) {
-        return Status::InvalidArgument(
-            "aggregate function " + e.name +
-            " is only allowed in WITH/RETURN projections");
-      }
-      std::vector<Value> args;
-      args.reserve(e.args.size());
-      for (const ExprPtr& arg : e.args) {
-        PGT_ASSIGN_OR_RETURN(Value v, EvalExpr(*arg, row, ctx));
-        args.push_back(std::move(v));
-      }
-      return CallBuiltin(e.name, args, ctx, e.line, e.col);
-    }
-    case Expr::Kind::kCountStar:
-      return Status::InvalidArgument(
-          "COUNT(*) is only allowed in WITH/RETURN projections");
-    case Expr::Kind::kList: {
-      Value::List items;
-      items.reserve(e.args.size());
-      for (const ExprPtr& arg : e.args) {
-        PGT_ASSIGN_OR_RETURN(Value v, EvalExpr(*arg, row, ctx));
-        items.push_back(std::move(v));
-      }
-      return Value::MakeList(std::move(items));
-    }
-    case Expr::Kind::kMap: {
-      Value::Map m;
-      for (const auto& [k, ve] : e.map_entries) {
-        PGT_ASSIGN_OR_RETURN(Value v, EvalExpr(*ve, row, ctx));
-        m[k] = std::move(v);
-      }
-      return Value::MakeMap(std::move(m));
-    }
-    case Expr::Kind::kIndex: {
-      PGT_ASSIGN_OR_RETURN(Value base, EvalExpr(*e.a, row, ctx));
-      PGT_ASSIGN_OR_RETURN(Value idx, EvalExpr(*e.b, row, ctx));
-      if (base.is_null() || idx.is_null()) return Value::Null();
-      if (base.is_list()) {
-        if (!idx.is_int()) return TypeErr(e, "list index must be an integer");
-        int64_t i = idx.int_value();
-        const auto& list = base.list_value();
-        const int64_t n = static_cast<int64_t>(list.size());
-        if (i < 0) i += n;
-        if (i < 0 || i >= n) return Value::Null();
-        return list[static_cast<size_t>(i)];
-      }
-      if (base.is_map()) {
-        if (!idx.is_string()) return TypeErr(e, "map key must be a string");
-        auto it = base.map_value().find(idx.string_value());
-        return it == base.map_value().end() ? Value::Null() : it->second;
-      }
-      return TypeErr(e, "indexing requires a list or map");
-    }
-    case Expr::Kind::kCase: {
-      if (e.a) {
-        PGT_ASSIGN_OR_RETURN(Value operand, EvalExpr(*e.a, row, ctx));
-        for (const auto& [w, t] : e.whens) {
-          PGT_ASSIGN_OR_RETURN(Value wv, EvalExpr(*w, row, ctx));
-          if (!operand.is_null() && !wv.is_null() && operand.Equals(wv)) {
-            return EvalExpr(*t, row, ctx);
-          }
-        }
-      } else {
-        for (const auto& [w, t] : e.whens) {
-          PGT_ASSIGN_OR_RETURN(Value wv, EvalExpr(*w, row, ctx));
-          if (wv.is_bool() && wv.bool_value()) {
-            return EvalExpr(*t, row, ctx);
-          }
-        }
-      }
-      if (e.c) return EvalExpr(*e.c, row, ctx);
-      return Value::Null();
-    }
-    case Expr::Kind::kExists: {
-      PGT_ASSIGN_OR_RETURN(
-          bool found,
-          PatternExists(*e.pattern, e.pattern_where.get(), row, ctx));
-      return Value::Bool(found);
-    }
-    case Expr::Kind::kListComp: {
-      PGT_ASSIGN_OR_RETURN(Value list, EvalExpr(*e.a, row, ctx));
-      if (list.is_null()) return Value::Null();
-      if (!list.is_list()) {
-        return TypeErr(e, "list comprehension requires a list");
-      }
-      Value::List out;
-      for (const Value& item : list.list_value()) {
-        Row scoped = row;
-        scoped.Set(e.name, item);
-        if (e.b != nullptr) {
-          PGT_ASSIGN_OR_RETURN(bool pass, EvalPredicate(*e.b, scoped, ctx));
-          if (!pass) continue;
-        }
-        if (e.c != nullptr) {
-          PGT_ASSIGN_OR_RETURN(Value projected, EvalExpr(*e.c, scoped, ctx));
-          out.push_back(std::move(projected));
-        } else {
-          out.push_back(item);
-        }
-      }
-      return Value::MakeList(std::move(out));
-    }
-    case Expr::Kind::kLabelTest: {
-      PGT_ASSIGN_OR_RETURN(Value base, EvalExpr(*e.a, row, ctx));
-      if (base.is_null()) return Value::Null();
-      if (!base.is_node()) {
-        return TypeErr(e, "label test requires a node");
-      }
-      // Transition pseudo-labels may appear in label tests too
-      // (e.g. `x:NEWNODES`): test membership in the transition set.
-      std::vector<LabelId> labels = ReadItemLabels(ctx, base);
-      for (const std::string& name : e.labels) {
-        const TransitionEnv::SetBinding* set =
-            ctx.transition != nullptr ? ctx.transition->FindSet(name)
-                                      : nullptr;
-        if (set != nullptr) {
-          const uint64_t id = base.node_id().value;
-          bool member = set->is_node &&
-                        std::find(set->ids.begin(), set->ids.end(), id) !=
-                            set->ids.end();
-          if (!member) return Value::Bool(false);
-          continue;
-        }
-        auto lid = ctx.store()->LookupLabel(name);
-        if (!lid.has_value() ||
-            !std::binary_search(labels.begin(), labels.end(), *lid)) {
-          return Value::Bool(false);
-        }
-      }
-      return Value::Bool(true);
-    }
-  }
-  return Status::Internal("unhandled expression kind");
-}
-
-Result<bool> EvalPredicate(const Expr& e, const Row& row, EvalContext& ctx) {
-  PGT_ASSIGN_OR_RETURN(Value v, EvalExpr(e, row, ctx));
-  if (v.is_null()) return false;
-  if (!v.is_bool()) {
-    return TypeErr(e, "predicate must be boolean, got " +
-                          std::string(v.type_name()));
-  }
-  return v.bool_value();
 }
 
 }  // namespace pgt::cypher

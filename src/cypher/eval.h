@@ -33,10 +33,10 @@ using Params = std::map<std::string, Value, std::less<>>;
 
 namespace pgt::cypher {
 
-/// A binding row flowing through the clause pipeline. Kept as a small
-/// ordered vector (queries bind few variables); lookups are linear.
-/// string_view interface: interpreter callers holding views (AST names,
-/// transition-variable names) bind without a temporary std::string.
+/// A named binding row: what a CALLed procedure receives and returns
+/// (src/cypher/functions.h) and how the emulators hand predefined variables
+/// to their trigger statements. Kept as a small ordered vector (rows bind
+/// few variables); lookups are linear.
 struct Row {
   std::vector<std::pair<std::string, Value>> cols;
 
@@ -260,7 +260,7 @@ struct EvalContext {
     return &view;
   }
 
-  // --- Ghost-aware reads (shared by evaluator / matcher / executors) -------
+  // --- Ghost-aware reads ---------------------------------------------------
 
   Value ReadNodeProp(NodeId id, PropKeyId key) const {
     if (tx != nullptr) return tx->ReadNodeProp(id, key);
@@ -289,21 +289,12 @@ struct EvalContext {
   }
 };
 
-/// Evaluates an expression in the given row. Aggregate calls are rejected
-/// here (they are handled by the executor's projection logic).
-Result<Value> EvalExpr(const Expr& e, const Row& row, EvalContext& ctx);
-
 /// Applies a binary / unary operator to already-evaluated operands (Cypher
-/// ternary logic, numeric coercion, string predicates, IN). Shared by the
-/// AST interpreter and the compiled plan executor (src/cypher/plan) so the
-/// two paths cannot diverge; `line`/`col` feed the error text.
+/// ternary logic, numeric coercion, string predicates, IN); `line`/`col`
+/// feed the error text. Used by the plan executor (src/cypher/plan).
 Result<Value> EvalBinaryOp(BinOp op, const Value& a, const Value& b, int line,
                            int col);
 Result<Value> EvalUnaryOp(UnOp op, const Value& a, int line, int col);
-
-/// Evaluates an expression as a predicate: true iff the value is boolean
-/// true (NULL and false are both "does not pass", per Cypher WHERE).
-Result<bool> EvalPredicate(const Expr& e, const Row& row, EvalContext& ctx);
 
 /// True if the expression contains an aggregate call (COUNT/SUM/AVG/MIN/
 /// MAX/COLLECT or COUNT(*)) outside any EXISTS subquery.
@@ -312,7 +303,7 @@ bool ContainsAggregate(const Expr& e);
 /// True if `name` (case-insensitive) is an aggregate function name.
 bool IsAggregateFunctionName(const std::string& name);
 
-/// Ghost-aware helpers shared by the evaluator and the matcher.
+/// Ghost-aware item reads.
 Value ReadItemProp(EvalContext& ctx, const Value& item, PropKeyId key);
 std::vector<LabelId> ReadItemLabels(EvalContext& ctx, const Value& item);
 

@@ -12,7 +12,7 @@ namespace pgt::cypher {
 /// Cooperative execution budget for one top-level statement
 /// (docs/robustness.md). Armed by the Database from
 /// `EngineOptions::statement_timeout_ms` / `max_plan_steps`; ticked from
-/// the matcher candidate loops and the plan/interpreter step loops.
+/// the plan executor's matcher candidate loops and step loop.
 /// Triggers cascading inside the statement inherit the statement's budget;
 /// each DETACHED activation is armed afresh.
 ///

@@ -107,6 +107,15 @@ Result<std::string> Parser::ParseNameOrString(std::string_view what) {
                    TokenToString(Peek()));
 }
 
+Status Parser::Deeper() {
+  if (++depth_ <= kMaxNestingDepth) return Status::OK();
+  const Token& t = Peek();
+  return Status::InvalidArgument(
+      "statement nesting exceeds the maximum depth of " +
+      std::to_string(kMaxNestingDepth) + " at " + std::to_string(t.line) +
+      ":" + std::to_string(t.col));
+}
+
 ExprPtr Parser::NewExpr(Expr::Kind k) const {
   auto e = std::make_unique<Expr>();
   e->kind = k;
@@ -389,6 +398,8 @@ Result<ClausePtr> Parser::ParseForeach() {
   PGT_RETURN_IF_ERROR(ExpectKeyword("IN"));
   PGT_ASSIGN_OR_RETURN(c->foreach_list, ParseExpression());
   PGT_RETURN_IF_ERROR(Expect(TokenType::kPipe, "'|'").status());
+  DepthScope scope(this);
+  PGT_RETURN_IF_ERROR(Deeper());
   while (Peek().type == TokenType::kIdent &&
          kUpdateClauseKeywords.count(ToUpper(Peek().text)) > 0) {
     PGT_ASSIGN_OR_RETURN(ClausePtr body, ParseClause());
@@ -573,12 +584,18 @@ Result<std::vector<std::pair<std::string, ExprPtr>>> Parser::ParsePropMap() {
 
 // --- Expression parsing ---------------------------------------------------------
 
-Result<ExprPtr> Parser::ParseExpression() { return ParseOr(); }
+Result<ExprPtr> Parser::ParseExpression() {
+  DepthScope scope(this);
+  PGT_RETURN_IF_ERROR(Deeper());
+  return ParseOr();
+}
 
 Result<ExprPtr> Parser::ParseOr() {
+  DepthScope scope(this);
   PGT_ASSIGN_OR_RETURN(ExprPtr left, ParseXor());
   while (PeekKeyword("OR")) {
     ++pos_;
+    PGT_RETURN_IF_ERROR(Deeper());
     PGT_ASSIGN_OR_RETURN(ExprPtr right, ParseXor());
     auto e = NewExpr(Expr::Kind::kBinary);
     e->bin_op = BinOp::kOr;
@@ -590,9 +607,11 @@ Result<ExprPtr> Parser::ParseOr() {
 }
 
 Result<ExprPtr> Parser::ParseXor() {
+  DepthScope scope(this);
   PGT_ASSIGN_OR_RETURN(ExprPtr left, ParseAnd());
   while (PeekKeyword("XOR")) {
     ++pos_;
+    PGT_RETURN_IF_ERROR(Deeper());
     PGT_ASSIGN_OR_RETURN(ExprPtr right, ParseAnd());
     auto e = NewExpr(Expr::Kind::kBinary);
     e->bin_op = BinOp::kXor;
@@ -604,9 +623,11 @@ Result<ExprPtr> Parser::ParseXor() {
 }
 
 Result<ExprPtr> Parser::ParseAnd() {
+  DepthScope scope(this);
   PGT_ASSIGN_OR_RETURN(ExprPtr left, ParseNot());
   while (PeekKeyword("AND")) {
     ++pos_;
+    PGT_RETURN_IF_ERROR(Deeper());
     PGT_ASSIGN_OR_RETURN(ExprPtr right, ParseNot());
     auto e = NewExpr(Expr::Kind::kBinary);
     e->bin_op = BinOp::kAnd;
@@ -620,6 +641,8 @@ Result<ExprPtr> Parser::ParseAnd() {
 Result<ExprPtr> Parser::ParseNot() {
   if (PeekKeyword("NOT")) {
     ++pos_;
+    DepthScope scope(this);
+    PGT_RETURN_IF_ERROR(Deeper());
     PGT_ASSIGN_OR_RETURN(ExprPtr inner, ParseNot());
     auto e = NewExpr(Expr::Kind::kUnary);
     e->un_op = UnOp::kNot;
@@ -630,6 +653,7 @@ Result<ExprPtr> Parser::ParseNot() {
 }
 
 Result<ExprPtr> Parser::ParseComparison() {
+  DepthScope scope(this);
   PGT_ASSIGN_OR_RETURN(ExprPtr left, ParseAddSub());
   ExprPtr combined;
   ExprPtr prev = std::move(left);
@@ -672,6 +696,7 @@ Result<ExprPtr> Parser::ParseComparison() {
       ++pos_;
       const bool negated = AcceptKeyword("NOT");
       PGT_RETURN_IF_ERROR(ExpectKeyword("NULL"));
+      PGT_RETURN_IF_ERROR(Deeper());
       auto e = NewExpr(Expr::Kind::kUnary);
       e->un_op = negated ? UnOp::kIsNotNull : UnOp::kIsNull;
       e->a = std::move(prev);
@@ -680,6 +705,7 @@ Result<ExprPtr> Parser::ParseComparison() {
     } else {
       break;
     }
+    PGT_RETURN_IF_ERROR(Deeper());
     PGT_ASSIGN_OR_RETURN(ExprPtr right, ParseAddSub());
     // Build this comparison; chains (a < b < c) AND-fold.
     auto cmp = NewExpr(Expr::Kind::kBinary);
@@ -702,12 +728,14 @@ Result<ExprPtr> Parser::ParseComparison() {
 }
 
 Result<ExprPtr> Parser::ParseAddSub() {
+  DepthScope scope(this);
   PGT_ASSIGN_OR_RETURN(ExprPtr left, ParseMulDiv());
   while (Peek().type == TokenType::kPlus ||
          Peek().type == TokenType::kMinus) {
     const BinOp op =
         Peek().type == TokenType::kPlus ? BinOp::kAdd : BinOp::kSub;
     ++pos_;
+    PGT_RETURN_IF_ERROR(Deeper());
     PGT_ASSIGN_OR_RETURN(ExprPtr right, ParseMulDiv());
     auto e = NewExpr(Expr::Kind::kBinary);
     e->bin_op = op;
@@ -719,6 +747,7 @@ Result<ExprPtr> Parser::ParseAddSub() {
 }
 
 Result<ExprPtr> Parser::ParseMulDiv() {
+  DepthScope scope(this);
   PGT_ASSIGN_OR_RETURN(ExprPtr left, ParsePower());
   while (Peek().type == TokenType::kStar ||
          Peek().type == TokenType::kSlash ||
@@ -727,6 +756,7 @@ Result<ExprPtr> Parser::ParseMulDiv() {
     if (Peek().type == TokenType::kSlash) op = BinOp::kDiv;
     if (Peek().type == TokenType::kPercent) op = BinOp::kMod;
     ++pos_;
+    PGT_RETURN_IF_ERROR(Deeper());
     PGT_ASSIGN_OR_RETURN(ExprPtr right, ParsePower());
     auto e = NewExpr(Expr::Kind::kBinary);
     e->bin_op = op;
@@ -741,6 +771,8 @@ Result<ExprPtr> Parser::ParsePower() {
   PGT_ASSIGN_OR_RETURN(ExprPtr left, ParseUnary());
   if (Peek().type == TokenType::kCaret) {
     ++pos_;
+    DepthScope scope(this);
+    PGT_RETURN_IF_ERROR(Deeper());
     PGT_ASSIGN_OR_RETURN(ExprPtr right, ParsePower());  // right-assoc
     auto e = NewExpr(Expr::Kind::kBinary);
     e->bin_op = BinOp::kPow;
@@ -752,8 +784,10 @@ Result<ExprPtr> Parser::ParsePower() {
 }
 
 Result<ExprPtr> Parser::ParseUnary() {
+  DepthScope scope(this);
   if (Peek().type == TokenType::kMinus) {
     ++pos_;
+    PGT_RETURN_IF_ERROR(Deeper());
     PGT_ASSIGN_OR_RETURN(ExprPtr inner, ParseUnary());
     auto e = NewExpr(Expr::Kind::kUnary);
     e->un_op = UnOp::kNeg;
@@ -762,16 +796,19 @@ Result<ExprPtr> Parser::ParseUnary() {
   }
   if (Peek().type == TokenType::kPlus) {
     ++pos_;
+    PGT_RETURN_IF_ERROR(Deeper());
     return ParseUnary();
   }
   return ParsePostfix();
 }
 
 Result<ExprPtr> Parser::ParsePostfix() {
+  DepthScope scope(this);
   PGT_ASSIGN_OR_RETURN(ExprPtr base, ParseAtom());
   while (true) {
     if (Peek().type == TokenType::kDot &&
         Peek(1).type == TokenType::kIdent) {
+      PGT_RETURN_IF_ERROR(Deeper());
       ++pos_;
       auto e = NewExpr(Expr::Kind::kProp);
       e->name = Peek().text;
@@ -783,6 +820,7 @@ Result<ExprPtr> Parser::ParsePostfix() {
     // ON 'Lineage'.'whoDesignation' style: quoted property key.
     if (Peek().type == TokenType::kDot &&
         Peek(1).type == TokenType::kString) {
+      PGT_RETURN_IF_ERROR(Deeper());
       ++pos_;
       auto e = NewExpr(Expr::Kind::kProp);
       e->name = Peek().text;
@@ -792,6 +830,7 @@ Result<ExprPtr> Parser::ParsePostfix() {
       continue;
     }
     if (Peek().type == TokenType::kLBracket) {
+      PGT_RETURN_IF_ERROR(Deeper());
       ++pos_;
       PGT_ASSIGN_OR_RETURN(ExprPtr idx, ParseExpression());
       PGT_RETURN_IF_ERROR(Expect(TokenType::kRBracket, "']'").status());
@@ -804,6 +843,7 @@ Result<ExprPtr> Parser::ParsePostfix() {
     if (allow_label_test_ && Peek().type == TokenType::kColon &&
         (Peek(1).type == TokenType::kIdent ||
          Peek(1).type == TokenType::kString)) {
+      PGT_RETURN_IF_ERROR(Deeper());
       auto e = NewExpr(Expr::Kind::kLabelTest);
       e->a = std::move(base);
       while (Peek().type == TokenType::kColon &&

@@ -20,6 +20,12 @@ namespace pgt::cypher {
 /// Cypher fragments.
 class Parser {
  public:
+  /// Deepest nesting a statement may have (see Deeper()). The parser, the
+  /// plan compiler, and the plan executor all recurse over the AST, so this
+  /// one bound keeps every one of them within the stack, sanitizer builds
+  /// and reader threads included.
+  static constexpr int kMaxNestingDepth = 256;
+
   /// Parses a complete standalone query (must consume all input;
   /// a single trailing semicolon is allowed).
   static Result<Query> ParseQuery(std::string_view text);
@@ -108,8 +114,27 @@ class Parser {
 
   ExprPtr NewExpr(Expr::Kind k) const;
 
+  /// Restores the nesting depth when a parse function returns.
+  class DepthScope {
+   public:
+    explicit DepthScope(Parser* p) : p_(p), saved_(p->depth_) {}
+    ~DepthScope() { p_->depth_ = saved_; }
+    DepthScope(const DepthScope&) = delete;
+    DepthScope& operator=(const DepthScope&) = delete;
+
+   private:
+    Parser* p_;
+    int saved_;
+  };
+  /// Counts one more level of nesting on the current parse path: a nested
+  /// expression or FOREACH, or one more link of an operator, NOT/negation,
+  /// or property/index chain (each adds a level to the AST). Fails with
+  /// InvalidArgument beyond kMaxNestingDepth.
+  Status Deeper();
+
   std::vector<Token> toks_;
   size_t pos_ = 0;
+  int depth_ = 0;
   // `SET n:Label` must not lex the target as a label-test expression.
   bool allow_label_test_ = true;
 };

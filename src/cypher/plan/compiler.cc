@@ -13,13 +13,7 @@ namespace pgt::cypher::plan {
 
 namespace {
 
-Status Unsupported(const std::string& what) {
-  return Status::Unimplemented("not compiled (interpreter fallback): " +
-                               what);
-}
-
-/// True if `e` is `var.key` for the given variable; sets `key`. Mirror of
-/// the per-row planner's helper in scan_plan.cc.
+/// True if `e` is `var.key` for the given variable; sets `key`.
 bool IsVarProp(const Expr& e, const std::string& var, std::string* key) {
   if (e.kind != Expr::Kind::kProp || e.a == nullptr) return false;
   if (e.a->kind != Expr::Kind::kVar || e.a->name != var) return false;
@@ -49,16 +43,18 @@ struct SargTemplate {
   const Expr* comparand = nullptr;
 };
 
-/// How a clause list is allowed to end.
+/// Where a RETURN may stand in a clause list. A misplaced RETURN compiles
+/// to a step that fails when execution reaches it — after the clauses
+/// before it ran — never at compile time.
 enum class ClauseMode {
   kTopLevel,  ///< RETURN allowed as the final clause only
-  kNoReturn,  ///< trigger WHEN/action, FOREACH body: RETURN unsupported
+  kNoReturn,  ///< trigger WHEN/action, FOREACH body: RETURN not allowed
 };
 
 class Compiler {
  public:
-  Compiler(const CompileEnv& env, const GraphStore& store)
-      : env_(env), store_(store) {}
+  Compiler(const CompileEnv& env, const StoreView& view)
+      : env_(env), view_(view) {}
 
   // --- Slot universe --------------------------------------------------------
 
@@ -77,14 +73,30 @@ class Compiler {
     return it != slot_of_.end() && bound_[it->second] != 0;
   }
 
-  void Bind(int slot) { bound_[static_cast<size_t>(slot)] = 1; }
-
-  std::vector<char> SaveBound() const { return bound_; }
-  void RestoreBound(std::vector<char> saved) {
-    saved.resize(bound_.size(), 0);
-    bound_ = std::move(saved);
+  /// Binds `slot` (a no-op when already bound; a rebinding keeps its place
+  /// in the binding order).
+  void Bind(int slot) {
+    char& b = bound_[static_cast<size_t>(slot)];
+    if (b != 0) return;
+    b = 1;
+    order_.entries.push_back(BindingOrder::Entry{{slot}, {}});
   }
-  void ClearBound() { std::fill(bound_.begin(), bound_.end(), 0); }
+
+  /// Static binding state: which slots are bound, and in what order.
+  struct Scope {
+    std::vector<char> bound;
+    BindingOrder order;
+  };
+  Scope SaveBound() const { return Scope{bound_, order_}; }
+  void RestoreBound(Scope saved) {
+    saved.bound.resize(bound_.size(), 0);
+    bound_ = std::move(saved.bound);
+    order_ = std::move(saved.order);
+  }
+  void ClearBound() {
+    std::fill(bound_.begin(), bound_.end(), 0);
+    order_.entries.clear();
+  }
 
   const std::vector<std::string>& slot_names() const { return slot_names_; }
 
@@ -157,10 +169,9 @@ class Compiler {
       case Expr::Kind::kCountStar:
         break;
       case Expr::Kind::kList: {
-        // Constant folding: a list of literals is itself a literal; the
-        // interpreter rebuilds it on every evaluation, the compiled plan
-        // materializes it once here. Construction of literal lists cannot
-        // error, so folding is observationally pure.
+        // Constant folding: a list of literals is itself a literal,
+        // materialized once here instead of per evaluation. Construction of
+        // literal lists cannot error, so folding is observationally pure.
         bool all_literal = true;
         for (const ExprPtr& arg : e.args) {
           PGT_ASSIGN_OR_RETURN(PExprPtr p, CompileExpr(*arg));
@@ -215,9 +226,8 @@ class Compiler {
       case Expr::Kind::kExists: {
         // Own scope: bindings inside the subquery never escape. Pattern
         // variables still share the query-wide slot universe (an outer
-        // binding of the same name constrains the match, exactly as the
-        // interpreter's row-copy semantics do).
-        std::vector<char> saved = SaveBound();
+        // binding of the same name constrains the match).
+        Scope saved = SaveBound();
         PGT_ASSIGN_OR_RETURN(
             PPattern pp,
             CompilePattern(*e.pattern, e.pattern_where.get(),
@@ -234,7 +244,7 @@ class Compiler {
         out->name = e.name;
         out->slot = SlotOf(e.name);
         PGT_ASSIGN_OR_RETURN(out->a, CompileExpr(*e.a));
-        std::vector<char> saved = SaveBound();
+        Scope saved = SaveBound();
         Bind(out->slot);
         if (e.b) {
           PGT_ASSIGN_OR_RETURN(out->b, CompileExpr(*e.b));
@@ -290,9 +300,9 @@ class Compiler {
     return out;
   }
 
-  /// Static mirror of scan_plan.cc's PlannerEvaluable: whether the planner
-  /// may evaluate `e` up front, decided against the compile-time bound set
-  /// (which the executor keeps in lockstep with runtime boundness).
+  /// Whether the scan planner may evaluate `e` up front (a literal, a
+  /// parameter, or a read of an already-bound variable), decided against
+  /// the compile-time bound set, which matches runtime boundness.
   bool StaticPlannerEvaluable(const Expr& e) const {
     switch (e.kind) {
       case Expr::Kind::kLiteral:
@@ -311,7 +321,8 @@ class Compiler {
     }
   }
 
-  /// Static mirror of CollectSargs: walks top-level AND conjuncts only.
+  /// Collects sargable `var.key <op> comparand` conjuncts: walks top-level
+  /// AND conjuncts only.
   void CollectSargTemplates(const Expr& e, const std::string& var,
                             std::vector<SargTemplate>* out) const {
     if (e.kind == Expr::Kind::kBinary && e.bin_op == BinOp::kAnd) {
@@ -347,14 +358,13 @@ class Compiler {
   }
 
   /// Resolves the access-path template for a part's first node against the
-  /// current IndexCatalog. Probes keep owned compiled copies of their
-  /// comparand expressions; index pointers stay valid until the next index
+  /// compiling view's indexes. Probes keep owned compiled copies of their
+  /// comparand expressions; live index refs stay valid until the next index
   /// DDL, which bumps the catalog epoch and invalidates the whole plan.
   Result<PScanTemplate> BuildScanTemplate(const NodePattern& np,
                                           const Expr* where_hint) {
     PScanTemplate t;
-    const index::IndexCatalog& catalog = store_.indexes();
-    if (catalog.empty()) return t;
+    if (!view_.HasIndexes()) return t;
 
     // Compile-time-resolvable real labels, in pattern order. Names that are
     // transition seeds resolve as pseudo-labels at runtime and never reach
@@ -366,7 +376,7 @@ class Compiler {
           env_.seed_vars.end()) {
         continue;
       }
-      auto id = store_.LookupLabel(name);
+      auto id = view_.LookupLabel(name);
       if (id.has_value()) labels.push_back(*id);
     }
     if (labels.empty()) return t;  // indexes are label-scoped
@@ -375,14 +385,16 @@ class Compiler {
 
     auto consider_eq = [&](const std::string& key, const Expr& comparand,
                            int inline_prop_idx) -> Status {
-      auto pk = store_.LookupPropKey(key);
+      auto pk = view_.LookupPropKey(key);
       if (!pk.has_value()) return Status::OK();
       for (LabelId l : labels) {
-        const index::PropertyIndex* idx = catalog.Find(l, *pk);
-        if (idx == nullptr) continue;
+        const IndexRef idx = view_.FindIndex(l, *pk);
+        if (!idx) continue;
         PScanTemplate::EqProbe probe;
         probe.idx = idx;
-        probe.unique = idx->unique();
+        probe.label = l;
+        probe.prop = *pk;
+        probe.unique = idx.unique();
         probe.inline_prop_idx = inline_prop_idx;
         PGT_ASSIGN_OR_RETURN(probe.comparand, CompileExpr(comparand));
         t.eq_probes.push_back(std::move(probe));
@@ -391,14 +403,15 @@ class Compiler {
     };
     auto consider_range = [&](const std::string& key, BinOp op,
                               const Expr& comparand) -> Status {
-      auto pk = store_.LookupPropKey(key);
+      auto pk = view_.LookupPropKey(key);
       if (!pk.has_value()) return Status::OK();
       for (LabelId l : labels) {
-        const index::PropertyIndex* idx = catalog.Find(l, *pk);
-        if (idx == nullptr || !idx->SupportsRange()) continue;
+        const IndexRef idx = view_.FindIndex(l, *pk);
+        if (!idx.SupportsRange()) continue;
         auto [it, inserted] =
             range_groups.try_emplace(*pk, PScanTemplate::RangeGroup{});
         if (inserted) {
+          it->second.label = l;
           it->second.prop = *pk;
           it->second.idx = idx;
         }
@@ -441,8 +454,8 @@ class Compiler {
   Result<PPattern> CompilePattern(const Pattern& p, const Expr* where_hint,
                                   bool scan_templates) {
     PPattern out;
-    // Introduced-variable slots in PatternVariables order (the executor
-    // pads only the ones unbound at runtime, mirroring OPTIONAL MATCH).
+    // Introduced-variable slots in declaration order (the executor pads
+    // only the ones unbound at runtime — OPTIONAL MATCH).
     auto add_intro = [&](const std::string& v) {
       if (v.empty()) return;
       const int s = SlotOf(v);
@@ -531,15 +544,30 @@ class Compiler {
     switch (c.kind) {
       case Clause::Kind::kMatch: {
         s.optional_match = c.optional_match;
+        const size_t mark = order_.entries.size();
         PGT_ASSIGN_OR_RETURN(
             s.pattern,
             CompilePattern(c.pattern, c.where.get(), /*scan_templates=*/true));
+        if (c.optional_match && order_.entries.size() > mark) {
+          // One entry for the variables this OPTIONAL MATCH introduces: a
+          // match binds them in walk order, the padding in declaration
+          // order (intro_slots).
+          BindingOrder::Entry group;
+          for (size_t i = mark; i < order_.entries.size(); ++i) {
+            group.matched.push_back(order_.entries[i].matched.front());
+          }
+          for (int slot : s.pattern.intro_slots) {
+            if (std::find(group.matched.begin(), group.matched.end(), slot) !=
+                group.matched.end()) {
+              group.padded.push_back(slot);
+            }
+          }
+          order_.entries.resize(mark);
+          order_.entries.push_back(std::move(group));
+        }
         if (c.where) {
-      PGT_ASSIGN_OR_RETURN(s.where, CompileExpr(*c.where));
-    }
-        // Surviving rows (matched or OPTIONAL-padded) bind every pattern
-        // variable.
-        for (int slot : s.pattern.intro_slots) Bind(slot);
+          PGT_ASSIGN_OR_RETURN(s.where, CompileExpr(*c.where));
+        }
         break;
       }
       case Clause::Kind::kUnwind: {
@@ -550,9 +578,12 @@ class Compiler {
       }
       case Clause::Kind::kWith:
       case Clause::Kind::kReturn: {
-        if (c.return_star) return Unsupported("RETURN * / WITH *");
         s.is_return = c.kind == Clause::Kind::kReturn;
+        s.star = c.return_star;
         s.distinct = c.distinct;
+        // A star projection keeps every binding, so the rest of the clause
+        // compiles in the current scope.
+        if (s.star) s.scope = order_;
         for (const ProjItem& item : c.items) {
           PProjItem pi;
           PGT_ASSIGN_OR_RETURN(pi.expr, CompileExpr(*item.expr));
@@ -573,8 +604,10 @@ class Compiler {
           }
         }
         // WITH/RETURN re-scope the rows to the projected aliases.
-        ClearBound();
-        for (int slot : s.out_slots) Bind(slot);
+        if (!s.star) {
+          ClearBound();
+          for (int slot : s.out_slots) Bind(slot);
+        }
         if (c.where) {
           PGT_ASSIGN_OR_RETURN(s.where, CompileExpr(*c.where));
         }
@@ -585,12 +618,12 @@ class Compiler {
           s.order_by.push_back(std::move(ps));
         }
         if (c.skip != nullptr || c.limit != nullptr) {
-          // The interpreter evaluates SKIP/LIMIT against an empty row.
-          std::vector<char> saved = SaveBound();
+          // SKIP/LIMIT evaluate against an empty row.
+          Scope saved = SaveBound();
           ClearBound();
           if (c.skip) {
-          PGT_ASSIGN_OR_RETURN(s.skip, CompileExpr(*c.skip));
-        }
+            PGT_ASSIGN_OR_RETURN(s.skip, CompileExpr(*c.skip));
+          }
           if (c.limit) {
             PGT_ASSIGN_OR_RETURN(s.limit, CompileExpr(*c.limit));
           }
@@ -602,14 +635,12 @@ class Compiler {
         PGT_ASSIGN_OR_RETURN(s.pattern,
                              CompilePattern(c.pattern, nullptr,
                                             /*scan_templates=*/false));
-        for (int slot : s.pattern.intro_slots) Bind(slot);
         break;
       }
       case Clause::Kind::kMerge: {
         PGT_ASSIGN_OR_RETURN(s.pattern,
                              CompilePattern(c.pattern, nullptr,
                                             /*scan_templates=*/true));
-        for (int slot : s.pattern.intro_slots) Bind(slot);
         for (const SetItem& it : c.on_create) {
           PGT_ASSIGN_OR_RETURN(PSetItem p, CompileSetItem(it));
           s.on_create.push_back(std::move(p));
@@ -645,7 +676,7 @@ class Compiler {
       case Clause::Kind::kForeach: {
         PGT_ASSIGN_OR_RETURN(s.foreach_list, CompileExpr(*c.foreach_list));
         s.foreach_slot = SlotOf(c.foreach_var);
-        std::vector<char> saved = SaveBound();
+        Scope saved = SaveBound();
         Bind(s.foreach_slot);
         PGT_ASSIGN_OR_RETURN(
             s.foreach_body,
@@ -653,8 +684,20 @@ class Compiler {
         RestoreBound(std::move(saved));
         break;
       }
-      case Clause::Kind::kCall:
-        return Unsupported("CALL");
+      case Clause::Kind::kCall: {
+        s.call_proc = c.call_proc;
+        for (const ExprPtr& arg : c.call_args) {
+          PGT_ASSIGN_OR_RETURN(PExprPtr p, CompileExpr(*arg));
+          s.call_args.push_back(std::move(p));
+        }
+        s.scope = order_;
+        s.call_yield = c.call_yield;
+        for (const std::string& y : c.call_yield) {
+          s.yield_slots.push_back(SlotOf(y));
+          Bind(s.yield_slots.back());
+        }
+        break;
+      }
     }
     return s;
   }
@@ -664,13 +707,18 @@ class Compiler {
     std::vector<PStep> steps;
     for (size_t i = 0; i < clauses.size(); ++i) {
       const Clause& c = *clauses[i];
-      if (c.kind == Clause::Kind::kReturn) {
-        if (mode == ClauseMode::kNoReturn || i + 1 != clauses.size()) {
-          // The interpreter raises these as runtime errors ("RETURN is not
-          // allowed here" / "RETURN must be the final clause"); falling
-          // back keeps the message byte-identical.
-          return Unsupported("RETURN position");
-        }
+      if (c.kind == Clause::Kind::kReturn &&
+          (mode == ClauseMode::kNoReturn || i + 1 != clauses.size())) {
+        // Nothing after this step can run, so the pipeline ends here.
+        PStep raise;
+        raise.kind = c.kind;
+        raise.line = c.line;
+        raise.col = c.col;
+        raise.error = mode == ClauseMode::kNoReturn
+                          ? "RETURN is not allowed here"
+                          : "RETURN must be the final clause";
+        steps.push_back(std::move(raise));
+        break;
       }
       PGT_ASSIGN_OR_RETURN(PStep s, CompileClause(c));
       steps.push_back(std::move(s));
@@ -679,9 +727,9 @@ class Compiler {
   }
 
  private:
-  /// Numbers aggregate calls in the exact pre-order the interpreter's
-  /// SubstituteAggregates visits them (a, b, c, args, map entries, whens;
-  /// EXISTS subqueries excluded; no descent into aggregate arguments).
+  /// Numbers aggregate calls in pre-order (a, b, c, args, map entries,
+  /// whens; EXISTS subqueries excluded; no descent into aggregate
+  /// arguments) — the order ComputeAggregates fills them in.
   void NumberAggregates(PExpr* e, int* counter) {
     if (e->kind == Expr::Kind::kCountStar ||
         (e->kind == Expr::Kind::kFunc && IsAggregateFunctionName(e->name))) {
@@ -704,17 +752,18 @@ class Compiler {
   }
 
   const CompileEnv& env_;
-  const GraphStore& store_;
+  const StoreView& view_;
   std::unordered_map<std::string, int> slot_of_;
   std::vector<std::string> slot_names_;
   std::vector<char> bound_;
+  BindingOrder order_;
 };
 
 }  // namespace
 
 Result<PlanProgram> CompileQuery(const Query& q, const CompileEnv& env,
-                                 const GraphStore& store, uint64_t epoch) {
-  Compiler c(env, store);
+                                 const StoreView& view, uint64_t epoch) {
+  Compiler c(env, view);
   for (const std::string& name : env.seed_vars) {
     c.Bind(c.SlotOf(name));
   }
@@ -723,7 +772,7 @@ Result<PlanProgram> CompileQuery(const Query& q, const CompileEnv& env,
                        c.CompileClauses(q.clauses, ClauseMode::kTopLevel));
   prog.slot_names = c.slot_names();
   prog.slot_count = prog.slot_names.size();
-  prog.store = &store;
+  prog.store = view.live_store();
   prog.epoch = epoch;
   return prog;
 }
@@ -732,9 +781,9 @@ Result<TriggerProgram> CompileTrigger(const Expr* when_expr,
                                       const Query* when_query,
                                       const Query& action,
                                       const CompileEnv& env,
-                                      const GraphStore& store,
+                                      const StoreView& view,
                                       uint64_t epoch) {
-  Compiler c(env, store);
+  Compiler c(env, view);
   TriggerProgram tp;
   for (const std::string& name : env.seed_vars) {
     const int slot = c.SlotOf(name);
@@ -759,7 +808,7 @@ Result<TriggerProgram> CompileTrigger(const Expr* when_expr,
                        c.CompileClauses(action.clauses, ClauseMode::kNoReturn));
   tp.slot_names = c.slot_names();
   tp.slot_count = tp.slot_names.size();
-  tp.store = &store;
+  tp.store = view.live_store();
   tp.epoch = epoch;
   return tp;
 }

@@ -8,13 +8,15 @@
 #include "src/common/result.h"
 #include "src/cypher/ast.h"
 #include "src/cypher/plan/program.h"
+#include "src/storage/store_view.h"
 
 namespace pgt::cypher::plan {
 
 /// Compile-time facts about the execution environment of a statement.
 struct CompileEnv {
   /// Variables bound before the first clause, in seeding order (the trigger
-  /// engine's transition variables; empty for ad-hoc statements).
+  /// engine's transition variables, the emulators' predefined variables;
+  /// empty for ad-hoc statements).
   std::vector<std::string> seed_vars;
   /// Variable names whose property reads may resolve against the OLD
   /// transition images at runtime (TransitionEnv::old_view_vars is always a
@@ -23,25 +25,25 @@ struct CompileEnv {
 };
 
 /// Lowers a parsed statement into a slot-addressed PhysicalPlan-style
-/// program. Scan templates are resolved against the store's IndexCatalog
-/// snapshot; `epoch` is the caller's plan epoch the program is keyed on.
+/// program. Symbols and scan templates resolve against `view`, the view the
+/// program will run against: the live store (its IndexCatalog at plan epoch
+/// `epoch`) or a pinned snapshot (its dictionaries and index image).
 ///
-/// Returns kUnimplemented when the statement uses a shape the compiled
-/// executor intentionally does not cover (`RETURN *` / `WITH *`, CALL,
-/// RETURN in a non-final position); callers fall back to the AST
-/// interpreter, which has identical semantics, so fallback is never
-/// user-visible.
+/// Every statement the parser accepts compiles. A RETURN where none may
+/// stand compiles to a step that fails when reached, so such statements
+/// error at run time, after the clauses before the RETURN ran.
 Result<PlanProgram> CompileQuery(const Query& q, const CompileEnv& env,
-                                 const GraphStore& store, uint64_t epoch);
+                                 const StoreView& view, uint64_t epoch);
 
 /// Compiles a trigger's WHEN (expression or read-only pipeline) and action
 /// into one program with a shared slot universe, so condition bindings stay
-/// in scope for the action (DESIGN.md D2). Fallback rules as CompileQuery.
+/// in scope for the action (DESIGN.md D2). A RETURN in the action fails
+/// when the action reaches it.
 Result<TriggerProgram> CompileTrigger(const Expr* when_expr,
                                       const Query* when_query,
                                       const Query& action,
                                       const CompileEnv& env,
-                                      const GraphStore& store, uint64_t epoch);
+                                      const StoreView& view, uint64_t epoch);
 
 }  // namespace pgt::cypher::plan
 

@@ -16,12 +16,11 @@
 
 namespace pgt::cypher::plan {
 
-/// One prepared ad-hoc statement: the parsed AST (kept for interpreter
-/// fallback and for cheap recompiles after an epoch bump) plus the compiled
-/// program (null when the statement hit an intentional compile fallback).
+/// One prepared ad-hoc statement: the parsed AST (kept for cheap
+/// recompiles after an epoch bump) plus the compiled program.
 struct PreparedStatement {
   Query query;
-  std::shared_ptr<const PlanProgram> program;  // null = interpret
+  std::shared_ptr<const PlanProgram> program;
   /// Plan epoch / store the program was compiled against; stale entries are
   /// recompiled from `query` without re-parsing.
   uint64_t epoch = 0;

@@ -5,14 +5,116 @@
 #include <cmath>
 #include <map>
 #include <set>
+#include <sstream>
 
 #include "src/common/macros.h"
+#include "src/common/str_util.h"
 #include "src/cypher/functions.h"
+#include "src/cypher/plan/compiler.h"
 #include "src/cypher/scan_plan.h"
+
+namespace pgt::cypher {
+
+std::string QueryResult::ToTable() const {
+  std::vector<size_t> widths(columns.size());
+  std::vector<std::vector<std::string>> cells;
+  for (size_t c = 0; c < columns.size(); ++c) {
+    widths[c] = columns[c].size();
+  }
+  for (const auto& row : rows) {
+    std::vector<std::string> line;
+    for (size_t c = 0; c < row.size(); ++c) {
+      line.push_back(row[c].ToString());
+      if (c < widths.size()) widths[c] = std::max(widths[c], line[c].size());
+    }
+    cells.push_back(std::move(line));
+  }
+  std::ostringstream os;
+  auto emit_row = [&](const std::vector<std::string>& vals) {
+    os << "|";
+    for (size_t c = 0; c < widths.size(); ++c) {
+      std::string v = c < vals.size() ? vals[c] : "";
+      os << " " << v << std::string(widths[c] - v.size(), ' ') << " |";
+    }
+    os << "\n";
+  };
+  emit_row(columns);
+  os << "|";
+  for (size_t c = 0; c < widths.size(); ++c) {
+    os << std::string(widths[c] + 2, '-') << "|";
+  }
+  os << "\n";
+  for (const auto& line : cells) emit_row(line);
+  return os.str();
+}
+
+}  // namespace pgt::cypher
 
 namespace pgt::cypher::plan {
 
 namespace {
+
+/// Reduces one aggregate call (count / collect / sum / avg / min / max)
+/// over the evaluated per-row argument values, NULLs already removed;
+/// applies DISTINCT dedup first when `distinct` is set.
+Result<Value> FinishAggregate(const std::string& name, bool distinct,
+                              std::vector<Value> vals) {
+  const std::string fn = ToLower(name);
+  if (distinct) {
+    std::vector<Value> uniq;
+    for (Value& v : vals) {
+      bool dup = false;
+      for (const Value& u : uniq) {
+        if (u.Equals(v)) {
+          dup = true;
+          break;
+        }
+      }
+      if (!dup) uniq.push_back(std::move(v));
+    }
+    vals = std::move(uniq);
+  }
+  if (fn == "count") return Value::Int(static_cast<int64_t>(vals.size()));
+  if (fn == "collect") return Value::MakeList(std::move(vals));
+  if (fn == "sum") {
+    bool all_int = true;
+    double acc = 0;
+    int64_t iacc = 0;
+    for (const Value& v : vals) {
+      if (!v.is_numeric()) {
+        return Status::TypeError("sum over non-numeric value");
+      }
+      if (v.is_int()) {
+        iacc += v.int_value();
+      } else {
+        all_int = false;
+      }
+      acc += v.as_double();
+    }
+    return all_int ? Value::Int(iacc) : Value::Double(acc);
+  }
+  if (fn == "avg") {
+    if (vals.empty()) return Value::Null();
+    double acc = 0;
+    for (const Value& v : vals) {
+      if (!v.is_numeric()) {
+        return Status::TypeError("avg over non-numeric value");
+      }
+      acc += v.as_double();
+    }
+    return Value::Double(acc / static_cast<double>(vals.size()));
+  }
+  if (fn == "min" || fn == "max") {
+    if (vals.empty()) return Value::Null();
+    Value best = vals[0];
+    for (size_t i = 1; i < vals.size(); ++i) {
+      const int c = vals[i].TotalCompare(best);
+      if ((fn == "min" && c < 0) || (fn == "max" && c > 0)) best = vals[i];
+    }
+    return best;
+  }
+  return Status::InvalidArgument("unknown aggregate " + name);
+}
 
 Status TypeErrAt(int line, int col, const std::string& msg) {
   return Status::TypeError(msg + " at " + std::to_string(line) + ":" +
@@ -93,14 +195,13 @@ bool IndexProbeExact(const Value& v) {
   }
 }
 
-/// Sentinel used to stop enumeration early in PatternExists (mirror of the
-/// interpreter matcher's early-exit protocol).
+/// Sentinel used to stop enumeration early in PatternExists.
 const char kFoundSentinel[] = "__pgt_plan_match_found__";
 
 /// Restores one frame slot on scope exit (list comprehensions bind their
 /// iteration variable in place instead of copying the whole frame per
-/// item; evaluation is otherwise read-only, so this is equivalent to the
-/// interpreter's per-item row copy).
+/// item; evaluation is otherwise read-only, so this is equivalent to a
+/// per-item copy).
 class SlotSaver {
  public:
   SlotSaver(Frame& f, int slot)
@@ -113,7 +214,8 @@ class SlotSaver {
   FrameSlot saved_;
 };
 
-/// Mirror of the matcher's LabelSplit over compiled symbol refs.
+/// A node pattern's labels split into real labels and transition
+/// pseudo-labels (DESIGN.md D6).
 struct PLabelSplit {
   std::vector<LabelId> real;
   std::vector<const TransitionEnv::SetBinding*> trans;
@@ -123,7 +225,7 @@ struct PLabelSplit {
 }  // namespace
 
 // ============================================================================
-// Expression evaluation (mirror of EvalExpr in src/cypher/eval.cc).
+// Expression evaluation.
 // ============================================================================
 
 Result<Value> PlanExecutor::Eval(const PExpr& e, Frame& f) {
@@ -392,7 +494,117 @@ Status PlanExecutor::ComputeAggregates(const PExpr& e,
 }
 
 // ============================================================================
-// Frame matcher (mirror of src/cypher/matcher.cc's PartMatcher).
+// Access-path selection.
+// ============================================================================
+
+namespace {
+
+/// Resolves a compile-time index ref for (label, prop) against the
+/// executing view. Refs work as compiled on the view they were resolved
+/// in; a live ref executing on a snapshot (a trigger plan pre-evaluated by
+/// an async worker) re-resolves to the epoch-versioned posting sidecar —
+/// invalid when the pinned image predates the index, in which case the
+/// caller falls through to the next access path. The live index itself is
+/// never touched off the writer thread.
+IndexRef ResolveIndex(const IndexRef& ref, LabelId label, PropKeyId prop,
+                      const StoreView& view) {
+  if (!view.is_snapshot() || !ref.is_live()) return ref;
+  return view.FindIndex(label, prop);
+}
+
+}  // namespace
+
+NodeScanPlan PlanExecutor::SelectScan(const PScanTemplate& t,
+                                      const std::vector<LabelId>& real_labels,
+                                      Frame& row, int* satisfied_prop_idx) {
+  NodeScanPlan plan;
+  *satisfied_prop_idx = -1;
+  if (real_labels.empty()) return plan;  // kFullScan
+
+  const StoreView& view = *ctx_.store();
+  auto take_eq = [&](const PScanTemplate::EqProbe& probe, IndexRef ref,
+                     Value value) {
+    plan.kind = NodeScanPlan::Kind::kIndexEquality;
+    plan.idx = ref;
+    if (probe.inline_prop_idx >= 0 && IndexProbeExact(value)) {
+      *satisfied_prop_idx = probe.inline_prop_idx;
+    }
+    plan.eq_value = std::move(value);
+  };
+  const PScanTemplate::EqProbe* first_any = nullptr;
+  IndexRef first_any_ref;
+  Value first_any_value;
+  for (const PScanTemplate::EqProbe& probe : t.eq_probes) {
+    auto r = Eval(*probe.comparand, row);
+    if (!r.ok()) continue;  // the normal evaluation path surfaces errors
+    IndexRef ref = ResolveIndex(probe.idx, probe.label, probe.prop, view);
+    if (!ref) continue;  // index absent at this snapshot's epoch
+    if (probe.unique) {
+      take_eq(probe, ref, std::move(r).value());
+      return plan;
+    }
+    if (first_any == nullptr) {
+      first_any = &probe;
+      first_any_ref = ref;
+      first_any_value = std::move(r).value();
+    }
+  }
+  if (first_any != nullptr) {
+    take_eq(*first_any, first_any_ref, std::move(first_any_value));
+    return plan;
+  }
+
+  for (const PScanTemplate::RangeGroup& group : t.range_groups) {
+    IndexRef ref = ResolveIndex(group.idx, group.label, group.prop, view);
+    if (!ref || !ref.SupportsRange()) continue;  // live-only access path
+    RangeBounds bounds;
+    for (const PScanTemplate::RangeBound& b : group.bounds) {
+      auto r = Eval(*b.comparand, row);
+      if (!r.ok()) continue;
+      const Value v = std::move(r).value();
+      if (index::CompareClassOf(v) == index::CompareClass::kOther) continue;
+      bounds.Tighten(b.op, v);
+    }
+    if (!bounds.lo.has_value() && !bounds.hi.has_value()) continue;
+    plan.kind = NodeScanPlan::Kind::kIndexRange;
+    plan.idx = ref;
+    plan.lo = bounds.lo;
+    plan.hi = bounds.hi;
+    plan.lo_inclusive = bounds.lo_inclusive;
+    plan.hi_inclusive = bounds.hi_inclusive;
+    return plan;
+  }
+
+  LabelId best = real_labels.front();
+  size_t best_card = view.LabelCardinality(best);
+  for (size_t i = 1; i < real_labels.size(); ++i) {
+    const size_t card = view.LabelCardinality(real_labels[i]);
+    if (card < best_card) {
+      best = real_labels[i];
+      best_card = card;
+    }
+  }
+  plan.kind = NodeScanPlan::Kind::kLabelScan;
+  plan.label = best;
+  return plan;
+}
+
+// ============================================================================
+// Frame matcher.
+//
+// openCypher semantics: comma-separated parts match left to right in one
+// binding scope; variables already bound constrain the match; one MATCH
+// never binds the same relationship twice (variable-length paths
+// included); `-[*min..max]-` binds its variable to the list of traversed
+// relationships; names that denote a transition set act as pseudo-labels
+// restricting candidates to that set (DESIGN.md D6), and deleted items in
+// OLD sets match node patterns but traverse no relationships.
+//
+// Determinism contract: candidates for a part's first node enumerate in
+// ascending id order whatever access path SelectScan picks (full scan,
+// label index, property index), so results and their order are identical
+// across plans. Transition-set scans enumerate in event-recording order,
+// itself deterministic. Tombstoned nodes never appear in any scan.
 // ============================================================================
 
 namespace {
@@ -405,10 +617,8 @@ class FrameMatcher {
 
   /// Matching binds slots *in place* on one working frame and restores them
   /// on backtrack (the binding discipline is strictly LIFO), so a candidate
-  /// costs zero frame copies — the interpreter pays a full name-keyed Row
-  /// copy per extension instead. Reads during matching see exactly the
-  /// bindings the interpreter's row would hold at the same point; one copy
-  /// per *emitted* row remains (the result the caller keeps).
+  /// costs zero frame copies; one copy per *emitted* row remains (the
+  /// result the caller keeps).
   Status Run(const Frame& row) {
     work_ = exec_->CopyFrame(row);  // pooled buffer, copy-assigned in place
     Status st = MatchPart(0);
@@ -500,100 +710,6 @@ class FrameMatcher {
     return true;
   }
 
-  /// Instantiates the part's compile-time scan template against the current
-  /// bindings: evaluates probe comparands and picks the access path in the
-  /// same preference order as PlanNodeScan (unique equality, any equality,
-  /// range, least-populated label, full scan). Whatever is picked, results
-  /// are identical — candidates always enumerate in ascending id order.
-  /// `satisfied_prop_idx` (out): inline-prop index the selected equality
-  /// probe makes redundant, or -1 (guarded by IndexProbeExact — NaN and
-  /// beyond-2^53 int probes keep the re-check, which rejects what Equals
-  /// rejects but the index's band equality admits).
-  /// Resolves a compile-time index pointer against the executing view.
-  /// Live views (what the plan was compiled against) use it directly;
-  /// snapshot views re-resolve by spec to the epoch-versioned posting
-  /// sidecar — invalid when the pinned image predates the index, in which
-  /// case the caller falls through to the next access path.
-  IndexRef ResolveIndex(const index::PropertyIndex* idx) const {
-    const StoreView* view = ctx_.store();
-    if (!view->is_snapshot()) return IndexRef::LiveIndex(idx);
-    return view->FindIndex(idx->spec().label, idx->spec().prop);
-  }
-
-  NodeScanPlan SelectScan(const PScanTemplate& t,
-                          const std::vector<LabelId>& real_labels,
-                          int* satisfied_prop_idx) {
-    NodeScanPlan plan;
-    *satisfied_prop_idx = -1;
-    if (real_labels.empty()) return plan;  // kFullScan
-
-    auto take_eq = [&](const PScanTemplate::EqProbe& probe, IndexRef ref,
-                       Value value) {
-      plan.kind = NodeScanPlan::Kind::kIndexEquality;
-      plan.idx = ref;
-      if (probe.inline_prop_idx >= 0 && IndexProbeExact(value)) {
-        *satisfied_prop_idx = probe.inline_prop_idx;
-      }
-      plan.eq_value = std::move(value);
-    };
-    const PScanTemplate::EqProbe* first_any = nullptr;
-    IndexRef first_any_ref;
-    Value first_any_value;
-    for (const PScanTemplate::EqProbe& probe : t.eq_probes) {
-      auto r = exec_->Eval(*probe.comparand, work_);
-      if (!r.ok()) continue;  // the normal evaluation path surfaces errors
-      IndexRef ref = ResolveIndex(probe.idx);
-      if (!ref) continue;  // index absent at this snapshot's epoch
-      if (probe.unique) {
-        take_eq(probe, ref, std::move(r).value());
-        return plan;
-      }
-      if (first_any == nullptr) {
-        first_any = &probe;
-        first_any_ref = ref;
-        first_any_value = std::move(r).value();
-      }
-    }
-    if (first_any != nullptr) {
-      take_eq(*first_any, first_any_ref, std::move(first_any_value));
-      return plan;
-    }
-
-    for (const PScanTemplate::RangeGroup& group : t.range_groups) {
-      IndexRef ref = ResolveIndex(group.idx);
-      if (!ref || !ref.SupportsRange()) continue;  // live-only access path
-      RangeBounds bounds;
-      for (const PScanTemplate::RangeBound& b : group.bounds) {
-        auto r = exec_->Eval(*b.comparand, work_);
-        if (!r.ok()) continue;
-        const Value v = std::move(r).value();
-        if (index::CompareClassOf(v) == index::CompareClass::kOther) continue;
-        bounds.Tighten(b.op, v);
-      }
-      if (!bounds.lo.has_value() && !bounds.hi.has_value()) continue;
-      plan.kind = NodeScanPlan::Kind::kIndexRange;
-      plan.idx = ref;
-      plan.lo = bounds.lo;
-      plan.hi = bounds.hi;
-      plan.lo_inclusive = bounds.lo_inclusive;
-      plan.hi_inclusive = bounds.hi_inclusive;
-      return plan;
-    }
-
-    LabelId best = real_labels.front();
-    size_t best_card = ctx_.store()->LabelCardinality(best);
-    for (size_t i = 1; i < real_labels.size(); ++i) {
-      const size_t card = ctx_.store()->LabelCardinality(real_labels[i]);
-      if (card < best_card) {
-        best = real_labels[i];
-        best_card = card;
-      }
-    }
-    plan.kind = NodeScanPlan::Kind::kLabelScan;
-    plan.label = best;
-    return plan;
-  }
-
   Status MatchPart(size_t part_idx) {
     if (part_idx >= pattern_.parts.size()) {
       // The one copy per emitted row (into a pooled buffer).
@@ -645,7 +761,7 @@ class FrameMatcher {
       return Status::OK();
     }
     const NodeScanPlan plan =
-        SelectScan(part.scan, split.real, &satisfied_prop_idx);
+        exec_->SelectScan(part.scan, split.real, work_, &satisfied_prop_idx);
     // Pooled per-level buffers: the recursion below may run nested scans,
     // so each level owns its own (recycled) pair.
     NodeScanBuffers bufs = exec_->AcquireScanBufs();
@@ -853,11 +969,12 @@ Result<bool> PlanExecutor::PatternExists(const PPattern& pattern,
 }
 
 // ============================================================================
-// Steps (mirror of Executor::Apply*).
+// Steps.
 // ============================================================================
 
 Result<std::vector<Frame>> PlanExecutor::ApplyStep(const PStep& s,
                                                    std::vector<Frame> frames) {
+  if (!s.error.empty()) return ExecErrAt(s, s.error);
   if (ctx_.budget != nullptr) {
     PGT_RETURN_IF_ERROR(ctx_.budget->Tick());
   }
@@ -882,7 +999,7 @@ Result<std::vector<Frame>> PlanExecutor::ApplyStep(const PStep& s,
     case Clause::Kind::kForeach:
       return ApplyForeach(s, std::move(frames));
     case Clause::Kind::kCall:
-      break;  // never compiled (interpreter fallback)
+      return ApplyCall(s, std::move(frames));
   }
   return Status::Internal("unhandled step kind");
 }
@@ -950,7 +1067,10 @@ Result<std::vector<Frame>> PlanExecutor::ApplyProjection(
     const PStep& s, std::vector<Frame> frames) {
   std::vector<Frame> projected = NewFrameVec();
 
-  if (!s.any_aggregate) {
+  if (s.star) {
+    RecycleAll(std::move(projected));
+    projected = std::move(frames);  // keep all bindings (no copy)
+  } else if (!s.any_aggregate) {
     for (Frame& f : frames) {
       Frame out = NewFrame();
       for (const PProjItem& item : s.items) {
@@ -1008,6 +1128,12 @@ Result<std::vector<Frame>> PlanExecutor::ApplyProjection(
     std::vector<Frame> uniq;
     for (Frame& f : projected) {
       std::vector<Value> key;
+      if (s.star) {
+        // Every frame here binds the same slots: compare them all.
+        for (const FrameSlot& slot : f.slots) {
+          if (slot.bound) key.push_back(slot.v);
+        }
+      }
       for (int slot : s.out_slots) {
         const Value* v = f.Get(slot);
         key.push_back(v == nullptr ? Value::Null() : *v);
@@ -1378,8 +1504,57 @@ Result<std::vector<Frame>> PlanExecutor::ApplyForeach(
   return frames;
 }
 
+Result<std::vector<Frame>> PlanExecutor::ApplyCall(const PStep& s,
+                                                   std::vector<Frame> frames) {
+  if (ctx_.procedures == nullptr) {
+    return ExecErrAt(s, "no procedures registered (CALL " + s.call_proc + ")");
+  }
+  const ProcedureRegistry::Entry* proc = ctx_.procedures->Lookup(s.call_proc);
+  if (proc == nullptr) {
+    return ExecErrAt(s, "unknown procedure " + s.call_proc);
+  }
+  for (const std::string& y : s.call_yield) {
+    if (std::find(proc->outputs.begin(), proc->outputs.end(), y) ==
+        proc->outputs.end()) {
+      return ExecErrAt(s, "procedure " + s.call_proc +
+                              " has no output column '" + y + "'");
+    }
+  }
+  std::vector<Frame> out = NewFrameVec();
+  for (Frame& f : frames) {
+    std::vector<Value> args;
+    args.reserve(s.call_args.size());
+    for (const PExprPtr& arg : s.call_args) {
+      PGT_ASSIGN_OR_RETURN(Value v, Eval(*arg, f));
+      args.push_back(std::move(v));
+    }
+    // Procedures see the calling row by name, in binding order.
+    Row row;
+    for (int slot : s.scope.SlotsOf(f)) {
+      row.Set(slot_names_[slot], f.slots[static_cast<size_t>(slot)].v);
+    }
+    PGT_ASSIGN_OR_RETURN(std::vector<Row> produced,
+                         proc->fn(ctx_, args, row));
+    if (s.call_yield.empty()) {
+      // Side-effect call: the row passes through.
+      out.push_back(std::move(f));
+      continue;
+    }
+    for (const Row& prow : produced) {
+      Frame merged = CopyFrame(f);
+      for (size_t i = 0; i < s.call_yield.size(); ++i) {
+        const Value* v = prow.Get(s.call_yield[i]);
+        merged.Set(s.yield_slots[i], v == nullptr ? Value::Null() : *v);
+      }
+      out.push_back(std::move(merged));
+    }
+  }
+  RecycleAll(std::move(frames));
+  return out;
+}
+
 // ============================================================================
-// Entry points (mirror of Executor::Run / RunClauses / RunUpdates).
+// Entry points.
 // ============================================================================
 
 Result<QueryResult> PlanExecutor::Run(const std::vector<PStep>& steps,
@@ -1390,14 +1565,21 @@ Result<QueryResult> PlanExecutor::Run(const std::vector<PStep>& steps,
   for (const PStep& s : steps) {
     PGT_ASSIGN_OR_RETURN(frames, ApplyStep(s, std::move(frames)));
     if (s.is_return) {
-      // Mirror of the interpreter's table shaping: columns come from the
-      // rows actually produced, so an empty result has no columns.
+      // Columns come from the rows actually produced, so an empty result
+      // has no columns.
       if (!frames.empty()) {
-        result.columns = s.out_names;
+        std::vector<int> star_slots;
+        if (s.star) star_slots = s.scope.SlotsOf(frames.front());
+        const std::vector<int>& slots = s.star ? star_slots : s.out_slots;
+        if (s.star) {
+          for (int slot : slots) result.columns.push_back(slot_names_[slot]);
+        } else {
+          result.columns = s.out_names;
+        }
         for (const Frame& f : frames) {
           std::vector<Value> line;
-          line.reserve(s.out_slots.size());
-          for (int slot : s.out_slots) {
+          line.reserve(slots.size());
+          for (int slot : slots) {
             const Value* v = f.Get(slot);
             line.push_back(v == nullptr ? Value::Null() : *v);
           }
@@ -1424,6 +1606,29 @@ Status PlanExecutor::RunUpdates(const std::vector<PStep>& steps,
     PGT_ASSIGN_OR_RETURN(frames, ApplyStep(s, std::move(frames)));
   }
   RecycleAll(std::move(frames));
+  return Status::OK();
+}
+
+Status RunSeeded(EvalContext ctx, const Query& q, const Row& seed,
+                 FramePool* pool) {
+  CompileEnv env;
+  for (const auto& [name, v] : seed.cols) {
+    (void)v;
+    env.seed_vars.push_back(name);
+  }
+  PGT_ASSIGN_OR_RETURN(const PlanProgram program,
+                       CompileQuery(q, env, *ctx.store(), /*epoch=*/0));
+  PlanExecutor exec(ctx, program.slot_names, pool);
+  // CompileQuery allots the seed variables the first slots, in order.
+  Frame frame = exec.NewFrame();
+  for (size_t i = 0; i < seed.cols.size(); ++i) {
+    frame.Set(static_cast<int>(i), seed.cols[i].second);
+  }
+  std::vector<Frame> frames = exec.NewFrameVec();
+  frames.push_back(std::move(frame));
+  PGT_ASSIGN_OR_RETURN(frames, exec.RunClauses(program.steps,
+                                               std::move(frames)));
+  exec.RecycleAll(std::move(frames));
   return Status::OK();
 }
 

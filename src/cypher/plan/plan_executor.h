@@ -7,25 +7,40 @@
 
 #include "src/common/result.h"
 #include "src/cypher/eval.h"
-#include "src/cypher/executor.h"
 #include "src/cypher/scan_plan.h"
 #include "src/cypher/plan/program.h"
 
+namespace pgt::cypher {
+
+/// Tabular result of a query (populated by a trailing RETURN; queries
+/// without RETURN produce an empty table but still report row counts).
+struct QueryResult {
+  std::vector<std::string> columns;
+  std::vector<std::vector<Value>> rows;
+
+  /// Convenience for tests: single-cell access.
+  const Value& at(size_t r, size_t c) const { return rows[r][c]; }
+
+  /// Renders an aligned ASCII table (examples/bench output).
+  std::string ToTable() const;
+};
+
+}  // namespace pgt::cypher
+
 namespace pgt::cypher::plan {
 
-/// Executes compiled programs over slot-addressed frames.
+/// Executes compiled programs over slot-addressed frames — the one query
+/// executor: ad-hoc statements, snapshot reads, trigger WHEN/action
+/// bodies, and the emulators' trigger statements all run here.
 ///
-/// This is a structural mirror of the AST interpreter (Executor +
-/// MatchPattern): every step, match recursion, and evaluation rule
-/// corresponds one-to-one to its interpreter counterpart, and the
-/// value-level semantics (operators, aggregates, scan result order) are
-/// shared helpers, so the two paths produce byte-identical QueryResults,
-/// trigger activations, and stats (asserted by
-/// tests/test_plan_differential.cc). What the compiled path removes is
-/// per-evaluation interpretation overhead: name-keyed Row lookups and
-/// copies become slot reads and flat frame copies, label/type/property
-/// lookups hit per-plan symbol caches, and scan planning is a template
-/// instantiation instead of per-row WHERE re-analysis.
+/// Clauses execute strictly left to right over materialized frames; writes
+/// apply immediately through the change-tracking Transaction, so later
+/// clauses observe earlier writes — the "interleaving of MATCH clauses
+/// with ... creations, updates and deletions" of the paper's Section 4.2.
+/// Variables are slot reads, label/type/property names hit per-plan symbol
+/// caches, and scan planning instantiates a compile-time template.
+/// tests/test_plan_differential.cc pins the results against a recorded
+/// transcript.
 ///
 /// Callers must validate plan affinity (PlanProgram::store / epoch) before
 /// executing; a stale plan may hold dangling index pointers.
@@ -68,32 +83,48 @@ class PlanExecutor {
     if (pool_ != nullptr) pool_->ReleaseScanBufs(std::move(b));
   }
 
-  /// Mirror of Executor::Run: executes a full statement, shaping the result
-  /// table from the final RETURN step.
+  /// Executes a full statement, shaping the result table from the final
+  /// RETURN step. `seed` provides the initial bindings.
   Result<QueryResult> Run(const std::vector<PStep>& steps, Frame seed);
 
-  /// Mirror of Executor::RunClauses (trigger WHEN pipelines).
+  /// Applies steps to explicit frames and returns the resulting frames
+  /// (trigger WHEN pipelines, emulator statements; a RETURN projects).
   Result<std::vector<Frame>> RunClauses(const std::vector<PStep>& steps,
                                         std::vector<Frame> frames);
 
-  /// Mirror of Executor::RunUpdates (trigger actions, FOREACH bodies).
+  /// Runs update steps over explicit frames (trigger actions, FOREACH
+  /// bodies).
   Status RunUpdates(const std::vector<PStep>& steps,
                     std::vector<Frame> frames);
 
-  /// Expression evaluation (mirror of EvalExpr). Takes a mutable frame so
-  /// list comprehensions can bind their iteration slot in place
-  /// (saved/restored around the loop); every other path leaves the frame
-  /// untouched.
+  /// Expression evaluation. Takes a mutable frame so list comprehensions
+  /// can bind their iteration slot in place (saved/restored around the
+  /// loop); every other path leaves the frame untouched. Aggregate calls
+  /// are rejected outside WITH/RETURN projections.
   Result<Value> Eval(const PExpr& e, Frame& f);
+  /// True iff `e` evaluates to boolean true (NULL and false both fail, per
+  /// Cypher WHERE); a non-boolean value is a type error.
   Result<bool> EvalPredicate(const PExpr& e, Frame& f);
 
   EvalContext& ctx() { return ctx_; }
   size_t slot_count() const { return slot_names_.size(); }
 
-  /// Mirror of MatchPattern over frames (used by MATCH/MERGE steps and
-  /// EXISTS subqueries).
+  /// Enumerates the matches of `pattern` extending `row` (MATCH/MERGE steps
+  /// and EXISTS subqueries); `emit` may return non-OK to stop.
   Status MatchPattern(const PPattern& pattern, const Frame& row,
                       const std::function<Status(Frame&)>& emit);
+
+  /// Instantiates a pattern part's compile-time scan template against the
+  /// bindings in `row`: evaluates probe comparands and picks, in order, an
+  /// equality probe on a unique index, on any index, a range scan on an
+  /// ordered index, a scan of the least-populated label, or a full scan.
+  /// Whatever is picked, candidates enumerate in ascending id order, so
+  /// results are identical across access paths. `satisfied_prop_idx`
+  /// (out): the inline-prop index the chosen equality probe proves for
+  /// every candidate, or -1.
+  NodeScanPlan SelectScan(const PScanTemplate& t,
+                          const std::vector<LabelId>& real_labels, Frame& row,
+                          int* satisfied_prop_idx);
 
  private:
   Result<std::vector<Frame>> ApplyStep(const PStep& s,
@@ -116,10 +147,11 @@ class PlanExecutor {
                                          std::vector<Frame> frames);
   Result<std::vector<Frame>> ApplyForeach(const PStep& s,
                                           std::vector<Frame> frames);
+  Result<std::vector<Frame>> ApplyCall(const PStep& s,
+                                       std::vector<Frame> frames);
 
   /// `row` is mutable scratch: Eval binds list-comprehension slots in
-  /// place (restored by SlotSaver), so a const reference here was a lie
-  /// the old const_casts papered over.
+  /// place (restored by SlotSaver).
   Status ApplySetItems(const std::vector<PSetItem>& items, Frame& row);
   Result<Frame> CreatePatternPart(const PPatternPart& part, Frame row);
 
@@ -138,6 +170,14 @@ class PlanExecutor {
   /// precomputed; aggregate nodes then read their substituted value.
   const std::vector<Value>* agg_results_ = nullptr;
 };
+
+/// Compiles `q` against the context's view with `seed`'s names as seed
+/// variables, then runs it as a clause pipeline over the one seed row (a
+/// RETURN projects; the resulting rows are discarded). For callers holding
+/// a parsed statement and named bindings instead of a cached plan: the
+/// emulators' trigger statements and apoc.do.when.
+Status RunSeeded(EvalContext ctx, const Query& q, const Row& seed,
+                 FramePool* pool = nullptr);
 
 }  // namespace pgt::cypher::plan
 

@@ -20,11 +20,10 @@
 namespace pgt::cypher::plan {
 
 // ============================================================================
-// Frames — the slot-addressed replacement for the interpreter's name-keyed
-// Row. A query is compiled against a fixed variable universe; every frame
-// has one slot per variable, and binding state is tracked explicitly so
-// "unbound variable" semantics (errors, OPTIONAL MATCH padding, bound-var
-// pattern constraints) mirror Row::Has exactly.
+// Frames — slot-addressed binding rows. A query is compiled against a fixed
+// variable universe; every frame has one slot per variable, and binding
+// state is tracked explicitly, so "unbound variable" semantics (errors,
+// OPTIONAL MATCH padding, bound-var pattern constraints) hold per slot.
 // ============================================================================
 
 struct FrameSlot {
@@ -146,8 +145,8 @@ class FramePool {
 // DispatchIndex solves with its pending list). A SymbolRef carries the name
 // and a cached id: read-side uses Resolve* (lookup, cache on success —
 // interner ids are stable and never removed, so a cached id can never go
-// stale), write-side uses Intern* (interning on first execution, exactly
-// where the interpreter would have interned). Caches are mutable relaxed
+// stale), write-side uses Intern* (interning on first execution, when the
+// write actually happens). Caches are mutable relaxed
 // atomics so pool workers sharing a compiled plan may race benignly on
 // them (see the struct comment below).
 // ============================================================================
@@ -233,13 +232,11 @@ inline PropKeyId InternPropKey(const SymbolRef& ref, GraphStore& store) {
 }
 
 // ============================================================================
-// Compiled expressions — structurally the interpreter's Expr with variables
+// Compiled expressions — structurally the parsed Expr with variables
 // resolved to slots, property keys to SymbolRefs, and aggregate calls
 // numbered for the projection's substitution pass. Runtime-dependent checks
 // (transition pseudo-labels, OLD property views) keep the original names
-// and re-check against the activation's TransitionEnv exactly like the
-// interpreter, so an expression can never mean something different in the
-// two paths.
+// and re-check against the activation's TransitionEnv on every evaluation.
 // ============================================================================
 
 struct PPattern;  // fwd (EXISTS subqueries)
@@ -271,14 +268,14 @@ struct PExpr {
   std::vector<SymbolRef> labels;  // kLabelTest (may name transition sets)
 
   // Aggregate substitution: kCountStar / aggregate kFunc nodes are numbered
-  // in the pre-order the interpreter's SubstituteAggregates visits them.
+  // in pre-order (a, b, c, args, map entries, whens; no descent into EXISTS
+  // subqueries or aggregate arguments).
   int agg_index = -1;
 
   // kBinary kIn whose right side folded to a literal list: the compiler
   // pre-sorts the non-null elements so membership is a binary search
   // (TotalCompare == 0 coincides with Equals for every value pair except
-  // NaN, which the executor routes to the linear path). The interpreter
-  // rebuilds and linearly scans the list on every evaluation.
+  // NaN, which the executor routes to the linear path).
   bool const_in_probe = false;
   std::vector<Value> in_sorted;
   bool in_has_null = false;
@@ -318,7 +315,8 @@ struct PRelPattern {
 };
 
 /// Access-path template for a pattern part's first node, resolved at
-/// compile time against an IndexCatalog snapshot (PlanProgram::epoch). The
+/// compile time against the compiling view's indexes (the live catalog at
+/// PlanProgram::epoch, or a snapshot's index image). The
 /// probe *values* stay per-row (a trigger condition like
 /// `{id: NEW.owner}` probes a different key every activation), so each
 /// candidate carries a pointer to its compiled comparand expression; the
@@ -328,7 +326,9 @@ struct PRelPattern {
 /// across access paths (the matcher's determinism contract).
 struct PScanTemplate {
   struct EqProbe {
-    const index::PropertyIndex* idx = nullptr;
+    IndexRef idx;        // as resolved in the view the plan compiled against
+    LabelId label = 0;   // idx's (label, prop): re-resolution on snapshots
+    PropKeyId prop = 0;
     PExprPtr comparand;  // owned copy; the planner evaluates it per row
     bool unique = false;
     // Index into the pattern node's props when this probe came from that
@@ -343,15 +343,16 @@ struct PScanTemplate {
     PExprPtr comparand;
   };
   struct RangeGroup {                  // one sargable key with an ordered idx
+    LabelId label = 0;
     PropKeyId prop = 0;
-    const index::PropertyIndex* idx = nullptr;
+    IndexRef idx;
     std::vector<RangeBound> bounds;
   };
 
   // In planner consideration order: inline-prop probes first, then WHERE
-  // conjuncts (mirrors PlanNodeScan's equalities vector).
+  // conjuncts.
   std::vector<EqProbe> eq_probes;
-  // Sorted by prop key id (mirrors the planner's std::map iteration).
+  // Sorted by prop key id.
   std::vector<RangeGroup> range_groups;
 };
 
@@ -403,9 +404,45 @@ struct PRemoveItem {
   std::vector<SymbolRef> labels;  // lookup-only
 };
 
+/// The order in which a pipeline point's bound variables were bound — the
+/// column order of `RETURN *` and of the row a CALL hands its procedure.
+/// Each entry is one binding event: a single variable, or the variables an
+/// OPTIONAL MATCH introduces, which bind in pattern-walk order (`matched`:
+/// first node, then node before relationship per hop) when the pattern
+/// matches but in declaration order (`padded`: relationship before node)
+/// when the row is NULL-padded. Every frame at one pipeline point binds the
+/// same variables, so the order is a compile-time fact up to that choice.
+struct BindingOrder {
+  struct Entry {
+    std::vector<int> matched;
+    std::vector<int> padded;  // empty unless an OPTIONAL MATCH group
+  };
+  std::vector<Entry> entries;
+
+  /// The slots `f` binds, in binding order.
+  std::vector<int> SlotsOf(const Frame& f) const {
+    std::vector<int> out;
+    for (const Entry& e : entries) {
+      // A padded group binds NULL where a match binds a node or a
+      // relationship (or a relationship list).
+      const bool padded = !e.padded.empty() && f.Bound(e.matched.front()) &&
+                          f.Get(e.matched.front())->is_null();
+      for (int slot : padded ? e.padded : e.matched) {
+        if (f.Bound(slot)) out.push_back(slot);
+      }
+    }
+    return out;
+  }
+};
+
 struct PStep {
   Clause::Kind kind = Clause::Kind::kMatch;
   int line = 0, col = 0;
+
+  // Set on a RETURN where none may stand (a trigger action, or a RETURN
+  // before the last clause): reaching the step fails with this message,
+  // after the steps before it ran.
+  std::string error;
 
   // kMatch / kCreate / kMerge
   bool optional_match = false;
@@ -418,13 +455,14 @@ struct PStep {
 
   // kWith / kReturn
   bool is_return = false;
+  bool star = false;  // RETURN * / WITH *: frames pass through unchanged
   bool distinct = false;
   std::vector<PProjItem> items;
   std::vector<PSortItem> order_by;
   PExprPtr skip, limit;
   bool any_aggregate = false;
   // Unique alias slots in first-occurrence order (result columns and
-  // DISTINCT keys — mirrors the projected Row's column order).
+  // DISTINCT keys).
   std::vector<int> out_slots;
   std::vector<std::string> out_names;
   int agg_count = 0;  // aggregate calls across all items
@@ -444,12 +482,23 @@ struct PStep {
   int foreach_slot = -1;
   PExprPtr foreach_list;
   std::vector<PStep> foreach_body;
+
+  // kCall: the procedure resolves at run time (the registry may change
+  // between compile and execution); yielded columns bind in YIELD order.
+  std::string call_proc;
+  std::vector<PExprPtr> call_args;
+  std::vector<std::string> call_yield;
+  std::vector<int> yield_slots;
+
+  // Star projections (result columns) and CALL (the procedure's row).
+  BindingOrder scope;
 };
 
 /// A compiled statement: the slot universe plus the step pipeline. Plans
-/// are affine to the store they were compiled against (cached symbol ids,
-/// index pointers) and to the plan epoch (scan templates); callers compare
-/// both before executing and recompile when stale.
+/// are affine to the view they were compiled against (cached symbol ids,
+/// index refs) and to the plan epoch (scan templates); callers compare
+/// both before executing and recompile when stale. `store` is null for
+/// plans compiled against a snapshot, which run once, on that snapshot.
 struct PlanProgram {
   size_t slot_count = 0;
   std::vector<std::string> slot_names;
@@ -459,8 +508,8 @@ struct PlanProgram {
 };
 
 /// A compiled trigger: WHEN (expression or pipeline) and action share one
-/// slot universe so condition bindings flow into the action, exactly like
-/// the interpreter's row scope (DESIGN.md D2).
+/// slot universe so condition bindings flow into the action (DESIGN.md
+/// D2).
 struct TriggerProgram {
   size_t slot_count = 0;
   std::vector<std::string> slot_names;

@@ -2,118 +2,9 @@
 
 #include <algorithm>
 
-#include "src/common/macros.h"
 #include "src/index/index_catalog.h"
-#include "src/storage/graph_store.h"
 
 namespace pgt::cypher {
-
-namespace {
-
-/// True for expressions the planner may evaluate up front: literals,
-/// parameters, negated literals, and plain reads of variables already bound
-/// in `row` (including `NEW.pid`-style property reads — the hot shape of
-/// trigger conditions). Anything else — in particular references to the
-/// pattern's own not-yet-bound variables and function calls, which may
-/// tick the logical clock — is left to the per-candidate path.
-bool PlannerEvaluable(const Expr& e, const Row& row) {
-  switch (e.kind) {
-    case Expr::Kind::kLiteral:
-    case Expr::Kind::kParam:
-      return true;
-    case Expr::Kind::kVar:
-      return row.Has(e.name);
-    case Expr::Kind::kProp:
-      return e.a != nullptr && e.a->kind == Expr::Kind::kVar &&
-             row.Has(e.a->name);
-    case Expr::Kind::kUnary:
-      return e.un_op == UnOp::kNeg && e.a != nullptr &&
-             PlannerEvaluable(*e.a, row);
-    default:
-      return false;
-  }
-}
-
-/// Evaluates a planner-evaluable expression; nullopt on error (the normal
-/// per-candidate path will surface it, or not — either way the planner
-/// stays out of semantics).
-std::optional<Value> TryEval(const Expr& e, const Row& row,
-                             EvalContext& ctx) {
-  auto r = EvalExpr(e, row, ctx);
-  if (!r.ok()) return std::nullopt;
-  return std::move(r).value();
-}
-
-/// One sargable predicate extracted from WHERE: var.key <op> val.
-struct Sarg {
-  std::string key;
-  BinOp op = BinOp::kEq;
-  Value val;
-};
-
-BinOp MirrorOp(BinOp op) {
-  switch (op) {
-    case BinOp::kLt:
-      return BinOp::kGt;
-    case BinOp::kLe:
-      return BinOp::kGe;
-    case BinOp::kGt:
-      return BinOp::kLt;
-    case BinOp::kGe:
-      return BinOp::kLe;
-    default:
-      return op;  // kEq is symmetric
-  }
-}
-
-/// True if `e` is `var.key` for the given variable; sets `key`.
-bool IsVarProp(const Expr& e, const std::string& var, std::string* key) {
-  if (e.kind != Expr::Kind::kProp || e.a == nullptr) return false;
-  if (e.a->kind != Expr::Kind::kVar || e.a->name != var) return false;
-  *key = e.name;
-  return true;
-}
-
-/// Walks top-level AND conjuncts of `e`, collecting sargable predicates on
-/// `var`. OR/XOR/NOT subtrees are skipped entirely (their predicates are
-/// not necessary conditions).
-void CollectSargs(const Expr& e, const std::string& var, const Row& row,
-                  EvalContext& ctx, std::vector<Sarg>* out) {
-  if (e.kind == Expr::Kind::kBinary && e.bin_op == BinOp::kAnd) {
-    if (e.a != nullptr) CollectSargs(*e.a, var, row, ctx, out);
-    if (e.b != nullptr) CollectSargs(*e.b, var, row, ctx, out);
-    return;
-  }
-  if (e.kind != Expr::Kind::kBinary || e.a == nullptr || e.b == nullptr) {
-    return;
-  }
-  switch (e.bin_op) {
-    case BinOp::kEq:
-    case BinOp::kLt:
-    case BinOp::kLe:
-    case BinOp::kGt:
-    case BinOp::kGe:
-      break;
-    default:
-      return;
-  }
-  std::string key;
-  const Expr* comparand = nullptr;
-  BinOp op = e.bin_op;
-  if (IsVarProp(*e.a, var, &key) && PlannerEvaluable(*e.b, row)) {
-    comparand = e.b.get();
-  } else if (IsVarProp(*e.b, var, &key) && PlannerEvaluable(*e.a, row)) {
-    comparand = e.a.get();
-    op = MirrorOp(op);
-  } else {
-    return;
-  }
-  std::optional<Value> v = TryEval(*comparand, row, ctx);
-  if (!v.has_value()) return;
-  out->push_back(Sarg{std::move(key), op, std::move(*v)});
-}
-
-}  // namespace
 
 void RangeBounds::Tighten(BinOp op, const Value& v) {
   const bool is_lo = op == BinOp::kGt || op == BinOp::kGe;
@@ -134,148 +25,6 @@ void RangeBounds::Tighten(BinOp op, const Value& v) {
   } else if (c == 0 && !inclusive) {
     bound_incl = false;  // strict beats inclusive at the same endpoint
   }
-}
-
-const char* NodeScanPlan::KindName() const {
-  switch (kind) {
-    case Kind::kFullScan:
-      return "full-scan";
-    case Kind::kLabelScan:
-      return "label-scan";
-    case Kind::kIndexEquality:
-      return "index-equality";
-    case Kind::kIndexRange:
-      return "index-range";
-  }
-  return "?";
-}
-
-std::string NodeScanPlan::ToString() const {
-  std::string s = KindName();
-  if (kind == Kind::kIndexEquality) {
-    s += " " + idx.spec().name + " = " + eq_value.ToString();
-  } else if (kind == Kind::kIndexRange) {
-    s += " " + idx.spec().name;
-    if (lo.has_value()) {
-      s += (lo_inclusive ? " >= " : " > ") + lo->ToString();
-    }
-    if (hi.has_value()) {
-      s += (hi_inclusive ? " <= " : " < ") + hi->ToString();
-    }
-  }
-  return s;
-}
-
-Result<NodeScanPlan> PlanNodeScan(const NodePattern& np,
-                                  const std::vector<LabelId>& labels,
-                                  const Expr* where_hint, const Row& row,
-                                  EvalContext& ctx) {
-  NodeScanPlan plan;
-  const StoreView* store = ctx.store();
-
-  if (labels.empty()) return plan;  // our indexes are label-scoped
-
-  // Candidate equality probes: inline props first, then WHERE conjuncts.
-  // FindIndex is view-polymorphic: live views probe the catalog, snapshot
-  // views the epoch-versioned posting sidecar — the same plan shapes work
-  // against any pinned epoch. Range scans remain live-only (the sidecar
-  // versions equality bands, not order): SupportsRange() gates them.
-  struct EqCandidate {
-    IndexRef idx;
-    Value value;
-  };
-  std::vector<EqCandidate> equalities;
-  std::map<PropKeyId, RangeBounds> ranges;  // ordered-index range bounds per key
-
-  const bool no_indexes = !store->HasIndexes();
-  auto consider_eq = [&](const std::string& key, const Value& v) {
-    if (no_indexes) return;
-    auto pk = store->LookupPropKey(key);
-    if (!pk.has_value()) return;
-    for (LabelId l : labels) {
-      IndexRef idx = store->FindIndex(l, *pk);
-      if (idx) equalities.push_back(EqCandidate{idx, v});
-    }
-  };
-  auto consider_range = [&](const std::string& key, BinOp op,
-                            const Value& v) {
-    if (no_indexes) return;
-    if (index::CompareClassOf(v) == index::CompareClass::kOther) return;
-    auto pk = store->LookupPropKey(key);
-    if (!pk.has_value()) return;
-    for (LabelId l : labels) {
-      IndexRef idx = store->FindIndex(l, *pk);
-      if (idx && idx.SupportsRange()) {
-        ranges[*pk].Tighten(op, v);
-        break;  // bounds are per-key; one ordered index suffices
-      }
-    }
-  };
-
-  if (!no_indexes) {
-    for (const auto& [key, expr] : np.props) {
-      if (expr == nullptr || !PlannerEvaluable(*expr, row)) continue;
-      std::optional<Value> v = TryEval(*expr, row, ctx);
-      if (v.has_value()) consider_eq(key, *v);
-    }
-    if (where_hint != nullptr && !np.var.empty() && !row.Has(np.var)) {
-      std::vector<Sarg> sargs;
-      CollectSargs(*where_hint, np.var, row, ctx, &sargs);
-      for (const Sarg& s : sargs) {
-        if (s.op == BinOp::kEq) {
-          consider_eq(s.key, s.val);
-        } else {
-          consider_range(s.key, s.op, s.val);
-        }
-      }
-    }
-  }
-
-  // 1-2. Equality probe, unique indexes preferred.
-  for (const EqCandidate& c : equalities) {
-    if (c.idx.unique()) {
-      plan.kind = NodeScanPlan::Kind::kIndexEquality;
-      plan.idx = c.idx;
-      plan.eq_value = c.value;
-      return plan;
-    }
-  }
-  if (!equalities.empty()) {
-    plan.kind = NodeScanPlan::Kind::kIndexEquality;
-    plan.idx = equalities.front().idx;
-    plan.eq_value = equalities.front().value;
-    return plan;
-  }
-
-  // 3. Range scan over an ordered index.
-  for (const auto& [pk, bounds] : ranges) {
-    if (!bounds.lo.has_value() && !bounds.hi.has_value()) continue;
-    for (LabelId l : labels) {
-      IndexRef idx = store->FindIndex(l, pk);
-      if (!idx || !idx.SupportsRange()) continue;
-      plan.kind = NodeScanPlan::Kind::kIndexRange;
-      plan.idx = idx;
-      plan.lo = bounds.lo;
-      plan.hi = bounds.hi;
-      plan.lo_inclusive = bounds.lo_inclusive;
-      plan.hi_inclusive = bounds.hi_inclusive;
-      return plan;
-    }
-  }
-
-  // 4. Label scan: the least-populated label wins.
-  LabelId best = labels.front();
-  size_t best_card = store->LabelCardinality(best);
-  for (size_t i = 1; i < labels.size(); ++i) {
-    const size_t card = store->LabelCardinality(labels[i]);
-    if (card < best_card) {
-      best = labels[i];
-      best_card = card;
-    }
-  }
-  plan.kind = NodeScanPlan::Kind::kLabelScan;
-  plan.label = best;
-  return plan;
 }
 
 const std::vector<NodeId>& ExecuteNodeScanInto(const NodeScanPlan& plan,
@@ -309,13 +58,6 @@ const std::vector<NodeId>& ExecuteNodeScanInto(const NodeScanPlan& plan,
     }
   }
   return bufs.ids;
-}
-
-std::vector<NodeId> ExecuteNodeScan(const NodeScanPlan& plan,
-                                    EvalContext& ctx) {
-  NodeScanBuffers bufs;
-  ExecuteNodeScanInto(plan, ctx, bufs);
-  return std::move(bufs.ids);
 }
 
 }  // namespace pgt::cypher

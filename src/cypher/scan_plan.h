@@ -2,10 +2,8 @@
 #define PGTRIGGERS_CYPHER_SCAN_PLAN_H_
 
 #include <optional>
-#include <string>
 #include <vector>
 
-#include "src/common/result.h"
 #include "src/cypher/ast.h"
 #include "src/cypher/eval.h"
 #include "src/cypher/scan_buffers.h"
@@ -15,10 +13,10 @@
 namespace pgt::cypher {
 
 /// The access path chosen for enumerating candidates of the first node of a
-/// pattern part. Whatever the path, ExecuteNodeScan returns candidates in
-/// ascending id order, so match results are byte-identical across plans —
-/// an index only prunes candidates that NodeMatches / WHERE would reject
-/// anyway.
+/// pattern part (PlanExecutor::SelectScan). Whatever the path,
+/// ExecuteNodeScanInto returns candidates in ascending id order, so match
+/// results are byte-identical across plans — an index only prunes
+/// candidates the pattern's constraints or WHERE would reject anyway.
 struct NodeScanPlan {
   enum class Kind { kFullScan, kLabelScan, kIndexEquality, kIndexRange };
 
@@ -28,17 +26,11 @@ struct NodeScanPlan {
   Value eq_value;      // kIndexEquality
   std::optional<Value> lo, hi;                  // kIndexRange
   bool lo_inclusive = false, hi_inclusive = false;
-
-  /// "full-scan" / "label-scan" / "index-equality" / "index-range".
-  const char* KindName() const;
-  /// Debug rendering, e.g. "index-equality Person(ssn) = '1'".
-  std::string ToString() const;
 };
 
 /// Range bounds accumulated for one property key while intersecting
-/// sargable </ />= / < / <= conjuncts. Shared by the per-row planner below
-/// and the compiled plan executor's scan templates (src/cypher/plan), so
-/// both paths tighten bounds identically.
+/// sargable </ />= / < / <= conjuncts (the plan executor's scan templates
+/// and the analyzer's WHEN-guard refutation share it).
 struct RangeBounds {
   std::optional<Value> lo, hi;
   bool lo_inclusive = false, hi_inclusive = false;
@@ -48,44 +40,8 @@ struct RangeBounds {
   void Tighten(BinOp op, const Value& v);
 };
 
-/// Scan selection for the first node of a pattern part.
-///
-/// Inputs: the node pattern's inline property map, the interned real labels
-/// it carries (transition pseudo-labels excluded by the caller), and the
-/// enclosing clause's WHERE expression as an optional *hint*. The planner
-/// extracts sargable predicates — `{prop: value}` entries and top-level
-/// WHERE conjuncts of the form `var.prop <op> value` where `value` is a
-/// literal, a parameter, or a read of a variable already bound in the row
-/// (e.g. `NEW.pid` inside a trigger condition) — and picks, in order of
-/// preference:
-///
-///   1. equality probe on a unique index,
-///   2. equality probe on any label+property index,
-///   3. range scan on an ordered index (>, >=, <, <= bounds intersected),
-///   4. label-index scan (the label with the fewest carriers),
-///   5. full scan.
-///
-/// The hint is purely an access-path optimization: every predicate used is
-/// a necessary condition of the final row (inline props are re-checked by
-/// NodeMatches; WHERE is evaluated by the executor), so pruning through it
-/// never changes which rows a *successful* query returns. As in most
-/// planners, runtime-error surfacing is access-path dependent: a candidate
-/// pruned by an index probe never reaches WHERE evaluation, so a type
-/// error another conjunct would have raised on that candidate (e.g.
-/// `n.q + 1 > 0` over a string q) is skipped rather than reported. Hints
-/// whose comparand fails to evaluate are ignored, leaving the error (if
-/// any) to the normal evaluation path.
-Result<NodeScanPlan> PlanNodeScan(const NodePattern& np,
-                                  const std::vector<LabelId>& labels,
-                                  const Expr* where_hint, const Row& row,
-                                  EvalContext& ctx);
-
-/// Materializes the plan's candidate nodes in ascending id order.
-std::vector<NodeId> ExecuteNodeScan(const NodeScanPlan& plan,
-                                    EvalContext& ctx);
-
-/// ExecuteNodeScan into caller-owned buffers; returns bufs.ids (cleared
-/// first). Identical results and order.
+/// Materializes the plan's candidate nodes in ascending id order into
+/// caller-owned buffers; returns bufs.ids (cleared first).
 const std::vector<NodeId>& ExecuteNodeScanInto(const NodeScanPlan& plan,
                                                EvalContext& ctx,
                                                NodeScanBuffers& bufs);

@@ -4,6 +4,7 @@
 
 #include "src/common/macros.h"
 #include "src/cypher/parser.h"
+#include "src/cypher/plan/plan_executor.h"
 
 namespace pgt::emul {
 
@@ -50,9 +51,8 @@ ApocEmulator::ApocEmulator(Database* db) : db_(db) {
             cypher::Parser::ParseQuery(query_text.string_value()));
         cypher::EvalContext sub = ctx;
         sub.params = &params;
-        cypher::Executor exec(sub);
-        PGT_ASSIGN_OR_RETURN(auto rows, exec.RunClauses(q.clauses, {seed}));
-        (void)rows;
+        PGT_RETURN_IF_ERROR(
+            cypher::plan::RunSeeded(sub, q, seed, &db->frame_pool()));
         return out;
       });
 }
@@ -239,13 +239,9 @@ Status ApocEmulator::RunTriggerQuery(Transaction& tx,
                                      InstalledTrigger& trigger,
                                      const Params& params) {
   ++trigger.fired;
-  cypher::EvalContext ctx = db_->MakeEvalContext(&tx, &params, nullptr);
-  cypher::Executor exec(ctx);
-  PGT_ASSIGN_OR_RETURN(auto rows,
-                       exec.RunClauses(trigger.query.clauses,
-                                       {cypher::Row{}}));
-  (void)rows;
-  return Status::OK();
+  return cypher::plan::RunSeeded(db_->MakeEvalContext(&tx, &params, nullptr),
+                                 trigger.query, cypher::Row{},
+                                 &db_->frame_pool());
 }
 
 Status ApocEmulator::OnStatement(Transaction& tx, const GraphDelta& delta) {

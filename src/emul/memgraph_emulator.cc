@@ -2,6 +2,7 @@
 
 #include "src/common/macros.h"
 #include "src/cypher/parser.h"
+#include "src/cypher/plan/plan_executor.h"
 
 namespace pgt::emul {
 
@@ -183,12 +184,8 @@ Status MemgraphEmulator::RunTrigger(Transaction& tx,
                                     InstalledTrigger& trigger,
                                     const cypher::Row& vars) {
   ++trigger.fired;
-  cypher::EvalContext ctx = db_->MakeEvalContext(&tx, nullptr, nullptr);
-  cypher::Executor exec(ctx);
-  PGT_ASSIGN_OR_RETURN(auto rows, exec.RunClauses(trigger.query.clauses,
-                                                  {vars}));
-  (void)rows;
-  return Status::OK();
+  return cypher::plan::RunSeeded(db_->MakeEvalContext(&tx, nullptr, nullptr),
+                                 trigger.query, vars, &db_->frame_pool());
 }
 
 Status MemgraphEmulator::OnStatement(Transaction& tx,

@@ -354,13 +354,15 @@ Status SnapshotManager::PublishCommit(const GraphStore& store,
 
 std::shared_ptr<const GraphSnapshot> SnapshotManager::Open(
     std::shared_ptr<SnapshotManager> self) {
+  // Declared before the lock, so it is released after the lock is: a stale
+  // cached snapshot may be held by nobody else by the time we drop it, and
+  // its destructor unpins, which takes mu_.
+  std::shared_ptr<const GraphSnapshot> cached;
   std::lock_guard<std::mutex> lock(mu_);
   if (!armed_.load(std::memory_order_relaxed)) return nullptr;
   const uint64_t epoch = commit_epoch_.load(std::memory_order_relaxed);
-  if (auto cached = cache_.lock();
-      cached != nullptr && cached->epoch() == epoch) {
-    return cached;
-  }
+  cached = cache_.lock();
+  if (cached != nullptr && cached->epoch() == epoch) return cached;
   auto snap = std::shared_ptr<GraphSnapshot>(new GraphSnapshot());
   snap->mgr_ = std::move(self);
   snap->epoch_ = epoch;

@@ -43,6 +43,8 @@ class IndexRef {
 
   bool valid() const { return live_ != nullptr || snap_ != nullptr; }
   explicit operator bool() const { return valid(); }
+  /// True for a live catalog index (false for snapshot and invalid refs).
+  bool is_live() const { return live_ != nullptr; }
 
   const index::IndexSpec& spec() const {
     return live_ != nullptr ? live_->spec() : snap_->spec();
@@ -76,9 +78,9 @@ class IndexRef {
   uint64_t epoch_ = 0;
 };
 
-/// The read abstraction every read path consumes (matcher, interpreter,
-/// compiled-plan executor, scan planner, PG-Schema validator, emulation
-/// layers): two pointers, one of which is set.
+/// The read abstraction every read path consumes (query compiler and
+/// executor, PG-Schema validator, emulation layers): two pointers, one of
+/// which is set.
 ///
 ///  * StoreView::Live(store) — what the writer, triggers, and ad-hoc
 ///    statements use: reads forward straight to the GraphStore (same

@@ -5,7 +5,7 @@
 #include "src/common/fault.h"
 #include "src/cypher/ast.h"
 #include "src/cypher/eval.h"
-#include "src/cypher/executor.h"
+#include "src/cypher/plan/plan_executor.h"
 #include "src/storage/store_view.h"
 #include "src/trigger/database.h"
 #include "src/trigger/trigger_def.h"
@@ -43,12 +43,25 @@ void AsyncExecutor::Stop() {
 void AsyncExecutor::Enqueue(std::vector<Activation>&& acts,
                             std::shared_ptr<const GraphDelta> source,
                             std::shared_ptr<const GraphSnapshot> snapshot) {
+  // Resolve each trigger's compiled plans here, on the writer (compiling
+  // touches the live store's dictionaries and the plan caches), before
+  // taking the queue lock.
+  std::vector<std::shared_ptr<const TriggerPlans>> plans(acts.size());
+  for (size_t i = 0; i < acts.size(); ++i) {
+    const TriggerDef& def = *acts[i].trigger;
+    if (def.when_expr == nullptr && def.when_query.clauses.empty()) continue;
+    auto compiled = GetOrCompileTriggerPlans(def, db_->store(),
+                                             db_->PlanEpoch(),
+                                             &db_->plan_compile_counters());
+    if (compiled.ok()) plans[i] = std::move(compiled).value();
+  }
   std::lock_guard<std::mutex> lock(mu_);
   // A hand-off from the writer's own commit (not from an apply we are
   // running) starts a fresh detached chain (see the chain valve in
   // ApplyOwned).
   if (!applying_) chain_applies_ = 0;
-  for (Activation& act : acts) {
+  for (size_t i = 0; i < acts.size(); ++i) {
+    Activation& act = acts[i];
     // Fault containment: an injected hand-off failure sheds the activation
     // (the commit that produced it is already durable; DETACHED effects
     // are post-commit and shed-able by contract — docs/robustness.md).
@@ -66,6 +79,7 @@ void AsyncExecutor::Enqueue(std::vector<Activation>&& acts,
     item->act = std::move(act);
     item->source = source;
     item->snapshot = snapshot;
+    item->plans = std::move(plans[i]);
     pending_.push_back(std::move(item));
     enqueued_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -124,7 +138,7 @@ void AsyncExecutor::PreEvaluate(Item* item) const {
   const bool has_query = !def.when_query.clauses.empty();
   // No WHEN: the action always runs; there is nothing to prefilter.
   if (!has_expr && !has_query) return;
-  if (item->snapshot == nullptr) return;
+  if (item->snapshot == nullptr || item->plans == nullptr) return;
   // A no-fire verdict is only usable while the pinned epoch is still
   // current, and epochs never rewind: once the writer has moved past it,
   // the item is headed for the full on-writer run no matter what we would
@@ -156,16 +170,20 @@ void AsyncExecutor::PreEvaluate(Item* item) const {
   ctx.procedures = nullptr;
   ctx.transition = &item->act.env;
 
-  cypher::Row seed = PgTriggerEngine::BuildActivationSeedRow(item->act);
-  if (has_expr) {
-    auto pass = cypher::EvalPredicate(*def.when_expr, seed, ctx);
+  // The plans were compiled against the live store; the executor
+  // re-resolves their index probes against the snapshot. No frame pool:
+  // the Database's pool belongs to the writer thread.
+  const cypher::plan::TriggerProgram& prog = item->plans->program;
+  cypher::plan::PlanExecutor exec(ctx, prog.slot_names);
+  cypher::plan::Frame seed = PgTriggerEngine::SeedFrame(prog, item->act, exec);
+  if (prog.when_expr != nullptr) {
+    auto pass = exec.EvalPredicate(*prog.when_expr, seed);
     item->no_fire = pass.ok() && !pass.value();
     return;
   }
-  cypher::Executor exec(ctx);
-  std::vector<cypher::Row> rows;
-  rows.push_back(std::move(seed));
-  auto out = exec.RunClauses(def.when_query.clauses, std::move(rows));
+  std::vector<cypher::plan::Frame> frames;
+  frames.push_back(std::move(seed));
+  auto out = exec.RunClauses(prog.when_steps, std::move(frames));
   item->no_fire = out.ok() && out.value().empty();
 }
 

@@ -13,6 +13,7 @@
 
 #include "src/storage/snapshot.h"
 #include "src/trigger/engine.h"
+#include "src/trigger/trigger_plan.h"
 #include "src/trigger/options.h"
 #include "src/tx/delta.h"
 
@@ -118,6 +119,10 @@ class AsyncExecutor {
     Activation act;
     std::shared_ptr<const GraphDelta> source;
     std::shared_ptr<const GraphSnapshot> snapshot;
+    /// The trigger's compiled plans, handed over by the writer so workers
+    /// never compile (null when the trigger has no WHEN, or its plans
+    /// failed to compile — the item then always takes the full run).
+    std::shared_ptr<const TriggerPlans> plans;
     /// Worker verdict: WHEN evaluated conclusively false at the pinned
     /// epoch (still revalidated against the live epoch at apply time).
     bool no_fire = false;

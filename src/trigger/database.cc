@@ -1,6 +1,6 @@
 #include "src/trigger/database.h"
 
-#include <cassert>
+#include <functional>
 
 #include "src/common/fault.h"
 #include "src/common/macros.h"
@@ -85,6 +85,27 @@ cypher::QueryResult TriggerStatusTable(const TriggerCatalog& catalog,
   return result;
 }
 
+/// Registers `name` as a zero-argument procedure yielding the one row of
+/// `table()`; its output columns are the table's own columns.
+void RegisterOneRowProcedure(cypher::ProcedureRegistry& procedures,
+                             const std::string& name,
+                             std::function<cypher::QueryResult()> table) {
+  std::vector<std::string> columns = table().columns;
+  procedures.Register(
+      name, std::move(columns),
+      [table = std::move(table)](cypher::EvalContext&,
+                                 const std::vector<Value>&,
+                                 const cypher::Row&)
+          -> Result<std::vector<cypher::Row>> {
+        const cypher::QueryResult t = table();
+        cypher::Row r;
+        for (size_t i = 0; i < t.columns.size(); ++i) {
+          r.Set(t.columns[i], t.rows.front()[i]);
+        }
+        return std::vector<cypher::Row>{std::move(r)};
+      });
+}
+
 }  // namespace
 
 Database::Database(EngineOptions options)
@@ -119,53 +140,15 @@ Database::Database(EngineOptions options)
         }
         return rows;
       });
-  // Async pool introspection twin of SHOW ASYNC STATUS (docs/async.md).
-  procedures_.Register(
-      "pgt.asyncStats",
-      {"workers", "queue_depth", "in_flight", "enqueued", "prefiltered",
-       "deferred", "applied", "spilled", "rejected"},
-      [this](cypher::EvalContext&, const std::vector<Value>&,
-             const cypher::Row&) -> Result<std::vector<cypher::Row>> {
-        cypher::QueryResult table = AsyncStatusTable(async_.get());
-        cypher::Row r;
-        for (size_t i = 0; i < table.columns.size(); ++i) {
-          r.Set(table.columns[i], table.rows.front()[i]);
-        }
-        return std::vector<cypher::Row>{std::move(r)};
-      });
-  // Incremental-WHEN / plan-churn introspection (docs/ivm.md). One row of
-  // engine-wide counters: plan (re)compiles that used to happen silently,
-  // plus aggregated IVM maintenance state across triggers.
-  procedures_.Register(
-      "pgt.ivmStats",
-      {"trigger_plan_compiles", "trigger_plan_recompiles",
-       "adhoc_plan_recompiles", "states", "maintained", "tuples", "bytes",
-       "served", "fallbacks", "maintain_ops", "seeds", "degradations",
-       "resolutions"},
-      [this](cypher::EvalContext&, const std::vector<Value>&,
-             const cypher::Row&) -> Result<std::vector<cypher::Row>> {
-        cypher::QueryResult table = IvmStatsTable();
-        cypher::Row r;
-        for (size_t i = 0; i < table.columns.size(); ++i) {
-          r.Set(table.columns[i], table.rows.front()[i]);
-        }
-        return std::vector<cypher::Row>{std::move(r)};
-      });
-  // Health introspection twin of SHOW HEALTH (docs/robustness.md).
-  procedures_.Register(
-      "pgt.health",
-      {"mode", "wal_poison_cause", "quarantined_count", "quarantined",
-       "async_shed", "async_worker_deaths", "armed_fault_points",
-       "ivm_maintained", "ivm_bytes", "ivm_degradations"},
-      [this](cypher::EvalContext&, const std::vector<Value>&,
-             const cypher::Row&) -> Result<std::vector<cypher::Row>> {
-        cypher::QueryResult table = HealthTable();
-        cypher::Row r;
-        for (size_t i = 0; i < table.columns.size(); ++i) {
-          r.Set(table.columns[i], table.rows.front()[i]);
-        }
-        return std::vector<cypher::Row>{std::move(r)};
-      });
+  // One-row twins of the SHOW surfaces: async pool introspection (SHOW
+  // ASYNC STATUS, docs/async.md), plan-churn and incremental-WHEN counters
+  // (docs/ivm.md), and health (SHOW HEALTH, docs/robustness.md).
+  RegisterOneRowProcedure(procedures_, "pgt.asyncStats",
+                          [this] { return AsyncStatusTable(async_.get()); });
+  RegisterOneRowProcedure(procedures_, "pgt.ivmStats",
+                          [this] { return IvmStatsTable(); });
+  RegisterOneRowProcedure(procedures_, "pgt.health",
+                          [this] { return HealthTable(); });
   if (options_.async_pool_size > 0) {
     async_ = std::make_unique<AsyncExecutor>(
         this, options_.async_pool_size, options_.async_queue_capacity,
@@ -607,9 +590,10 @@ Result<std::shared_ptr<const GraphSnapshot>> Database::OpenSnapshot() {
 Result<cypher::QueryResult> Database::QueryAt(const GraphSnapshot& snapshot,
                                               std::string_view text,
                                               const Params& params) const {
-  // Parse per call: the plan cache and compiled programs are writer-thread
-  // structures; the interpreter over a snapshot view is fully
-  // thread-confined (parsing is pure, evaluation allocates locally).
+  // Parse and compile per call: the plan cache and the frame pool are
+  // writer-thread structures, while a program compiled here against the
+  // snapshot's own dictionaries and index image is confined to this thread
+  // (parsing and compiling are pure, execution allocates locally).
   PGT_ASSIGN_OR_RETURN(cypher::Query query, cypher::Parser::ParseQuery(text));
   if (!cypher::IsReadOnlyQuery(query)) {
     return Status::InvalidArgument(
@@ -621,8 +605,12 @@ Result<cypher::QueryResult> Database::QueryAt(const GraphSnapshot& snapshot,
   ctx.params = &params;
   ctx.clock = nullptr;      // clock functions would mutate shared state
   ctx.procedures = nullptr; // CALL is rejected above
-  cypher::Executor exec(ctx);
-  return exec.Run(query, cypher::Row{});
+  PGT_ASSIGN_OR_RETURN(
+      const cypher::plan::PlanProgram program,
+      cypher::plan::CompileQuery(query, cypher::plan::CompileEnv{}, ctx.view,
+                                 /*epoch=*/0));
+  cypher::plan::PlanExecutor exec(ctx, program.slot_names);
+  return exec.Run(program.steps, exec.NewFrame());
 }
 
 Result<cypher::QueryResult> Database::RunReadOnly(
@@ -634,52 +622,40 @@ Result<cypher::QueryResult> Database::RunReadOnly(
   // emulator runtime is active the transactional path never reaches the
   // native OnStatement, so the counter must not tick here either.
   if (runtime_ == nullptr) ++engine_->stats().statements;
+  PGT_ASSIGN_OR_RETURN(std::shared_ptr<const cypher::plan::PlanProgram> prog,
+                       CurrentProgram(stmt));
   cypher::EvalContext ctx = MakeEvalContext(nullptr, &params, nullptr);
-  if (stmt.program != nullptr && stmt.epoch == PlanEpoch() &&
-      stmt.store == &store_) {
-    cypher::plan::PlanExecutor exec(ctx, stmt.program->slot_names,
-                                    &frame_pool_);
-    return exec.Run(stmt.program->steps, exec.NewFrame());
-  }
-  cypher::Executor exec(ctx);
-  return exec.Run(stmt.query, cypher::Row{});
+  cypher::plan::PlanExecutor exec(ctx, prog->slot_names, &frame_pool_);
+  return exec.Run(prog->steps, exec.NewFrame());
 }
 
 Result<std::unique_ptr<Transaction>> Database::BeginTx() {
   return tx_manager_.Begin();
 }
 
-Result<cypher::QueryResult> Database::RunStatementInTx(
-    Transaction& tx, const cypher::Query& query, const Params& params) {
-  tx.PushDeltaScope();
-  cypher::EvalContext ctx = MakeEvalContext(&tx, &params, nullptr);
-  cypher::Executor exec(ctx);
-  auto result = exec.Run(query, cypher::Row{});
-  GraphDelta delta = tx.PopDeltaScope();
-  if (!result.ok()) return result.status();
-  PGT_RETURN_IF_ERROR(runtime().OnStatement(tx, delta));
-  tx.RecycleDelta(std::move(delta));
-  return result;
-}
-
-void Database::CompileInto(cypher::plan::PreparedStatement* stmt,
-                           uint64_t epoch) {
+Status Database::CompileInto(cypher::plan::PreparedStatement* stmt,
+                             uint64_t epoch) {
+  PGT_ASSIGN_OR_RETURN(
+      cypher::plan::PlanProgram program,
+      cypher::plan::CompileQuery(stmt->query, cypher::plan::CompileEnv{},
+                                 StoreView::Live(store_), epoch));
+  stmt->program =
+      std::make_shared<const cypher::plan::PlanProgram>(std::move(program));
   stmt->store = &store_;
   stmt->epoch = epoch;
-  auto compiled =
-      cypher::plan::CompileQuery(stmt->query, cypher::plan::CompileEnv{},
-                                 store_, epoch);
-  if (compiled.ok()) {
-    stmt->program = std::make_shared<const cypher::plan::PlanProgram>(
-        std::move(compiled).value());
-    return;
-  }
-  // Intentional fallback (RETURN * / CALL / ...): interpret the cached
-  // AST. Anything else is a compiler defect — surface it in debug builds
-  // rather than silently interpreting forever.
-  assert(compiled.status().code() == StatusCode::kUnimplemented &&
-         "query-plan compilation failed with a non-fallback status");
-  stmt->program = nullptr;
+  return Status::OK();
+}
+
+Result<std::shared_ptr<const cypher::plan::PlanProgram>>
+Database::CurrentProgram(const cypher::plan::PreparedStatement& stmt) {
+  const uint64_t epoch = PlanEpoch();
+  if (stmt.epoch == epoch && stmt.store == &store_) return stmt.program;
+  PGT_ASSIGN_OR_RETURN(
+      cypher::plan::PlanProgram program,
+      cypher::plan::CompileQuery(stmt.query, cypher::plan::CompileEnv{},
+                                 StoreView::Live(store_), epoch));
+  return std::make_shared<const cypher::plan::PlanProgram>(
+      std::move(program));
 }
 
 Result<std::shared_ptr<cypher::plan::PreparedStatement>> Database::Prepare(
@@ -697,23 +673,20 @@ Result<std::shared_ptr<cypher::plan::PreparedStatement>> Database::PrepareWith(
     stmt = std::make_shared<cypher::plan::PreparedStatement>();
     stmt->query = std::move(query);
     stmt->read_only = cypher::IsReadOnlyQuery(stmt->query);
-    if (options_.use_compiled_plans) {
-      CompileInto(stmt.get(), epoch);
-      plan_cache_.Put(text, stmt);
-    }
+    PGT_RETURN_IF_ERROR(CompileInto(stmt.get(), epoch));
+    plan_cache_.Put(text, stmt);
   } else if (stmt->epoch != epoch || stmt->store != &store_) {
     // DDL bumped the plan epoch: recompile from the cached AST (the parse
     // is still saved). Counted — silent recompiles made plan churn
     // invisible to benchmarks (CALL pgt.ivmStats()).
     ++adhoc_plan_recompiles_;
-    CompileInto(stmt.get(), epoch);
+    PGT_RETURN_IF_ERROR(CompileInto(stmt.get(), epoch));
   }
   return stmt;
 }
 
 std::shared_ptr<cypher::plan::PreparedStatement> Database::CachedPlan(
     std::string_view text) {
-  if (!options_.use_compiled_plans) return nullptr;
   return plan_cache_.Get(text);
 }
 
@@ -723,16 +696,13 @@ Result<cypher::QueryResult> Database::RunPreparedInTx(
   // A stale program may hold index pointers freed by DDL. Normally Prepare
   // revalidated just before this call, but a registered procedure can
   // reach the catalogs mid-transaction (ExecuteTx prepares up front), so
-  // re-check and fall back to interpreting the cached AST when stale.
-  if (stmt.program == nullptr || stmt.epoch != PlanEpoch() ||
-      stmt.store != &store_) {
-    return RunStatementInTx(tx, stmt.query, params);
-  }
+  // re-check and recompile when stale.
+  PGT_ASSIGN_OR_RETURN(std::shared_ptr<const cypher::plan::PlanProgram> prog,
+                       CurrentProgram(stmt));
   tx.PushDeltaScope();
   cypher::EvalContext ctx = MakeEvalContext(&tx, &params, nullptr);
-  cypher::plan::PlanExecutor exec(ctx, stmt.program->slot_names,
-                                  &frame_pool_);
-  auto result = exec.Run(stmt.program->steps, exec.NewFrame());
+  cypher::plan::PlanExecutor exec(ctx, prog->slot_names, &frame_pool_);
+  auto result = exec.Run(prog->steps, exec.NewFrame());
   GraphDelta delta = tx.PopDeltaScope();
   if (!result.ok()) return result.status();
   PGT_RETURN_IF_ERROR(runtime().OnStatement(tx, delta));

@@ -12,9 +12,9 @@
 #include "src/common/clock.h"
 #include "src/common/result.h"
 #include "src/cypher/exec_budget.h"
-#include "src/cypher/executor.h"
 #include "src/cypher/functions.h"
 #include "src/cypher/plan/plan_cache.h"
+#include "src/cypher/plan/plan_executor.h"
 #include "src/ivm/ivm_manager.h"
 #include "src/schema/pg_schema.h"
 #include "src/storage/graph_store.h"
@@ -125,7 +125,9 @@ class Database {
   /// from any number of reader threads concurrently with the single
   /// writer: the read path takes no locks and never touches writer-mutable
   /// state. Statements that could write (including CALL) are rejected;
-  /// clock functions (datetime()/timestamp()) are unavailable.
+  /// clock functions (datetime()/timestamp()) are unavailable. Each call
+  /// parses and compiles the statement against the snapshot's dictionaries
+  /// and index image, then runs the compiled plan.
   Result<cypher::QueryResult> QueryAt(const GraphSnapshot& snapshot,
                                       std::string_view text,
                                       const Params& params = {}) const;
@@ -235,14 +237,6 @@ class Database {
   Result<cypher::QueryResult> ExecuteNested(std::string_view text,
                                             const Params& params = {});
 
-  /// Runs one parsed statement inside `tx`: opens a delta scope, executes,
-  /// pops the scope, and hands the delta to the active runtime's
-  /// OnStatement. Always interprets the AST (emulators and tests call this
-  /// directly); Execute/ExecuteTx go through Prepare + RunPreparedInTx.
-  Result<cypher::QueryResult> RunStatementInTx(Transaction& tx,
-                                               const cypher::Query& query,
-                                               const Params& params);
-
   // --- Compile-once statement pipeline --------------------------------------
 
   /// Plan-invalidation epoch: any index DDL (IndexCatalog::epoch) or
@@ -253,13 +247,15 @@ class Database {
   }
 
   /// Parses (or fetches from the LRU plan cache) and compiles one ad-hoc
-  /// Cypher statement. With use_compiled_plans off this just parses —
-  /// nothing is cached and `program` stays null.
+  /// Cypher statement; a cached plan left stale by DDL is recompiled from
+  /// its parsed AST.
   Result<std::shared_ptr<cypher::plan::PreparedStatement>> Prepare(
       std::string_view text);
 
-  /// RunStatementInTx for a prepared statement: executes the compiled
-  /// program when present, the AST otherwise.
+  /// Runs a prepared statement inside `tx`: opens a delta scope, executes
+  /// the compiled program, pops the scope, and hands the delta to the
+  /// active runtime's OnStatement. A program left stale by DDL since
+  /// Prepare is recompiled for this run.
   Result<cypher::QueryResult> RunPreparedInTx(
       Transaction& tx, const cypher::plan::PreparedStatement& stmt,
       const Params& params);
@@ -354,10 +350,14 @@ class Database {
   /// statement produces no events, so skipping them is unobservable.
   Result<cypher::QueryResult> RunReadOnly(
       const cypher::plan::PreparedStatement& stmt, const Params& params);
-  /// (Re)compiles `stmt`'s program from its parsed AST against the current
-  /// store and `epoch`; an intentional compile fallback leaves it null.
-  void CompileInto(cypher::plan::PreparedStatement* stmt, uint64_t epoch);
-  /// LRU lookup for `text` (null on miss or when compiled plans are off).
+  /// (Re)compiles `stmt`'s program from its parsed AST against the live
+  /// store and `epoch`.
+  Status CompileInto(cypher::plan::PreparedStatement* stmt, uint64_t epoch);
+  /// `stmt`'s program when it is current, else a fresh compile of it (the
+  /// cached entry is left alone).
+  Result<std::shared_ptr<const cypher::plan::PlanProgram>> CurrentProgram(
+      const cypher::plan::PreparedStatement& stmt);
+  /// LRU lookup for `text` (null on miss).
   std::shared_ptr<cypher::plan::PreparedStatement> CachedPlan(
       std::string_view text);
   /// Prepare continuing from an already-performed cache lookup.

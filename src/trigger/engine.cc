@@ -6,7 +6,6 @@
 
 #include "src/common/fault.h"
 #include "src/common/macros.h"
-#include "src/cypher/executor.h"
 #include "src/cypher/plan/plan_executor.h"
 #include "src/ivm/ivm_manager.h"
 #include "src/storage/snapshot.h"
@@ -520,55 +519,44 @@ int SeedSlotFor(const cypher::plan::TriggerProgram& prog,
   return -1;
 }
 
-/// True when every transition variable this activation seeds has a slot in
-/// the compiled program (always the case for activations the engine derives
-/// itself; a defensive mismatch falls back to the interpreter).
-bool SeedsMatch(const cypher::plan::TriggerProgram& prog,
-                const Activation& act) {
+}  // namespace
+
+cypher::plan::Frame PgTriggerEngine::SeedFrame(
+    const cypher::plan::TriggerProgram& prog, const Activation& act,
+    cypher::plan::PlanExecutor& exec) {
+  // Seed slots and env bindings are both keyed by interned TransVarId —
+  // matching them is integer compares, and the frame buffer itself comes
+  // from the pool. Every activation the engine derives binds exactly the
+  // program's seed variables (TriggerCompileEnv mirrors BuildActivations).
+  cypher::plan::Frame seed = exec.NewFrame();
   for (const auto& [var, v] : act.env.singles) {
-    (void)v;
-    if (SeedSlotFor(prog, var) < 0) return false;
+    const int slot = SeedSlotFor(prog, var);
+    if (slot >= 0) seed.Set(slot, v);
   }
   if (act.trigger->granularity == Granularity::kAll) {
     for (const auto& [var, sb] : act.env.sets) {
-      (void)sb;
-      if (SeedSlotFor(prog, var) < 0) return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
-Status PgTriggerEngine::RunActivationCompiled(cypher::EvalContext& ctx,
-                                              const Activation& act,
-                                              const TriggerPlans& plans,
-                                              TriggerStats& ts,
-                                              ivm::TriggerIvmState* ivm_state) {
-  const TriggerDef& def = *act.trigger;
-  const cypher::plan::TriggerProgram& prog = plans.program;
-  cypher::plan::PlanExecutor exec(ctx, prog.slot_names,
-                                  &db_->frame_pool());
-
-  // Seed frame: single transition variables, plus set variables as lists
-  // (mirror of the interpreter's seed row). Seed slots and env bindings are
-  // both keyed by interned TransVarId — matching them is integer compares,
-  // and the frame buffer itself comes from the pool.
-  cypher::plan::Frame seed = exec.NewFrame();
-  for (const auto& [var, v] : act.env.singles) {
-    seed.Set(SeedSlotFor(prog, var), v);
-  }
-  if (def.granularity == Granularity::kAll) {
-    for (const auto& [var, sb] : act.env.sets) {
+      const int slot = SeedSlotFor(prog, var);
+      if (slot < 0) continue;
       Value::List items;
       items.reserve(sb.ids.size());
       for (uint64_t id : sb.ids) {
         items.push_back(sb.is_node ? Value::Node(NodeId{id})
                                    : Value::Rel(RelId{id}));
       }
-      seed.Set(SeedSlotFor(prog, var), Value::MakeList(std::move(items)));
+      seed.Set(slot, Value::MakeList(std::move(items)));
     }
   }
+  return seed;
+}
+
+Status PgTriggerEngine::RunPlans(cypher::EvalContext& ctx,
+                                 const Activation& act,
+                                 const TriggerPlans& plans, TriggerStats& ts,
+                                 ivm::TriggerIvmState* ivm_state) {
+  const cypher::plan::TriggerProgram& prog = plans.program;
+  cypher::plan::PlanExecutor exec(ctx, prog.slot_names,
+                                  &db_->frame_pool());
+  cypher::plan::Frame seed = SeedFrame(prog, act, exec);
 
   std::vector<cypher::plan::Frame> frames = exec.NewFrameVec();
   if (prog.when_expr != nullptr) {
@@ -596,8 +584,9 @@ Status PgTriggerEngine::RunActivationCompiled(cypher::EvalContext& ctx,
       exec.Recycle(std::move(seed));
       return Status::OK();
     }
-    // Transition variables stay in scope for the action even when the
-    // condition pipeline's WITH clauses re-scoped the rows (Section 6.2).
+    // Transition variables are "the handlers to the part of the graph that
+    // has been modified" (Section 6.2): they stay in scope for the action
+    // even when the condition pipeline's WITH clauses re-scoped the rows.
     for (cypher::plan::Frame& f : frames) {
       for (const auto& [var, slot] : prog.seed_slots) {
         (void)var;
@@ -613,26 +602,6 @@ Status PgTriggerEngine::RunActivationCompiled(cypher::EvalContext& ctx,
   ++ts.fired;
   ts.action_rows += frames.size();
   return exec.RunUpdates(prog.action_steps, std::move(frames));
-}
-
-cypher::Row PgTriggerEngine::BuildActivationSeedRow(const Activation& act) {
-  // Seed row: single transition variables, plus set variables as lists.
-  cypher::Row seed;
-  for (const auto& [var, v] : act.env.singles) {
-    seed.Set(cypher::TransVars::Name(var), v);
-  }
-  if (act.trigger->granularity == Granularity::kAll) {
-    for (const auto& [var, sb] : act.env.sets) {
-      Value::List items;
-      items.reserve(sb.ids.size());
-      for (uint64_t id : sb.ids) {
-        items.push_back(sb.is_node ? Value::Node(NodeId{id})
-                                   : Value::Rel(RelId{id}));
-      }
-      seed.Set(cypher::TransVars::Name(var), Value::MakeList(std::move(items)));
-    }
-  }
-  return seed;
 }
 
 namespace {
@@ -696,45 +665,15 @@ Status PgTriggerEngine::RunActivation(Transaction& tx, const Activation& act) {
     }
   }
 
-  // Compiled fast path: execute the trigger's cached WHEN/action plans
-  // (compiled on first activation, invalidated by DDL epoch bumps).
-  if (db_->options().use_compiled_plans) {
-    const std::shared_ptr<const TriggerPlans> plans = GetOrCompileTriggerPlans(
-        def, db_->store(), db_->PlanEpoch(), &db_->plan_compile_counters());
-    if (plans->usable && SeedsMatch(plans->program, act)) {
-      ivm::TriggerIvmState* ivm_state = nullptr;
-      if (db_->options().use_ivm) {
-        ivm_state = db_->ivm().Acquire(def, plans, db_->PlanEpoch());
-      }
-      return RunActivationCompiled(ctx, act, *plans, ts, ivm_state);
-    }
+  PGT_ASSIGN_OR_RETURN(
+      const std::shared_ptr<const TriggerPlans> plans,
+      GetOrCompileTriggerPlans(def, db_->store(), db_->PlanEpoch(),
+                               &db_->plan_compile_counters()));
+  ivm::TriggerIvmState* ivm_state = nullptr;
+  if (db_->options().use_ivm) {
+    ivm_state = db_->ivm().Acquire(def, plans, db_->PlanEpoch());
   }
-
-  cypher::Row seed = BuildActivationSeedRow(act);
-
-  cypher::Executor exec(ctx);
-  std::vector<cypher::Row> rows = {seed};
-  if (def.when_expr != nullptr) {
-    PGT_ASSIGN_OR_RETURN(bool pass,
-                         cypher::EvalPredicate(*def.when_expr, seed, ctx));
-    if (!pass) return Status::OK();
-  } else if (!def.when_query.clauses.empty()) {
-    PGT_ASSIGN_OR_RETURN(rows,
-                         exec.RunClauses(def.when_query.clauses,
-                                         std::move(rows)));
-    if (rows.empty()) return Status::OK();
-    // Transition variables are "the handlers to the part of the graph that
-    // has been modified" (Section 6.2): they stay in scope for the action
-    // even when the condition pipeline's WITH clauses re-scoped the rows.
-    for (cypher::Row& row : rows) {
-      for (const auto& [name, v] : seed.cols) {
-        if (!row.Has(name)) row.Set(name, v);
-      }
-    }
-  }
-  ++ts.fired;
-  ts.action_rows += rows.size();
-  return exec.RunUpdates(def.statement.clauses, std::move(rows));
+  return RunPlans(ctx, act, *plans, ts, ivm_state);
 }
 
 Status PgTriggerEngine::ValidateBeforeDelta(const TriggerDef& def,

@@ -10,6 +10,7 @@
 
 #include "src/common/result.h"
 #include "src/cypher/eval.h"
+#include "src/cypher/plan/program.h"
 #include "src/trigger/catalog.h"
 #include "src/trigger/options.h"
 #include "src/trigger/trigger_def.h"
@@ -23,6 +24,10 @@ struct TriggerPlans;  // src/trigger/trigger_plan.h
 
 namespace ivm {
 class TriggerIvmState;  // src/ivm/ivm_manager.h
+}
+
+namespace cypher::plan {
+class PlanExecutor;  // src/cypher/plan/plan_executor.h
 }
 
 /// Per-trigger runtime counters (benchmarks and tests read these).
@@ -149,19 +154,18 @@ class PgTriggerEngine : public TriggerRuntime {
   std::vector<Activation> MatchAll(ActionTime time, const GraphDelta& delta);
 
   /// Evaluates condition and (if it holds) executes the action of one
-  /// activation inside `tx`. Does not open a delta scope; callers manage
-  /// scoping/cascading. With EngineOptions::use_compiled_plans the
-  /// trigger's cached WHEN/action plans execute (compiled on first
-  /// activation, recompiled after DDL epoch bumps); otherwise — or for
-  /// statements the compiler does not cover — the AST interpreter runs.
-  /// Both paths are byte-identical (tests/test_plan_differential.cc).
+  /// activation inside `tx`, running the trigger's cached WHEN/action plans
+  /// (compiled on first activation, recompiled after DDL epoch bumps). Does
+  /// not open a delta scope; callers manage scoping/cascading.
   Status RunActivation(Transaction& tx, const Activation& act);
 
-  /// Interpreter seed row for one activation: single transition variables,
-  /// plus (FOR ALL) the set variables as lists. Shared by RunActivation's
-  /// interpreter path and the async pool's snapshot pre-evaluation
+  /// Seed frame for one activation of `prog`: the single transition
+  /// variables, plus (FOR ALL) the set variables as lists. Shared by
+  /// RunActivation and the async pool's snapshot pre-evaluation
   /// (src/trigger/async_executor.cc). Pure: reads only the activation.
-  static cypher::Row BuildActivationSeedRow(const Activation& act);
+  static cypher::plan::Frame SeedFrame(const cypher::plan::TriggerProgram& prog,
+                                       const Activation& act,
+                                       cypher::plan::PlanExecutor& exec);
 
   // --- Async pool apply hooks (docs/async.md) -----------------------------
   // Both run on a pool thread that holds the Database's writer interlock,
@@ -199,9 +203,9 @@ class PgTriggerEngine : public TriggerRuntime {
   /// `ivm_state` (nullable) is the trigger's maintained WHEN match state:
   /// when present, the condition pipeline is served as a state lookup and
   /// the full re-match runs only as a per-firing defensive fallback.
-  Status RunActivationCompiled(cypher::EvalContext& ctx, const Activation& act,
-                               const TriggerPlans& plans, TriggerStats& ts,
-                               ivm::TriggerIvmState* ivm_state);
+  Status RunPlans(cypher::EvalContext& ctx, const Activation& act,
+                  const TriggerPlans& plans, TriggerStats& ts,
+                  ivm::TriggerIvmState* ivm_state);
   std::vector<Activation> MatchAllIndexed(ActionTime time,
                                           const GraphDelta& delta);
   std::vector<Activation> MatchAllLinear(ActionTime time,

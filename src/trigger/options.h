@@ -94,20 +94,12 @@ struct EngineOptions {
   /// dispatch-scaling ablation.
   bool use_dispatch_index = true;
 
-  /// Execution strategy for trigger WHEN/action statements and ad-hoc
-  /// Cypher. True (default): lower each statement once into a
-  /// slot-addressed PhysicalPlan (src/cypher/plan) — symbols interned,
-  /// variables frame-addressed, scans template-selected — cache it
-  /// (per-trigger on the TriggerDef, per-statement-text in the Database's
-  /// LRU), and execute the cached plan; any index/trigger DDL bumps the
-  /// plan epoch and invalidates cached plans. False: legacy AST-walking
-  /// interpreter on every evaluation; kept for the differential suite
-  /// (tests/test_plan_differential.cc) and the plan-compile ablation. Both
-  /// paths produce byte-identical results, activations, and stats.
-  bool use_compiled_plans = true;
-
   /// Capacity of the Database's prepared-plan LRU for ad-hoc statement
-  /// text (0 disables ad-hoc caching; trigger plans are unaffected).
+  /// text. Every statement executes as a compiled plan (src/cypher/plan,
+  /// docs/plan.md); the LRU keeps them across calls, and any index/trigger
+  /// DDL bumps the plan epoch and invalidates them. 0 disables ad-hoc
+  /// caching (each statement is parsed and compiled per call); trigger
+  /// plans, cached on their TriggerDef, are unaffected.
   size_t plan_cache_capacity = 128;
 
   /// Incremental WHEN evaluation (src/ivm, docs/ivm.md). True (default):
@@ -116,11 +108,11 @@ struct EngineOptions {
   /// the same per-mutation hook sites as the property indexes, so a
   /// firing's condition check is a state lookup (O(delta)) instead of a
   /// re-match (O(graph)). Unsupported shapes, pending symbols, and
-  /// degraded states transparently use the full re-match path. False:
-  /// every firing re-matches; kept as the differential oracle
+  /// degraded states transparently use the full re-match path of the
+  /// compiled WHEN pipeline (IVM lowers from the compiled TriggerProgram).
+  /// False: every firing re-matches; kept as the differential oracle
   /// (tests/test_ivm_differential.cc). Both settings produce
-  /// byte-identical firing order, results, and stats. Requires
-  /// use_compiled_plans (IVM lowers from the compiled TriggerProgram).
+  /// byte-identical firing order, results, and stats.
   bool use_ivm = true;
 
   /// Per-trigger cap on maintained IVM state (approximate resident bytes).

@@ -1,9 +1,10 @@
 #include "src/trigger/trigger_plan.h"
 
-#include <cassert>
 #include <memory>
 #include <mutex>
 #include <utility>
+
+#include "src/common/macros.h"
 
 namespace pgt {
 
@@ -42,7 +43,7 @@ namespace {
 std::mutex g_trigger_plans_mu;
 }  // namespace
 
-std::shared_ptr<const TriggerPlans> GetOrCompileTriggerPlans(
+Result<std::shared_ptr<const TriggerPlans>> GetOrCompileTriggerPlans(
     const TriggerDef& def, const GraphStore& store, uint64_t epoch,
     PlanCompileCounters* counters) {
   bool had_stale_entry = false;
@@ -58,26 +59,18 @@ std::shared_ptr<const TriggerPlans> GetOrCompileTriggerPlans(
   auto plans = std::make_shared<TriggerPlans>();
   plans->epoch = epoch;
   plans->store = &store;
-  const cypher::plan::CompileEnv env = TriggerCompileEnv(def);
-  auto compiled = cypher::plan::CompileTrigger(
-      def.when_expr.get(), &def.when_query, def.statement, env, store, epoch);
-  if (compiled.ok()) {
-    plans->program = std::move(compiled).value();
-    plans->usable = true;
-  } else {
-    // Intentional fallback (CALL / RETURN-position statements the
-    // interpreter rejects at runtime): the trigger stays interpreted.
-    // Anything else is a compiler defect — surface it in debug builds.
-    assert(compiled.status().code() == StatusCode::kUnimplemented &&
-           "trigger-plan compilation failed with a non-fallback status");
-  }
+  PGT_ASSIGN_OR_RETURN(
+      plans->program,
+      cypher::plan::CompileTrigger(def.when_expr.get(), &def.when_query,
+                                   def.statement, TriggerCompileEnv(def),
+                                   StoreView::Live(store), epoch));
   std::lock_guard<std::mutex> lock(g_trigger_plans_mu);
   if (counters != nullptr) {
     ++counters->trigger_compiles;
     if (had_stale_entry) ++counters->trigger_recompiles;
   }
   def.compiled_plans = plans;
-  return plans;
+  return std::shared_ptr<const TriggerPlans>(std::move(plans));
 }
 
 }  // namespace pgt

@@ -11,14 +11,11 @@
 namespace pgt {
 
 /// A trigger's compiled WHEN/action plans, cached on the TriggerDef and
-/// keyed on (store, plan epoch). `usable == false` marks an intentional
-/// compile fallback (e.g. a CALL in the action); the engine then runs the
-/// interpreter, whose semantics are identical.
+/// keyed on (store, plan epoch).
 struct TriggerPlans {
-  bool usable = false;
   uint64_t epoch = 0;
   const GraphStore* store = nullptr;
-  cypher::plan::TriggerProgram program;  // valid iff usable
+  cypher::plan::TriggerProgram program;
 };
 
 /// Derives the compile environment (transition seed variables and OLD-view
@@ -39,9 +36,8 @@ struct PlanCompileCounters {
 
 /// Returns `def`'s cached compiled plans, compiling on first use and
 /// recompiling when the plan epoch or store changed (index/trigger DDL
-/// invalidates cached plans). Never fails: statements the compiler does not
-/// cover yield a non-usable entry and the caller falls back to the
-/// interpreter.
+/// invalidates cached plans). A compile error is returned and nothing is
+/// cached.
 ///
 /// Returns shared ownership and serializes the cache slot internally:
 /// with an async pool, activations of the same trigger execute from
@@ -49,7 +45,7 @@ struct PlanCompileCounters {
 /// writer interlock, but an epoch-bump replacement must not free plans a
 /// concurrent reader still holds). `counters` (optional) is bumped under
 /// the same lock when a compile happens.
-std::shared_ptr<const TriggerPlans> GetOrCompileTriggerPlans(
+Result<std::shared_ptr<const TriggerPlans>> GetOrCompileTriggerPlans(
     const TriggerDef& def, const GraphStore& store, uint64_t epoch,
     PlanCompileCounters* counters = nullptr);
 

@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "src/cypher/parser.h"
 #include "src/trigger/database.h"
 
 namespace pgt {
@@ -79,11 +78,12 @@ std::vector<std::string> DescribeAll(PgTriggerEngine& engine, ActionTime time,
 GraphDelta RunAndCapture(Database& db, const std::string& statement) {
   auto tx = std::move(db.BeginTx()).value();
   tx->PushDeltaScope();
-  auto q = cypher::Parser::ParseQuery(statement);
-  EXPECT_TRUE(q.ok()) << q.status();
+  auto stmt = db.Prepare(statement);
+  EXPECT_TRUE(stmt.ok()) << stmt.status();
+  const cypher::plan::PlanProgram& prog = *(*stmt)->program;
   cypher::EvalContext ctx = db.MakeEvalContext(tx.get(), nullptr, nullptr);
-  cypher::Executor exec(ctx);
-  auto res = exec.Run(q.value(), cypher::Row{});
+  cypher::plan::PlanExecutor exec(ctx, prog.slot_names);
+  auto res = exec.Run(prog.steps, exec.NewFrame());
   EXPECT_TRUE(res.ok()) << statement << " -> " << res.status();
   GraphDelta delta = tx->PopDeltaScope();
   EXPECT_TRUE(db.CommitWithTriggers(std::move(tx)).ok());

@@ -1,11 +1,16 @@
 // Expression evaluation tests: arithmetic, three-valued logic, string
 // predicates, CASE, functions, property access with ghost/overlay reads.
+// Expressions compile (as a trigger WHEN expression over the fixture's
+// bound variables) and evaluate through the plan executor.
 
 #include <gtest/gtest.h>
 
 #include "src/common/clock.h"
+#include "src/common/macros.h"
 #include "src/cypher/eval.h"
 #include "src/cypher/parser.h"
+#include "src/cypher/plan/compiler.h"
+#include "src/cypher/plan/plan_executor.h"
 
 namespace pgt::cypher {
 namespace {
@@ -19,19 +24,33 @@ class EvalTest : public ::testing::Test {
     ctx_.clock = &clock_;
   }
 
+  /// Evaluates `text` with `row_`'s bindings in scope (as a predicate when
+  /// `predicate` is set).
+  Result<Value> EvalText(const std::string& text, bool predicate = false) {
+    PGT_ASSIGN_OR_RETURN(ExprPtr e, Parser::ParseExpressionText(text));
+    plan::CompileEnv env;
+    for (const auto& [name, v] : row_.cols) env.seed_vars.push_back(name);
+    env.old_view_vars = {"OLD"};
+    PGT_ASSIGN_OR_RETURN(plan::TriggerProgram prog,
+                         plan::CompileTrigger(e.get(), nullptr, Query{}, env,
+                                              *ctx_.store(), /*epoch=*/0));
+    plan::PlanExecutor exec(ctx_, prog.slot_names);
+    plan::Frame f = exec.NewFrame();
+    for (size_t i = 0; i < row_.cols.size(); ++i) {
+      f.Set(static_cast<int>(i), row_.cols[i].second);
+    }
+    if (!predicate) return exec.Eval(*prog.when_expr, f);
+    PGT_ASSIGN_OR_RETURN(bool pass, exec.EvalPredicate(*prog.when_expr, f));
+    return Value::Bool(pass);
+  }
+
   Value Eval(const std::string& text) {
-    auto e = Parser::ParseExpressionText(text);
-    EXPECT_TRUE(e.ok()) << text << ": " << e.status();
-    auto v = EvalExpr(*e.value(), row_, ctx_);
+    auto v = EvalText(text);
     EXPECT_TRUE(v.ok()) << text << ": " << v.status();
     return v.ok() ? std::move(v).value() : Value::Null();
   }
 
-  Status EvalError(const std::string& text) {
-    auto e = Parser::ParseExpressionText(text);
-    EXPECT_TRUE(e.ok()) << text;
-    return EvalExpr(*e.value(), row_, ctx_).status();
-  }
+  Status EvalError(const std::string& text) { return EvalText(text).status(); }
 
   GraphStore store_;
   TransactionManager manager_;
@@ -265,11 +284,9 @@ TEST_F(EvalTest, OldViewOverlayReadsOldPropertyValue) {
 
 TEST_F(EvalTest, EvalPredicateSemantics) {
   auto pred = [&](const std::string& text) {
-    auto e = Parser::ParseExpressionText(text);
-    EXPECT_TRUE(e.ok());
-    auto r = EvalPredicate(*e.value(), row_, ctx_);
+    auto r = EvalText(text, /*predicate=*/true);
     EXPECT_TRUE(r.ok()) << r.status();
-    return r.value_or(false);
+    return r.ok() && r->bool_value();
   };
   EXPECT_TRUE(pred("1 < 2"));
   EXPECT_FALSE(pred("1 > 2"));

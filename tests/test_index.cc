@@ -10,7 +10,8 @@
 #include <limits>
 
 #include "src/cypher/parser.h"
-#include "src/cypher/scan_plan.h"
+#include "src/cypher/plan/compiler.h"
+#include "src/cypher/plan/plan_executor.h"
 #include "src/index/index_catalog.h"
 #include "src/index/index_ddl.h"
 #include "src/index/property_index.h"
@@ -479,21 +480,23 @@ class ScanPlanTest : public ::testing::Test {
     ctx_.params = &params_;
   }
 
-  /// Plans the first node of `MATCH <pattern_text> [WHERE ...]`.
+  /// Plans the first node of `MATCH <pattern_text> [WHERE ...]`: compiles
+  /// the statement and instantiates the part's scan template.
   cypher::NodeScanPlan Plan(const std::string& match_text) {
     auto q = cypher::Parser::ParseQuery("MATCH " + match_text + " RETURN *");
     EXPECT_TRUE(q.ok()) << q.status();
-    const auto& clause = *q.value().clauses[0];
-    const cypher::NodePattern& np = clause.pattern.parts[0].first;
+    auto prog = cypher::plan::CompileQuery(*q, {}, *ctx_.store(), 0);
+    EXPECT_TRUE(prog.ok()) << prog.status();
+    const cypher::plan::PPatternPart& part = prog->steps[0].pattern.parts[0];
     std::vector<LabelId> labels;
-    for (const std::string& l : np.labels) {
-      auto id = store_.LookupLabel(l);
+    for (const cypher::plan::SymbolRef& l : part.first.labels) {
+      auto id = store_.LookupLabel(l.name);
       if (id.has_value()) labels.push_back(*id);
     }
-    auto plan = cypher::PlanNodeScan(np, labels, clause.where.get(),
-                                     cypher::Row{}, ctx_);
-    EXPECT_TRUE(plan.ok()) << plan.status();
-    return plan.value_or(cypher::NodeScanPlan{});
+    cypher::plan::PlanExecutor exec(ctx_, prog->slot_names);
+    cypher::plan::Frame row = exec.NewFrame();
+    int satisfied = -1;
+    return exec.SelectScan(part.scan, labels, row, &satisfied);
   }
 
   GraphStore store_;

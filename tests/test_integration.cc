@@ -8,7 +8,6 @@
 #include "src/covid/workload.h"
 #include "src/emul/apoc_emulator.h"
 #include "src/survey/capability_registry.h"
-#include "src/termination/triggering_graph.h"
 #include "src/translate/apoc_translator.h"
 
 namespace pgt {
@@ -126,9 +125,7 @@ TEST_F(IntegrationTest, TerminationAnalysisOverInstalledCatalog) {
        "BEGIN CREATE (:Q) END");
   Exec("CREATE TRIGGER Pong AFTER CREATE ON 'Q' FOR EACH NODE "
        "BEGIN CREATE (:P) END");
-  termination::TriggeringGraph g =
-      termination::TriggeringGraph::Build(db_.catalog().All());
-  auto report = g.Analyze();
+  auto report = db_.AnalyzeTriggers();
   EXPECT_FALSE(report.guaranteed_termination);
   ASSERT_EQ(report.cycles.size(), 1u);
   // And the runtime backstop catches the actual runaway.

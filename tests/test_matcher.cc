@@ -1,314 +1,332 @@
-// Pattern matcher tests: label scans, directions, property constraints,
-// relationship uniqueness, variable-length paths, transition pseudo-labels.
-
-#include "src/cypher/matcher.h"
+// Pattern matching semantics of the compiled executor, driven through
+// Database::Execute / QueryAt: label scans, directions, property
+// constraints, relationship uniqueness, variable-length paths, transition
+// pseudo-labels, and scan-order determinism.
 
 #include <gtest/gtest.h>
 
-#include "src/common/clock.h"
-#include "src/cypher/parser.h"
+#include <algorithm>
+#include <set>
 
-namespace pgt::cypher {
+#include "src/cypher/parser.h"
+#include "src/cypher/plan/compiler.h"
+#include "src/cypher/plan/plan_executor.h"
+#include "src/trigger/database.h"
+
+namespace pgt {
 namespace {
 
 class MatcherTest : public ::testing::Test {
  protected:
-  MatcherTest() : manager_(&store_) {
-    tx_ = std::move(manager_.Begin()).value();
-    ctx_.tx = tx_.get();
-    ctx_.clock = &clock_;
-    ctx_.params = &params_;
+  /// Creates one node and returns its id.
+  int64_t Node(const std::string& labels, const std::string& props = "") {
+    auto r = db_.Execute("CREATE (n:" + labels + " " + props +
+                         ") RETURN id(n) AS id");
+    EXPECT_TRUE(r.ok()) << r.status();
+    return r.ok() ? r->rows[0][0].int_value() : -1;
+  }
+  int64_t Rel(int64_t a, const std::string& type, int64_t b) {
+    auto r = db_.Execute("MATCH (a), (b) WHERE id(a) = $a AND id(b) = $b "
+                         "CREATE (a)-[r:" + type + "]->(b) RETURN id(r) AS id",
+                         {{"a", Value::Int(a)}, {"b", Value::Int(b)}});
+    EXPECT_TRUE(r.ok()) << r.status();
+    return r.ok() ? r->rows[0][0].int_value() : -1;
   }
 
-  NodeId Node(const std::string& label,
-              std::map<std::string, Value> props = {}) {
-    PropMap p;
-    for (auto& [k, v] : props) p[store_.InternPropKey(k)] = v;
-    return store_.CreateNode({store_.InternLabel(label)}, std::move(p));
+  /// Rows of `MATCH <pattern> RETURN *`, after `prefix` (e.g. a clause
+  /// binding seed variables).
+  cypher::QueryResult Match(const std::string& pattern,
+                            const std::string& prefix = "",
+                            const Params& params = {}) {
+    auto r = db_.Execute(prefix + " MATCH " + pattern + " RETURN *", params);
+    EXPECT_TRUE(r.ok()) << pattern << ": " << r.status();
+    return r.ok() ? std::move(r).value() : cypher::QueryResult{};
   }
-  RelId Rel(NodeId a, const std::string& type, NodeId b) {
-    return store_.CreateRel(a, store_.InternRelType(type), b, {}).value();
+  size_t Count(const std::string& pattern, const std::string& prefix = "",
+               const Params& params = {}) {
+    return Match(pattern, prefix, params).rows.size();
   }
 
-  /// Matches the MATCH clause of `query` and returns all rows.
-  std::vector<Row> Match(const std::string& pattern_text,
-                         const Row& seed = {}) {
-    auto q = Parser::ParseQuery("MATCH " + pattern_text + " RETURN *");
+  /// `MATCH <pattern> RETURN *` inside an open transaction with a
+  /// transition environment (the context trigger conditions run in).
+  cypher::QueryResult MatchInEnv(Transaction& tx,
+                                 const cypher::TransitionEnv& env,
+                                 const std::string& pattern) {
+    auto q = cypher::Parser::ParseQuery("MATCH " + pattern + " RETURN *");
     EXPECT_TRUE(q.ok()) << q.status();
-    std::vector<Row> out;
-    Status st = MatchPattern(q.value().clauses[0]->pattern, seed, ctx_,
-                             [&](const Row& r) {
-                               out.push_back(r);
-                               return Status::OK();
-                             });
-    EXPECT_TRUE(st.ok()) << st;
-    return out;
+    cypher::EvalContext ctx = db_.MakeEvalContext(&tx, nullptr, &env);
+    auto prog = cypher::plan::CompileQuery(*q, {}, *ctx.store(), 0);
+    EXPECT_TRUE(prog.ok()) << prog.status();
+    cypher::plan::PlanExecutor exec(ctx, prog->slot_names);
+    auto r = exec.Run(prog->steps, exec.NewFrame());
+    EXPECT_TRUE(r.ok()) << r.status();
+    return r.ok() ? std::move(r).value() : cypher::QueryResult{};
   }
 
-  GraphStore store_;
-  TransactionManager manager_;
-  std::unique_ptr<Transaction> tx_;
-  LogicalClock clock_;
-  Params params_;
-  EvalContext ctx_;
+  Database db_;
 };
 
 TEST_F(MatcherTest, LabelScan) {
   Node("A");
   Node("A");
   Node("B");
-  EXPECT_EQ(Match("(n:A)").size(), 2u);
-  EXPECT_EQ(Match("(n:B)").size(), 1u);
-  EXPECT_EQ(Match("(n)").size(), 3u);
+  EXPECT_EQ(Count("(n:A)"), 2u);
+  EXPECT_EQ(Count("(n:B)"), 1u);
+  EXPECT_EQ(Count("(n)"), 3u);
 }
 
 TEST_F(MatcherTest, UnknownLabelMatchesNothing) {
   Node("A");
-  EXPECT_TRUE(Match("(n:Nothing)").empty());
+  EXPECT_EQ(Count("(n:Nothing)"), 0u);
 }
 
 TEST_F(MatcherTest, PropertyConstraint) {
-  Node("P", {{"age", Value::Int(30)}});
-  Node("P", {{"age", Value::Int(40)}});
-  EXPECT_EQ(Match("(n:P {age: 30})").size(), 1u);
-  EXPECT_TRUE(Match("(n:P {age: 99})").empty());
-  EXPECT_TRUE(Match("(n:P {missing: 1})").empty());
+  Node("P", "{age: 30}");
+  Node("P", "{age: 40}");
+  EXPECT_EQ(Count("(n:P {age: 30})"), 1u);
+  EXPECT_EQ(Count("(n:P {age: 99})"), 0u);
+  EXPECT_EQ(Count("(n:P {missing: 1})"), 0u);
 }
 
 TEST_F(MatcherTest, DirectedTraversal) {
-  NodeId a = Node("A");
-  NodeId b = Node("B");
-  Rel(a, "R", b);
-  EXPECT_EQ(Match("(x:A)-[:R]->(y:B)").size(), 1u);
-  EXPECT_TRUE(Match("(x:A)<-[:R]-(y:B)").empty());
-  EXPECT_EQ(Match("(x:A)-[:R]-(y:B)").size(), 1u);
-  EXPECT_EQ(Match("(y:B)<-[:R]-(x:A)").size(), 1u);
+  Rel(Node("A"), "R", Node("B"));
+  EXPECT_EQ(Count("(x:A)-[:R]->(y:B)"), 1u);
+  EXPECT_EQ(Count("(x:A)<-[:R]-(y:B)"), 0u);
+  EXPECT_EQ(Count("(x:A)-[:R]-(y:B)"), 1u);
+  EXPECT_EQ(Count("(y:B)<-[:R]-(x:A)"), 1u);
 }
 
 TEST_F(MatcherTest, TypeFilterAndAlternatives) {
-  NodeId a = Node("A");
-  NodeId b = Node("B");
+  const int64_t a = Node("A");
+  const int64_t b = Node("B");
   Rel(a, "R1", b);
   Rel(a, "R2", b);
-  EXPECT_EQ(Match("(x:A)-[:R1]->(y)").size(), 1u);
-  EXPECT_EQ(Match("(x:A)-[:R1|R2]->(y)").size(), 2u);
-  EXPECT_EQ(Match("(x:A)-[r]->(y)").size(), 2u);
+  EXPECT_EQ(Count("(x:A)-[:R1]->(y)"), 1u);
+  EXPECT_EQ(Count("(x:A)-[:R1|R2]->(y)"), 2u);
+  EXPECT_EQ(Count("(x:A)-[r]->(y)"), 2u);
 }
 
 TEST_F(MatcherTest, BoundVariablesConstrain) {
-  NodeId a = Node("A");
-  NodeId b = Node("B");
-  NodeId c = Node("B");
+  const int64_t a = Node("A");
+  const int64_t b = Node("B");
+  const int64_t c = Node("B");
   Rel(a, "R", b);
   Rel(a, "R", c);
-  Row seed;
-  seed.Set("y", Value::Node(b));
-  EXPECT_EQ(Match("(x:A)-[:R]->(y)", seed).size(), 1u);
+  EXPECT_EQ(Count("(x:A)-[:R]->(y)", "MATCH (y) WHERE id(y) = $b",
+                  {{"b", Value::Int(b)}}),
+            1u);
 }
 
 TEST_F(MatcherTest, BoundRelVariableConstrains) {
-  NodeId a = Node("A");
-  NodeId b = Node("B");
-  RelId r1 = Rel(a, "R", b);
+  const int64_t a = Node("A");
+  const int64_t b = Node("B");
+  const int64_t r1 = Rel(a, "R", b);
   Rel(a, "R", b);
-  Row seed;
-  seed.Set("r", Value::Rel(r1));
-  EXPECT_EQ(Match("(x)-[r]->(y)", seed).size(), 1u);
+  EXPECT_EQ(Count("(x)-[r]->(y)", "MATCH ()-[r]->() WHERE id(r) = $r",
+                  {{"r", Value::Int(r1)}}),
+            1u);
 }
 
 TEST_F(MatcherTest, RelationshipUniquenessWithinMatch) {
-  NodeId a = Node("A");
-  NodeId b = Node("A");
-  Rel(a, "R", b);
+  Rel(Node("A"), "R", Node("A"));
   // A two-hop path needs two distinct relationships; with only one, the
   // same rel may not be reused (a)-[r]-(b)-[r]-(a).
-  EXPECT_TRUE(Match("(x:A)-[:R]-(y:A)-[:R]-(z:A)").empty());
+  EXPECT_EQ(Count("(x:A)-[:R]-(y:A)-[:R]-(z:A)"), 0u);
 }
 
 TEST_F(MatcherTest, MultiPartCartesianAndJoin) {
   Node("A");
   Node("A");
   Node("B");
-  EXPECT_EQ(Match("(x:A), (y:B)").size(), 2u);
-  EXPECT_EQ(Match("(x:A), (y:A)").size(), 4u);  // no node uniqueness
+  EXPECT_EQ(Count("(x:A), (y:B)"), 2u);
+  EXPECT_EQ(Count("(x:A), (y:A)"), 4u);  // no node uniqueness
 }
 
 TEST_F(MatcherTest, VariableLengthPaths) {
-  NodeId n1 = Node("N");
-  NodeId n2 = Node("N");
-  NodeId n3 = Node("N");
-  NodeId n4 = Node("N");
+  const int64_t n1 = Node("N");
+  const int64_t n2 = Node("N");
+  const int64_t n3 = Node("N");
+  const int64_t n4 = Node("N");
   Rel(n1, "R", n2);
   Rel(n2, "R", n3);
   Rel(n3, "R", n4);
-  Row seed;
-  seed.Set("s", Value::Node(n1));
-  EXPECT_EQ(Match("(s)-[:R*1..3]->(t)", seed).size(), 3u);
-  EXPECT_EQ(Match("(s)-[:R*2]->(t)", seed).size(), 1u);
-  EXPECT_EQ(Match("(s)-[:R*]->(t)", seed).size(), 3u);
+  const std::string seed = "MATCH (s) WHERE id(s) = $s";
+  const Params p = {{"s", Value::Int(n1)}};
+  EXPECT_EQ(Count("(s)-[:R*1..3]->(t)", seed, p), 3u);
+  EXPECT_EQ(Count("(s)-[:R*2]->(t)", seed, p), 1u);
+  EXPECT_EQ(Count("(s)-[:R*]->(t)", seed, p), 3u);
   // Zero-length includes the start node itself.
-  EXPECT_EQ(Match("(s)-[:R*0..1]->(t)", seed).size(), 2u);
+  EXPECT_EQ(Count("(s)-[:R*0..1]->(t)", seed, p), 2u);
 }
 
 TEST_F(MatcherTest, VariableLengthBindsRelList) {
-  NodeId n1 = Node("N");
-  NodeId n2 = Node("N");
-  NodeId n3 = Node("N");
+  const int64_t n1 = Node("N");
+  const int64_t n2 = Node("N");
   Rel(n1, "R", n2);
-  Rel(n2, "R", n3);
-  Row seed;
-  seed.Set("s", Value::Node(n1));
-  std::vector<Row> rows = Match("(s)-[path:R*2]->(t)", seed);
-  ASSERT_EQ(rows.size(), 1u);
-  const Value* path = rows[0].Get("path");
-  ASSERT_NE(path, nullptr);
-  ASSERT_TRUE(path->is_list());
-  EXPECT_EQ(path->list_value().size(), 2u);
+  Rel(n2, "R", Node("N"));
+  auto r = db_.Execute(
+      "MATCH (s) WHERE id(s) = $s MATCH (s)-[path:R*2]->(t) RETURN path",
+      {{"s", Value::Int(n1)}});
+  ASSERT_TRUE(r.ok()) << r.status();
+  ASSERT_EQ(r->rows.size(), 1u);
+  ASSERT_TRUE(r->rows[0][0].is_list());
+  EXPECT_EQ(r->rows[0][0].list_value().size(), 2u);
 }
 
 TEST_F(MatcherTest, VariableLengthCyclesAreBounded) {
-  NodeId a = Node("N");
-  NodeId b = Node("N");
+  const int64_t a = Node("N");
+  const int64_t b = Node("N");
   Rel(a, "R", b);
   Rel(b, "R", a);
-  Row seed;
-  seed.Set("s", Value::Node(a));
   // Rel-uniqueness bounds the DFS: a->b (1 hop), a->b->a (2 hops), stop.
-  EXPECT_EQ(Match("(s)-[:R*]->(t)", seed).size(), 2u);
+  EXPECT_EQ(Count("(s)-[:R*]->(t)", "MATCH (s) WHERE id(s) = $s",
+                  {{"s", Value::Int(a)}}),
+            2u);
 }
 
 TEST_F(MatcherTest, TransitionPseudoLabel) {
-  NodeId a = Node("P");
+  const int64_t a = Node("P");
   Node("P");
-  TransitionEnv env;
-  env.MutableSet("NEWNODES", true).ids = {a.value};
-  ctx_.transition = &env;
-  std::vector<Row> rows = Match("(pn:NEWNODES)");
-  ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(rows[0].Get("pn")->node_id(), a);
+  auto tx = db_.BeginTx();
+  ASSERT_TRUE(tx.ok());
+  cypher::TransitionEnv env;
+  env.MutableSet("NEWNODES", true).ids = {static_cast<uint64_t>(a)};
+  cypher::QueryResult rows = MatchInEnv(**tx, env, "(pn:NEWNODES)");
+  ASSERT_EQ(rows.rows.size(), 1u);
+  EXPECT_EQ(rows.rows[0][0].node_id().value, static_cast<uint64_t>(a));
   // Combined with a real label.
-  EXPECT_EQ(Match("(pn:NEWNODES:P)").size(), 1u);
-  EXPECT_TRUE(Match("(pn:NEWNODES:Q)").empty());
+  EXPECT_EQ(MatchInEnv(**tx, env, "(pn:NEWNODES:P)").rows.size(), 1u);
+  EXPECT_TRUE(MatchInEnv(**tx, env, "(pn:NEWNODES:Q)").rows.empty());
+  db_.RollbackAndRelease(std::move(tx).value());
 }
 
 TEST_F(MatcherTest, PseudoLabelOfRelSetNeverMatchesNodes) {
   Node("P");
-  TransitionEnv env;
+  auto tx = db_.BeginTx();
+  ASSERT_TRUE(tx.ok());
+  cypher::TransitionEnv env;
   env.MutableSet("NEWRELS", false).ids = {0};
-  ctx_.transition = &env;
-  EXPECT_TRUE(Match("(x:NEWRELS)").empty());
+  EXPECT_TRUE(MatchInEnv(**tx, env, "(x:NEWRELS)").rows.empty());
+  db_.RollbackAndRelease(std::move(tx).value());
 }
 
 TEST_F(MatcherTest, DeletedNodesInOldSetMatchButDoNotTraverse) {
-  NodeId a = Node("P");
-  NodeId b = Node("P");
-  Rel(a, "R", b);
-  ASSERT_TRUE(tx_->DeleteNode(a, /*detach=*/true).ok());
-  TransitionEnv env;
-  env.MutableSet("OLDNODES", true).ids = {a.value};
-  ctx_.transition = &env;
-  EXPECT_EQ(Match("(x:OLDNODES)").size(), 1u);       // ghost matches
-  EXPECT_TRUE(Match("(x:OLDNODES)-[:R]-(y)").empty());  // no traversal
+  const int64_t a = Node("P");
+  Rel(a, "R", Node("P"));
+  auto tx = db_.BeginTx();
+  ASSERT_TRUE(tx.ok());
+  ASSERT_TRUE((*tx)->DeleteNode(NodeId{static_cast<uint64_t>(a)},
+                                /*detach=*/true)
+                  .ok());
+  cypher::TransitionEnv env;
+  env.MutableSet("OLDNODES", true).ids = {static_cast<uint64_t>(a)};
+  EXPECT_EQ(MatchInEnv(**tx, env, "(x:OLDNODES)").rows.size(), 1u);
+  EXPECT_TRUE(MatchInEnv(**tx, env, "(x:OLDNODES)-[:R]-(y)").rows.empty());
+  db_.RollbackAndRelease(std::move(tx).value());
 }
 
-TEST_F(MatcherTest, PatternExistsEarlyExit) {
-  NodeId a = Node("A");
-  NodeId b = Node("B");
-  Rel(a, "R", b);
-  auto q = Parser::ParseQuery("MATCH (x:A)-[:R]->(:B) RETURN *");
-  ASSERT_TRUE(q.ok());
-  auto found = PatternExists(q.value().clauses[0]->pattern, nullptr, Row{},
-                             ctx_);
-  ASSERT_TRUE(found.ok());
-  EXPECT_TRUE(found.value());
-  auto q2 = Parser::ParseQuery("MATCH (x:B)-[:R]->(:A) RETURN *");
-  auto missing = PatternExists(q2.value().clauses[0]->pattern, nullptr,
-                               Row{}, ctx_);
-  EXPECT_FALSE(missing.value());
+TEST_F(MatcherTest, PatternExists) {
+  Rel(Node("A"), "R", Node("B"));
+  auto r = db_.Execute(
+      "RETURN EXISTS { (x:A)-[:R]->(:B) } AS yes, "
+      "EXISTS { (x:B)-[:R]->(:A) } AS no");
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_TRUE(r->rows[0][0].bool_value());
+  EXPECT_FALSE(r->rows[0][1].bool_value());
 }
 
-TEST_F(MatcherTest, PatternVariablesReportsUnbound) {
-  auto q = Parser::ParseQuery("MATCH (a)-[r:R]->(b) RETURN *");
-  Row row;
-  row.Set("a", Value::Node(NodeId{0}));
-  std::vector<std::string> vars =
-      PatternVariables(q.value().clauses[0]->pattern, row);
-  ASSERT_EQ(vars.size(), 2u);
-  EXPECT_EQ(vars[0], "r");
-  EXPECT_EQ(vars[1], "b");
+// OPTIONAL MATCH pads exactly the variables the pattern introduces.
+TEST_F(MatcherTest, OptionalMatchPadsOnlyUnboundVariables) {
+  const int64_t a = Node("A");
+  cypher::QueryResult r =
+      Match("(a)-[r:R]->(b)", "MATCH (a) WHERE id(a) = $a OPTIONAL",
+            {{"a", Value::Int(a)}});
+  ASSERT_EQ(r.rows.size(), 1u);
+  ASSERT_EQ(r.columns, (std::vector<std::string>{"a", "r", "b"}));
+  EXPECT_TRUE(r.rows[0][0].is_node());
+  EXPECT_TRUE(r.rows[0][1].is_null());
+  EXPECT_TRUE(r.rows[0][2].is_null());
 }
 
 TEST_F(MatcherTest, SelfLoopMatches) {
-  NodeId a = Node("A");
+  const int64_t a = Node("A");
   Rel(a, "R", a);
-  EXPECT_EQ(Match("(x:A)-[:R]->(x)").size(), 1u);
-  EXPECT_EQ(Match("(x:A)-[:R]-(y)").size(), 1u);
+  EXPECT_EQ(Count("(x:A)-[:R]->(x)"), 1u);
+  EXPECT_EQ(Count("(x:A)-[:R]-(y)"), 1u);
 }
 
 // Regression: scans must stay deterministic (ascending id order, tombstones
 // excluded) when deletes are interleaved with scans — the unconstrained,
-// label-index, and property-index access paths all share this contract.
+// label-index, and property-index access paths, live and on snapshots, all
+// share this contract.
 TEST_F(MatcherTest, ScanOrderDeterministicAcrossInterleavedDeletes) {
-  std::vector<NodeId> nodes;
+  std::vector<int64_t> nodes;
   for (int i = 0; i < 8; ++i) {
-    nodes.push_back(Node("D", {{"v", Value::Int(i)}}));
+    nodes.push_back(Node("D", "{v: " + std::to_string(i) + "}"));
   }
 
-  auto scan_ids = [&](const std::string& pattern) {
+  auto ids_of = [](const cypher::QueryResult& r) {
     std::vector<uint64_t> ids;
-    for (const Row& r : Match(pattern)) {
-      ids.push_back(r.Get("n")->node_id().value);
-    }
+    for (const auto& row : r.rows) ids.push_back(row[0].node_id().value);
     return ids;
   };
-  auto expect_sorted_without = [&](const std::vector<uint64_t>& ids,
-                                   const std::set<uint64_t>& deleted,
-                                   size_t total) {
+  auto scan_ids = [&](const std::string& pattern) {
+    return ids_of(Match(pattern));
+  };
+  auto snapshot_ids = [&](const std::string& pattern) {
+    auto snap = db_.OpenSnapshot();
+    EXPECT_TRUE(snap.ok());
+    auto r = db_.QueryAt(**snap, "MATCH " + pattern + " RETURN *");
+    EXPECT_TRUE(r.ok()) << r.status();
+    return r.ok() ? ids_of(*r) : std::vector<uint64_t>{};
+  };
+  std::set<uint64_t> deleted;
+  auto expect_sorted_without = [&](const std::vector<uint64_t>& ids) {
     EXPECT_TRUE(std::is_sorted(ids.begin(), ids.end()));
-    EXPECT_EQ(ids.size(), total - deleted.size());
+    EXPECT_EQ(ids.size(), nodes.size() - deleted.size());
     for (uint64_t id : ids) EXPECT_EQ(deleted.count(id), 0u);
   };
+  auto del = [&](int64_t id) {
+    ASSERT_TRUE(db_.Execute("MATCH (n) WHERE id(n) = $n DELETE n",
+                            {{"n", Value::Int(id)}})
+                    .ok());
+    deleted.insert(static_cast<uint64_t>(id));
+  };
 
-  std::set<uint64_t> deleted;
-  expect_sorted_without(scan_ids("(n)"), deleted, nodes.size());
+  expect_sorted_without(scan_ids("(n)"));
 
   // Delete from the middle, scan, delete more, scan again.
-  ASSERT_TRUE(store_.DeleteNode(nodes[3]).ok());
-  deleted.insert(nodes[3].value);
-  expect_sorted_without(scan_ids("(n)"), deleted, nodes.size());
-  expect_sorted_without(scan_ids("(n:D)"), deleted, nodes.size());
+  del(nodes[3]);
+  expect_sorted_without(scan_ids("(n)"));
+  expect_sorted_without(scan_ids("(n:D)"));
+  expect_sorted_without(snapshot_ids("(n:D)"));
 
-  ASSERT_TRUE(store_.DeleteNode(nodes[0]).ok());
-  ASSERT_TRUE(store_.DeleteNode(nodes[7]).ok());
-  deleted.insert(nodes[0].value);
-  deleted.insert(nodes[7].value);
-  expect_sorted_without(scan_ids("(n)"), deleted, nodes.size());
-  expect_sorted_without(scan_ids("(n:D)"), deleted, nodes.size());
+  del(nodes[0]);
+  del(nodes[7]);
+  expect_sorted_without(scan_ids("(n)"));
+  expect_sorted_without(scan_ids("(n:D)"));
+  expect_sorted_without(snapshot_ids("(n)"));
 
-  // Revival (the rollback path) restores the node at its old position.
-  ASSERT_TRUE(store_
-                  .ReviveNode(nodes[3], {*store_.LookupLabel("D")},
-                              {{*store_.LookupPropKey("v"), Value::Int(3)}})
-                  .ok());
-  deleted.erase(nodes[3].value);
-  expect_sorted_without(scan_ids("(n)"), deleted, nodes.size());
-  expect_sorted_without(scan_ids("(n:D)"), deleted, nodes.size());
+  // A rolled-back delete (the revival path) restores the node at its old
+  // position.
+  EXPECT_FALSE(db_.ExecuteTx({"MATCH (n:D {v: 4}) DELETE n",
+                              "MATCH (n:D {v: 5}) SET n.v = 1 / 0"})
+                   .ok());
+  expect_sorted_without(scan_ids("(n)"));
+  expect_sorted_without(scan_ids("(n:D)"));
 
   // Same contract on the property-index path.
-  ASSERT_TRUE(store_
-                  .CreateIndex(index::IndexSpec{*store_.LookupLabel("D"),
-                                                *store_.LookupPropKey("v"),
-                                                index::IndexKind::kOrdered})
-                  .ok());
-  std::vector<uint64_t> via_index = scan_ids("(n:D {v: 3})");
+  ASSERT_TRUE(db_.Execute("CREATE RANGE INDEX ON :D(v)").ok());
+  std::vector<uint64_t> via_index = scan_ids("(n:D {v: 4})");
   ASSERT_EQ(via_index.size(), 1u);
-  EXPECT_EQ(via_index[0], nodes[3].value);
+  EXPECT_EQ(via_index[0], static_cast<uint64_t>(nodes[4]));
   // New nodes created mid-stream appear in id order on the next scan.
-  Node("D", {{"v", Value::Int(3)}});
-  via_index = scan_ids("(n:D {v: 3})");
+  Node("D", "{v: 4}");
+  via_index = scan_ids("(n:D {v: 4})");
   ASSERT_EQ(via_index.size(), 2u);
   EXPECT_TRUE(std::is_sorted(via_index.begin(), via_index.end()));
+  EXPECT_EQ(snapshot_ids("(n:D {v: 4})"), via_index);
 }
 
 }  // namespace
-}  // namespace pgt::cypher
+}  // namespace pgt

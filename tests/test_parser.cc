@@ -323,5 +323,61 @@ TEST(ParserTest, ClauseKeywordsCaseInsensitive) {
   EXPECT_TRUE(Parser::ParseQuery("Match (n) Return n").ok());
 }
 
+// --- Nesting limit ---------------------------------------------------------
+// The parser bounds nesting (Parser::kMaxNestingDepth) so that no input can
+// overflow the stack of the parser or of the recursive compiler/executor.
+
+std::string Nested(int depth, const std::string& open,
+                   const std::string& inner, const std::string& close) {
+  std::string out;
+  for (int i = 0; i < depth; ++i) out += open;
+  out += inner;
+  for (int i = 0; i < depth; ++i) out += close;
+  return out;
+}
+
+std::string Chain(int terms, const std::string& term,
+                  const std::string& op) {
+  std::string out = term;
+  for (int i = 1; i < terms; ++i) out += op + term;
+  return out;
+}
+
+void ExpectTooDeep(const Result<Query>& r) {
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << r.status();
+  EXPECT_NE(r.status().message().find("maximum depth"), std::string::npos)
+      << r.status();
+}
+
+TEST(ParserTest, DeeplyNestedParenthesesAreRejected) {
+  ExpectTooDeep(Parser::ParseQuery("RETURN " + Nested(10000, "(", "1", ")")));
+}
+
+TEST(ParserTest, DeeplyNestedListsAreRejected) {
+  ExpectTooDeep(Parser::ParseQuery("RETURN " + Nested(10000, "[", "1", "]")));
+}
+
+TEST(ParserTest, LongOperatorAndUnaryChainsAreRejected) {
+  // Left-associative chains and prefix operators nest the AST as deeply
+  // as parentheses do.
+  ExpectTooDeep(Parser::ParseQuery("RETURN " + Chain(10000, "1", " + ")));
+  ExpectTooDeep(Parser::ParseQuery("RETURN " + Chain(10000, "true", " AND ")));
+  ExpectTooDeep(
+      Parser::ParseQuery("RETURN " + Nested(10000, "NOT ", "true", "")));
+  ExpectTooDeep(Parser::ParseQuery("RETURN " + Nested(10000, "-", "1", "")));
+  ExpectTooDeep(Parser::ParseQuery("RETURN {a: 1}" + Chain(10000, "", ".a")));
+}
+
+TEST(ParserTest, NestingWithinTheLimitParses) {
+  const int ok = Parser::kMaxNestingDepth / 2;
+  EXPECT_TRUE(Parser::ParseQuery("RETURN " + Nested(ok, "(", "1", ")")).ok());
+  EXPECT_TRUE(Parser::ParseQuery("RETURN " + Nested(ok, "[", "1", "]")).ok());
+  EXPECT_TRUE(Parser::ParseQuery("RETURN " + Chain(ok, "1", " + ")).ok());
+  // Flat lists do not nest, whatever their length.
+  EXPECT_TRUE(
+      Parser::ParseQuery("RETURN [" + Chain(10000, "1", ", ") + "]").ok());
+}
+
 }  // namespace
 }  // namespace pgt::cypher

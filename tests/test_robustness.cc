@@ -1,6 +1,6 @@
 // Fault containment & resource governance (docs/robustness.md):
 // execution budgets (statement_timeout_ms / max_plan_steps) with clean
-// rollback under both the compiled-plan and interpreter paths, the
+// rollback, the
 // per-trigger circuit breaker (auto-quarantine, DETACHED half-open
 // backoff probes, SHOW TRIGGER STATUS), the unified fault-point registry,
 // and WAL-poison read-only degraded mode (SHOW HEALTH).
@@ -39,10 +39,9 @@ class RobustnessTest : public ::testing::Test {
 
 // --- Execution budgets -------------------------------------------------------
 
-EngineOptions StepBudget(int64_t steps, bool compiled) {
+EngineOptions StepBudget(int64_t steps) {
   EngineOptions o;
   o.max_plan_steps = steps;
-  o.use_compiled_plans = compiled;
   return o;
 }
 
@@ -58,18 +57,16 @@ void SeedNodes(Database& db, int n) {
           .ok());
 }
 
-TEST_F(RobustnessTest, StepBudgetAbortsBothExecutionPaths) {
-  for (bool compiled : {true, false}) {
-    Database db(StepBudget(500, compiled));
-    SeedNodes(db, 100);  // 100 x 100 candidate pairs >> 500 steps
-    auto r = db.Execute(kHeavy);
-    ASSERT_FALSE(r.ok()) << "compiled=" << compiled;
-    EXPECT_EQ(r.status().code(), StatusCode::kBudgetExceeded);
-    EXPECT_NE(r.status().message().find("max_plan_steps"), std::string::npos)
-        << r.status();
-    // The budget is per statement: the next (cheap) statement succeeds.
-    EXPECT_EQ(Count(db, "MATCH (n:N) RETURN COUNT(*) AS c"), 100);
-  }
+TEST_F(RobustnessTest, StepBudgetAbortsStatement) {
+  Database db(StepBudget(500));
+  SeedNodes(db, 100);  // 100 x 100 candidate pairs >> 500 steps
+  auto r = db.Execute(kHeavy);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kBudgetExceeded);
+  EXPECT_NE(r.status().message().find("max_plan_steps"), std::string::npos)
+      << r.status();
+  // The budget is per statement: the next (cheap) statement succeeds.
+  EXPECT_EQ(Count(db, "MATCH (n:N) RETURN COUNT(*) AS c"), 100);
 }
 
 TEST_F(RobustnessTest, TimeoutAbortsLongStatement) {
@@ -88,48 +85,44 @@ TEST_F(RobustnessTest, TimeoutAbortsLongStatement) {
 }
 
 TEST_F(RobustnessTest, BudgetAbortRollsBackCleanly) {
-  for (bool compiled : {true, false}) {
-    Database db(StepBudget(500, compiled));
-    SeedNodes(db, 100);
-    // The write statement blows its budget mid-flight: nothing of it (or
-    // of any trigger it would have fired) may survive.
-    Exec(db, "CREATE TRIGGER T AFTER CREATE ON 'X' FOR EACH NODE "
-             "BEGIN CREATE (:Log) END");
-    auto r = db.Execute("MATCH (a:N), (b:N) CREATE (:X {u: a.i})");
-    ASSERT_FALSE(r.ok());
-    EXPECT_EQ(r.status().code(), StatusCode::kBudgetExceeded);
-    EXPECT_EQ(Count(db, "MATCH (x:X) RETURN COUNT(*) AS c"), 0);
-    EXPECT_EQ(Count(db, "MATCH (l:Log) RETURN COUNT(*) AS c"), 0);
-    EXPECT_EQ(Count(db, "MATCH (n:N) RETURN COUNT(*) AS c"), 100);
-  }
+  Database db(StepBudget(500));
+  SeedNodes(db, 100);
+  // The write statement blows its budget mid-flight: nothing of it (or
+  // of any trigger it would have fired) may survive.
+  Exec(db, "CREATE TRIGGER T AFTER CREATE ON 'X' FOR EACH NODE "
+           "BEGIN CREATE (:Log) END");
+  auto r = db.Execute("MATCH (a:N), (b:N) CREATE (:X {u: a.i})");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kBudgetExceeded);
+  EXPECT_EQ(Count(db, "MATCH (x:X) RETURN COUNT(*) AS c"), 0);
+  EXPECT_EQ(Count(db, "MATCH (l:Log) RETURN COUNT(*) AS c"), 0);
+  EXPECT_EQ(Count(db, "MATCH (n:N) RETURN COUNT(*) AS c"), 100);
 }
 
 TEST_F(RobustnessTest, BudgetAbortNamesTheTrigger) {
-  for (bool compiled : {true, false}) {
-    Database db(StepBudget(2000, compiled));
-    SeedNodes(db, 100);
-    // The top-level statement is cheap; the trigger's action is the hog.
-    Exec(db, "CREATE TRIGGER Hog AFTER CREATE ON 'X' FOR EACH NODE "
-             "BEGIN MATCH (a:N), (b:N) CREATE (:Pair) END");
-    auto r = db.Execute("CREATE (:X)");
-    ASSERT_FALSE(r.ok()) << "compiled=" << compiled;
-    EXPECT_EQ(r.status().code(), StatusCode::kBudgetExceeded);
-    EXPECT_NE(r.status().message().find("trigger 'Hog'"), std::string::npos)
-        << r.status();
-    EXPECT_EQ(Count(db, "MATCH (x:X) RETURN COUNT(*) AS c"), 0);
-  }
+  Database db(StepBudget(2000));
+  SeedNodes(db, 100);
+  // The top-level statement is cheap; the trigger's action is the hog.
+  Exec(db, "CREATE TRIGGER Hog AFTER CREATE ON 'X' FOR EACH NODE "
+           "BEGIN MATCH (a:N), (b:N) CREATE (:Pair) END");
+  auto r = db.Execute("CREATE (:X)");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kBudgetExceeded);
+  EXPECT_NE(r.status().message().find("trigger 'Hog'"), std::string::npos)
+      << r.status();
+  EXPECT_EQ(Count(db, "MATCH (x:X) RETURN COUNT(*) AS c"), 0);
 }
 
 TEST_F(RobustnessTest, CascadesSpendTheStatementsBudget) {
   // Two triggers, each individually affordable; together they exceed the
   // budget — proof that BEFORE/AFTER cascades inherit rather than re-arm.
-  Database solo(StepBudget(4000, true));
+  Database solo(StepBudget(4000));
   SeedNodes(solo, 50);
   Exec(solo, "CREATE TRIGGER A AFTER CREATE ON 'X' FOR EACH NODE "
              "BEGIN MATCH (a:N), (b:N) WITH COUNT(*) AS c CREATE (:La) END");
   ASSERT_TRUE(solo.Execute("CREATE (:X)").ok());
 
-  Database both(StepBudget(4000, true));
+  Database both(StepBudget(4000));
   SeedNodes(both, 50);
   Exec(both, "CREATE TRIGGER A AFTER CREATE ON 'X' FOR EACH NODE "
              "BEGIN MATCH (a:N), (b:N) WITH COUNT(*) AS c CREATE (:La) END");
@@ -143,7 +136,7 @@ TEST_F(RobustnessTest, CascadesSpendTheStatementsBudget) {
 TEST_F(RobustnessTest, RepeatedBudgetAbortsLeakNothing) {
   // Leak regression (run under ASan in CI): aborting mid-firing over and
   // over must not leak pooled frames/envs or corrupt engine state.
-  Database db(StepBudget(2000, true));
+  Database db(StepBudget(2000));
   SeedNodes(db, 100);
   Exec(db, "CREATE TRIGGER Hog AFTER CREATE ON 'X' FOR EACH NODE "
            "BEGIN MATCH (a:N), (b:N) CREATE (:Pair) END");
@@ -511,6 +504,38 @@ TEST_F(RobustnessTest, InjectedEnqueueAndApplyFailuresShed) {
   Exec(db, "CREATE (:P)");
   db.DrainAsync();
   EXPECT_EQ(Count(db, "MATCH (l:Log) RETURN COUNT(*) AS c"), 2);
+}
+
+// --- Nesting limit ---------------------------------------------------------
+// Statements nested beyond Parser::kMaxNestingDepth come back as
+// InvalidArgument from every entry point instead of overflowing the stack
+// (a 5,000-deep RETURN used to crash the process).
+
+std::string DeepParens(int depth) {
+  return std::string(static_cast<size_t>(depth), '(') + "1" +
+         std::string(static_cast<size_t>(depth), ')');
+}
+
+TEST_F(RobustnessTest, DeeplyNestedStatementsFailCleanly) {
+  Database db;
+  for (const std::string& q :
+       {"RETURN " + DeepParens(10000),
+        "RETURN " + std::string(10000, '[') + "1" + std::string(10000, ']'),
+        "CREATE TRIGGER Deep AFTER CREATE ON 'X' FOR EACH NODE WHEN " +
+            DeepParens(10000) + " = 1 BEGIN CREATE (:Y) END"}) {
+    auto r = db.Execute(q);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << r.status();
+  }
+  EXPECT_TRUE(db.catalog().All().empty());
+  auto snap = db.OpenSnapshot();
+  ASSERT_TRUE(snap.ok());
+  EXPECT_EQ(db.QueryAt(**snap, "RETURN " + DeepParens(10000)).status().code(),
+            StatusCode::kInvalidArgument);
+  // Nesting within the limit still runs end to end.
+  auto ok = db.Execute("RETURN " + DeepParens(100) + " AS v");
+  ASSERT_TRUE(ok.ok()) << ok.status();
+  EXPECT_EQ(ok->rows[0][0].int_value(), 1);
 }
 
 }  // namespace

@@ -26,6 +26,7 @@ namespace {
 constexpr int kItems = 64;
 constexpr int kWriterCommits = 120;
 constexpr int kReaderThreads = 4;
+constexpr int kChurnCommits = 20000;
 
 class SnapshotStressTest : public ::testing::Test {
  protected:
@@ -158,6 +159,48 @@ TEST_F(SnapshotStressTest, ReadersPinningDistinctEpochsStayConsistent) {
   done.store(true, std::memory_order_release);
   for (std::thread& t : readers) t.join();
   EXPECT_EQ(breaks.load(), 0);
+}
+
+// Regression: SnapshotManager::Open used to self-deadlock. It looked up the
+// cached latest snapshot while holding its mutex; when that snapshot was
+// stale and every other holder released it in the meantime, the lookup's
+// temporary was the last reference, and its destructor's unpin re-locked
+// the mutex. Readers here do nothing but open and release snapshots while
+// the writer commits, which makes that interleaving routine; a hang fails
+// the suite through its ctest TIMEOUT.
+TEST_F(SnapshotStressTest, OpenReleaseChurnWhileWriterCommits) {
+  Run("CREATE (:Tick {v: 0})");
+  ASSERT_TRUE(db_.OpenSnapshot().ok());
+
+  std::atomic<bool> done{false};
+  std::atomic<long> opens{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaderThreads; ++t) {
+    readers.emplace_back([&] {
+      for (long mine = 0; !done.load(std::memory_order_acquire) || mine < 5;
+           ++mine) {
+        std::shared_ptr<const GraphSnapshot> snap = db_.store().OpenSnapshot();
+        if (snap == nullptr) continue;
+        opens.fetch_add(1, std::memory_order_relaxed);
+        // Hold it briefly (a spin the compiler must keep), so releases
+        // land while other readers are inside Open.
+        for (int spin = 0; spin < 512; ++spin) {
+          std::atomic_signal_fence(std::memory_order_seq_cst);
+        }
+      }
+    });
+  }
+  for (int i = 1; i <= kChurnCommits; ++i) {
+    Run("MATCH (t:Tick) SET t.v = " + std::to_string(i));
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+  EXPECT_GE(opens.load(), kReaderThreads * 5L);
+  auto snap = db_.OpenSnapshot();
+  ASSERT_TRUE(snap.ok());
+  auto r = db_.QueryAt(**snap, "MATCH (t:Tick) RETURN t.v AS v");
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(r->rows[0][0].int_value(), kChurnCommits);
 }
 
 }  // namespace

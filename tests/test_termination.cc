@@ -1,260 +1,212 @@
-// Termination analysis tests: write signatures, triggering-graph edges,
-// cycle detection and the guardedness report (Section 6.2.3 / [9]).
-
-#include "src/termination/triggering_graph.h"
+// Termination analysis tests (Section 6.2.3, docs/analysis.md): cycle
+// detection and the guardedness report, the paper's Section 6 triggers,
+// and which trigger writes wake which events (created nodes and
+// relationships, property and label writes, transition variables, MERGE,
+// DELETE widening, FOREACH shadowing), all checked against the
+// plan-grounded analysis::Analyzer through Database::AnalyzeTriggers.
 
 #include <gtest/gtest.h>
 
-#include "src/covid/triggers.h"
-#include "src/trigger/trigger_parser.h"
+#include <set>
+#include <string>
+#include <utility>
 
-namespace pgt::termination {
+#include "src/covid/triggers.h"
+#include "src/trigger/database.h"
+
+namespace pgt {
 namespace {
 
-TriggerDef Parse(const std::string& ddl) {
-  auto r = TriggerDdlParser::ParseCreate(ddl);
-  EXPECT_TRUE(r.ok()) << r.status();
-  return std::move(r).value();
+using EdgeSet = std::set<std::pair<std::string, std::string>>;
+
+EngineOptions WarnOptions() {
+  EngineOptions o;
+  o.termination_policy = TerminationPolicy::kWarn;
+  return o;
 }
 
-TEST(WriteSignatureTest, CreateNodesAndRels) {
-  TriggerDef t = Parse(
-      "CREATE TRIGGER T AFTER CREATE ON 'P' FOR EACH NODE "
-      "BEGIN CREATE (:Alert {v: 1})-[:Causes]->(:Incident) END");
-  WriteSignature sig = ExtractWriteSignature(t);
-  EXPECT_TRUE(sig.created_node_labels.count("Alert"));
-  EXPECT_TRUE(sig.created_node_labels.count("Incident"));
-  EXPECT_TRUE(sig.created_rel_types.count("Causes"));
-  EXPECT_TRUE(sig.deleted_node_labels.empty());
-}
+class TerminationTest : public ::testing::Test {
+ protected:
+  TerminationTest() : db_(WarnOptions()) {}
 
-TEST(WriteSignatureTest, SetPropsWithInferredLabels) {
-  TriggerDef t = Parse(
-      "CREATE TRIGGER T AFTER CREATE ON 'P' FOR EACH NODE "
-      "BEGIN MATCH (h:Hospital) SET h.load = 1 END");
-  WriteSignature sig = ExtractWriteSignature(t);
-  EXPECT_TRUE(sig.set_node_props.count({"Hospital", "load"}));
-}
+  void Exec(const std::string& q) {
+    auto r = db_.Execute(q);
+    ASSERT_TRUE(r.ok()) << q << " -> " << r.status();
+  }
 
-TEST(WriteSignatureTest, TransitionVarCarriesTargetLabel) {
-  TriggerDef t = Parse(
-      "CREATE TRIGGER T AFTER CREATE ON 'P' FOR EACH NODE "
-      "BEGIN SET NEW.seen = true END");
-  WriteSignature sig = ExtractWriteSignature(t);
-  EXPECT_TRUE(sig.set_node_props.count({"P", "seen"}));
-}
+  // Syncs the graph (Analyze calls EnsureSynced) and returns the edges.
+  EdgeSet Edges() {
+    (void)db_.AnalyzeTriggers();
+    return db_.analyzer().Edges();
+  }
 
-TEST(WriteSignatureTest, UnknownTargetWidensToWildcard) {
-  TriggerDef t = Parse(
-      "CREATE TRIGGER T AFTER CREATE ON 'P' FOR EACH NODE "
-      "WHEN MATCH (x) BEGIN DELETE x END");
-  WriteSignature sig = ExtractWriteSignature(t);
-  EXPECT_TRUE(sig.deleted_node_labels.count("*") ||
-              sig.deleted_rel_types.count("*"));
-}
+  Database db_;
+};
 
-TEST(WriteSignatureTest, DeleteWithLabel) {
-  TriggerDef t = Parse(
-      "CREATE TRIGGER T AFTER CREATE ON 'P' FOR EACH NODE "
-      "BEGIN MATCH (old:Stale) DETACH DELETE old END");
-  WriteSignature sig = ExtractWriteSignature(t);
-  EXPECT_TRUE(sig.deleted_node_labels.count("Stale"));
-  EXPECT_TRUE(sig.deleted_rel_types.count("*"));  // detach widens
-}
-
-TEST(MayTriggerTest, CreateEventMatching) {
-  TriggerDef producer = Parse(
-      "CREATE TRIGGER P1 AFTER CREATE ON 'A' FOR EACH NODE "
-      "BEGIN CREATE (:B) END");
-  TriggerDef on_b = Parse(
-      "CREATE TRIGGER C1 AFTER CREATE ON 'B' FOR EACH NODE "
-      "BEGIN CREATE (:X) END");
-  TriggerDef on_c = Parse(
-      "CREATE TRIGGER C2 AFTER CREATE ON 'C' FOR EACH NODE "
-      "BEGIN CREATE (:X) END");
-  WriteSignature sig = ExtractWriteSignature(producer);
-  EXPECT_TRUE(MayTrigger(sig, on_b));
-  EXPECT_FALSE(MayTrigger(sig, on_c));
-}
-
-TEST(MayTriggerTest, PropertyEventMatching) {
-  TriggerDef setter = Parse(
-      "CREATE TRIGGER S AFTER CREATE ON 'A' FOR EACH NODE "
-      "BEGIN MATCH (h:H) SET h.x = 1 END");
-  WriteSignature sig = ExtractWriteSignature(setter);
-  EXPECT_TRUE(MayTrigger(sig, Parse("CREATE TRIGGER W1 AFTER SET ON "
-                                    "'H'.'x' FOR EACH NODE BEGIN CREATE "
-                                    "(:Y) END")));
-  EXPECT_FALSE(MayTrigger(sig, Parse("CREATE TRIGGER W2 AFTER SET ON "
-                                     "'H'.'y' FOR EACH NODE BEGIN CREATE "
-                                     "(:Y) END")));
-  EXPECT_FALSE(MayTrigger(sig, Parse("CREATE TRIGGER W3 AFTER REMOVE ON "
-                                     "'H'.'x' FOR EACH NODE BEGIN CREATE "
-                                     "(:Y) END")));
-}
-
-TEST(TriggeringGraphTest, AcyclicChainIsGuaranteedTerminating) {
-  TriggerDef a = Parse(
-      "CREATE TRIGGER A AFTER CREATE ON 'P' FOR EACH NODE "
-      "BEGIN CREATE (:Q) END");
-  TriggerDef b = Parse(
-      "CREATE TRIGGER B AFTER CREATE ON 'Q' FOR EACH NODE "
-      "BEGIN CREATE (:R) END");
-  TriggeringGraph g = TriggeringGraph::Build({&a, &b});
-  auto report = g.Analyze();
+TEST_F(TerminationTest, AcyclicChainIsGuaranteedTerminating) {
+  Exec("CREATE TRIGGER A AFTER CREATE ON 'P' FOR EACH NODE "
+       "BEGIN CREATE (:Q) END");
+  Exec("CREATE TRIGGER B AFTER CREATE ON 'Q' FOR EACH NODE "
+       "BEGIN CREATE (:R) END");
+  auto report = db_.AnalyzeTriggers();
   EXPECT_TRUE(report.guaranteed_termination);
   EXPECT_EQ(report.edge_count, 1u);  // A -> B only
   EXPECT_NE(report.ToString().find("acyclic"), std::string::npos);
 }
 
-TEST(TriggeringGraphTest, SelfLoopDetected) {
-  TriggerDef loop = Parse(
-      "CREATE TRIGGER Loop AFTER CREATE ON 'P' FOR EACH NODE "
-      "BEGIN CREATE (:P) END");
-  TriggeringGraph g = TriggeringGraph::Build({&loop});
-  auto report = g.Analyze();
+TEST_F(TerminationTest, SelfLoopDetected) {
+  Exec("CREATE TRIGGER Loop AFTER CREATE ON 'P' FOR EACH NODE "
+       "BEGIN CREATE (:P) END");
+  auto report = db_.AnalyzeTriggers();
   EXPECT_FALSE(report.guaranteed_termination);
   ASSERT_EQ(report.cycles.size(), 1u);
   EXPECT_EQ(report.cycles[0].first[0], "Loop");
   EXPECT_FALSE(report.cycles[0].second);  // unguarded (no WHEN)
 }
 
-TEST(TriggeringGraphTest, TwoTriggerCycleDetected) {
-  TriggerDef ping = Parse(
-      "CREATE TRIGGER Ping AFTER CREATE ON 'P' FOR EACH NODE "
-      "BEGIN CREATE (:Q) END");
-  TriggerDef pong = Parse(
-      "CREATE TRIGGER Pong AFTER CREATE ON 'Q' FOR EACH NODE "
-      "BEGIN CREATE (:P) END");
-  TriggeringGraph g = TriggeringGraph::Build({&ping, &pong});
-  auto report = g.Analyze();
-  ASSERT_EQ(report.cycles.size(), 1u);
-  EXPECT_EQ(report.cycles[0].first.size(), 2u);
-}
-
-TEST(TriggeringGraphTest, GuardedCycleFlagged) {
-  TriggerDef guarded = Parse(
-      "CREATE TRIGGER Guarded AFTER CREATE ON 'P' FOR EACH NODE "
-      "WHEN NEW.v > 0 BEGIN CREATE (:P {v: NEW.v - 1}) END");
-  TriggeringGraph g = TriggeringGraph::Build({&guarded});
-  auto report = g.Analyze();
+TEST_F(TerminationTest, GuardedCycleFlagged) {
+  Exec("CREATE TRIGGER Guarded AFTER CREATE ON 'P' FOR EACH NODE "
+       "WHEN NEW.v > 0 BEGIN CREATE (:P {v: NEW.v - 1}) END");
+  auto report = db_.AnalyzeTriggers();
   ASSERT_EQ(report.cycles.size(), 1u);
   EXPECT_TRUE(report.cycles[0].second);  // guarded by WHEN
   EXPECT_NE(report.ToString().find("guarded"), std::string::npos);
 }
 
-TEST(TriggeringGraphTest, PaperRelocationTriggerIsCyclic) {
+TEST_F(TerminationTest, PaperRelocationTriggerIsCyclic) {
   // The Section 6.2.3 cascading relocation: its action creates TreatedAt
   // relationships, its event is TreatedAt creation -> self-loop.
-  auto r = TriggerDdlParser::ParseCreate(covid::UnguardedMoveTriggerDdl());
-  ASSERT_TRUE(r.ok()) << r.status();
-  TriggerDef def = std::move(r).value();
-  TriggeringGraph g = TriggeringGraph::Build({&def});
-  auto report = g.Analyze();
+  Exec(covid::UnguardedMoveTriggerDdl());
+  auto report = db_.AnalyzeTriggers();
   EXPECT_FALSE(report.guaranteed_termination);
+  ASSERT_FALSE(report.cycles.empty());
 }
 
-TEST(TriggeringGraphTest, PaperSectionSixTriggersAnalyzed) {
+TEST_F(TerminationTest, PaperSectionSixTriggersTerminate) {
   // All Section 6.2 triggers together: the relocation triggers create
   // TreatedAt edges but no trigger monitors TreatedAt, and alerts trigger
-  // nothing -> the set is acyclic except MoveToNearHospital/IcuPatientMove
-  // interplay via IcuPatient creation, which none of them performs.
-  std::vector<TriggerDef> defs;
-  for (const std::string& ddl : covid::PaperTriggerDdl()) {
-    auto r = TriggerDdlParser::ParseCreate(ddl);
-    ASSERT_TRUE(r.ok()) << ddl << "\n-> " << r.status();
-    defs.push_back(std::move(r).value());
-  }
-  std::vector<const TriggerDef*> ptrs;
-  for (const TriggerDef& d : defs) ptrs.push_back(&d);
-  TriggeringGraph g = TriggeringGraph::Build(ptrs);
-  auto report = g.Analyze();
+  // nothing.
+  for (const std::string& ddl : covid::PaperTriggerDdl()) Exec(ddl);
+  auto report = db_.AnalyzeTriggers();
   EXPECT_TRUE(report.guaranteed_termination) << report.ToString();
 }
 
-TEST(TriggeringGraphTest, LabelEventEdges) {
-  TriggerDef setter = Parse(
-      "CREATE TRIGGER S AFTER CREATE ON 'A' FOR EACH NODE "
-      "BEGIN MATCH (n:B) SET n:Flagged END");
-  TriggerDef watcher = Parse(
-      "CREATE TRIGGER W AFTER SET ON 'Flagged' FOR EACH NODE "
-      "BEGIN CREATE (:X) END");
-  WriteSignature sig = ExtractWriteSignature(setter);
-  EXPECT_TRUE(MayTrigger(sig, watcher));
+TEST_F(TerminationTest, LabelEventEdges) {
+  Exec("CREATE TRIGGER S AFTER CREATE ON 'A' FOR EACH NODE "
+       "BEGIN MATCH (n:B) SET n:Flagged END");
+  Exec("CREATE TRIGGER W AFTER SET ON 'Flagged' FOR EACH NODE "
+       "BEGIN CREATE (:X) END");
+  EXPECT_TRUE(Edges().count({"S", "W"}));
 }
 
-// --- Conservativeness regressions -----------------------------------------
-// MATCH/MERGE-bound and transition node variables must widen with "*" (the
-// designated node may carry labels beyond the matched ones); CREATE-bound
-// nodes keep their exact creation labels.
-
-TEST(WriteSignatureTest, MatchBoundSetWidensToWildcard) {
-  TriggerDef t = Parse(
-      "CREATE TRIGGER T AFTER CREATE ON 'P' FOR EACH NODE "
-      "BEGIN MATCH (h:Hospital) SET h.load = 1 END");
-  WriteSignature sig = ExtractWriteSignature(t);
-  EXPECT_TRUE(sig.set_node_props.count({"Hospital", "load"}));
-  EXPECT_TRUE(sig.set_node_props.count({"*", "load"}));
+TEST_F(TerminationTest, CreatedNodesAndRelsWakeCreateMonitors) {
+  Exec("CREATE TRIGGER T AFTER CREATE ON 'P' FOR EACH NODE "
+       "BEGIN CREATE (:Alert {v: 1})-[:Causes]->(:Incident) END");
+  Exec("CREATE TRIGGER OnAlert AFTER CREATE ON 'Alert' FOR EACH NODE "
+       "BEGIN CREATE (:X) END");
+  Exec("CREATE TRIGGER OnCauses AFTER CREATE ON 'Causes' "
+       "FOR EACH RELATIONSHIP BEGIN CREATE (:X) END");
+  Exec("CREATE TRIGGER OnDelete AFTER DELETE ON 'Alert' FOR EACH NODE "
+       "BEGIN CREATE (:X) END");
+  Exec("CREATE TRIGGER OnOther AFTER CREATE ON 'C' FOR EACH NODE "
+       "BEGIN CREATE (:X) END");
+  EdgeSet e = Edges();
+  EXPECT_TRUE(e.count({"T", "OnAlert"}));
+  EXPECT_TRUE(e.count({"T", "OnCauses"}));
+  EXPECT_FALSE(e.count({"T", "OnDelete"}));
+  EXPECT_FALSE(e.count({"T", "OnOther"}));
 }
 
-TEST(WriteSignatureTest, CreateBoundSetStaysExact) {
-  TriggerDef t = Parse(
-      "CREATE TRIGGER T AFTER CREATE ON 'P' FOR EACH NODE "
-      "BEGIN CREATE (n:Fresh) SET n.v = 1 END");
-  WriteSignature sig = ExtractWriteSignature(t);
-  EXPECT_TRUE(sig.set_node_props.count({"Fresh", "v"}));
-  EXPECT_FALSE(sig.set_node_props.count({"*", "v"}));
+TEST_F(TerminationTest, PropertyWritesMatchOnlyTheirEvent) {
+  Exec("CREATE TRIGGER S AFTER CREATE ON 'A' FOR EACH NODE "
+       "BEGIN MATCH (h:H) SET h.x = NEW.seed END");
+  Exec("CREATE TRIGGER W1 AFTER SET ON 'H'.'x' FOR EACH NODE "
+       "BEGIN CREATE (:Y) END");
+  Exec("CREATE TRIGGER W2 AFTER SET ON 'H'.'y' FOR EACH NODE "
+       "BEGIN CREATE (:Y) END");
+  EdgeSet e = Edges();
+  EXPECT_TRUE(e.count({"S", "W1"}));
+  EXPECT_FALSE(e.count({"S", "W2"}));
 }
 
-TEST(WriteSignatureTest, MergeMayCreateAndOnMatchWidens) {
-  TriggerDef t = Parse(
-      "CREATE TRIGGER T AFTER CREATE ON 'P' FOR EACH NODE "
-      "BEGIN MERGE (m:Metric) ON MATCH SET m.n = 1 END");
-  WriteSignature sig = ExtractWriteSignature(t);
-  // MERGE may create the node -> a CREATE event on Metric is possible.
-  EXPECT_TRUE(sig.created_node_labels.count("Metric"));
-  // ...but the variable may also bind an existing node with more labels.
-  EXPECT_TRUE(sig.set_node_props.count({"Metric", "n"}));
-  EXPECT_TRUE(sig.set_node_props.count({"*", "n"}));
+TEST_F(TerminationTest, TransitionVariableCarriesTargetLabel) {
+  Exec("CREATE TRIGGER T AFTER CREATE ON 'P' FOR EACH NODE "
+       "BEGIN SET NEW.seen = true END");
+  Exec("CREATE TRIGGER OnSeen AFTER SET ON 'P'.'seen' FOR EACH NODE "
+       "BEGIN CREATE (:X) END");
+  EXPECT_TRUE(Edges().count({"T", "OnSeen"}));
 }
 
-TEST(WriteSignatureTest, DetachDeleteMatchedNodeWidens) {
-  TriggerDef t = Parse(
-      "CREATE TRIGGER T AFTER CREATE ON 'P' FOR EACH NODE "
-      "BEGIN MATCH (old:Stale) DETACH DELETE old END");
-  WriteSignature sig = ExtractWriteSignature(t);
-  EXPECT_TRUE(sig.deleted_node_labels.count("Stale"));
-  EXPECT_TRUE(sig.deleted_node_labels.count("*"));  // extra labels possible
-  EXPECT_TRUE(sig.deleted_rel_types.count("*"));    // detach widens
+TEST_F(TerminationTest, MatchBoundWritesWidenCreateBoundStayExact) {
+  // A MATCH-bound node may carry labels beyond the matched one (the
+  // engine raises event keys for every label), so its writes reach other
+  // labels' monitors; a CREATE-bound node has exactly its creation labels.
+  Exec("CREATE TRIGGER Matched AFTER CREATE ON 'P' FOR EACH NODE "
+       "BEGIN MATCH (h:Hospital) SET h.load = NEW.n END");
+  Exec("CREATE TRIGGER Fresh AFTER CREATE ON 'P' FOR EACH NODE "
+       "BEGIN CREATE (n:Fresh) SET n.load = NEW.n END");
+  Exec("CREATE TRIGGER OnOther AFTER SET ON 'Other'.'load' FOR EACH NODE "
+       "BEGIN CREATE (:X) END");
+  EdgeSet e = Edges();
+  EXPECT_TRUE(e.count({"Matched", "OnOther"}));
+  EXPECT_FALSE(e.count({"Fresh", "OnOther"}));
 }
 
-TEST(WriteSignatureTest, ForeachVarShadowsOuterBinding) {
-  // The foreach element variable shadows the CREATE-bound x: writes through
-  // it must widen instead of inheriting the exact creation label.
-  TriggerDef t = Parse(
-      "CREATE TRIGGER T AFTER CREATE ON 'P' FOR EACH NODE "
-      "BEGIN CREATE (x:Safe) FOREACH (x IN [1] | SET x.v = 2) END");
-  WriteSignature sig = ExtractWriteSignature(t);
-  EXPECT_TRUE(sig.set_node_props.count({"*", "v"}));
-  EXPECT_FALSE(sig.set_node_props.count({"Safe", "v"}));
+TEST_F(TerminationTest, MergeMayCreateAndOnMatchWidens) {
+  Exec("CREATE TRIGGER T AFTER CREATE ON 'P' FOR EACH NODE "
+       "BEGIN MERGE (m:Metric) ON MATCH SET m.n = NEW.n END");
+  Exec("CREATE TRIGGER OnMetric AFTER CREATE ON 'Metric' FOR EACH NODE "
+       "BEGIN CREATE (:X) END");
+  Exec("CREATE TRIGGER OnOther AFTER SET ON 'Other'.'n' FOR EACH NODE "
+       "BEGIN CREATE (:X) END");
+  EdgeSet e = Edges();
+  EXPECT_TRUE(e.count({"T", "OnMetric"}));  // MERGE may create the node
+  EXPECT_TRUE(e.count({"T", "OnOther"}));   // ...or match one with more labels
 }
 
-TEST(WriteSignatureTest, UntypedRelDeleteIsWildcard) {
-  TriggerDef t = Parse(
-      "CREATE TRIGGER T AFTER CREATE ON 'P' FOR EACH NODE "
-      "BEGIN MATCH (a:A)-[r]->(b:B) DELETE r END");
-  WriteSignature sig = ExtractWriteSignature(t);
-  EXPECT_TRUE(sig.deleted_rel_types.count("*"));
+TEST_F(TerminationTest, DeletesWidenThroughDetachAndUnknownTargets) {
+  Exec("CREATE TRIGGER Detach AFTER CREATE ON 'P' FOR EACH NODE "
+       "BEGIN MATCH (old:Stale) DETACH DELETE old END");
+  Exec("CREATE TRIGGER Unknown AFTER CREATE ON 'P2' FOR EACH NODE "
+       "WHEN MATCH (x) BEGIN DELETE x END");
+  Exec("CREATE TRIGGER Untyped AFTER CREATE ON 'P3' FOR EACH NODE "
+       "BEGIN MATCH (a:A)-[r]->(b:B) DELETE r END");
+  Exec("CREATE TRIGGER OnStale AFTER DELETE ON 'Stale' FOR EACH NODE "
+       "BEGIN CREATE (:X) END");
+  Exec("CREATE TRIGGER OnOtherNode AFTER DELETE ON 'Other' FOR EACH NODE "
+       "BEGIN CREATE (:X) END");
+  Exec("CREATE TRIGGER OnAnyRel AFTER DELETE ON 'Link' "
+       "FOR EACH RELATIONSHIP BEGIN CREATE (:X) END");
+  EdgeSet e = Edges();
+  EXPECT_TRUE(e.count({"Detach", "OnStale"}));
+  EXPECT_TRUE(e.count({"Detach", "OnOtherNode"}));  // extra labels possible
+  EXPECT_TRUE(e.count({"Detach", "OnAnyRel"}));     // detach widens
+  EXPECT_TRUE(e.count({"Unknown", "OnOtherNode"}));
+  EXPECT_TRUE(e.count({"Untyped", "OnAnyRel"}));
+  EXPECT_FALSE(e.count({"Untyped", "OnStale"}));
 }
 
-TEST(WriteSignatureTest, ToStringListsCategories) {
-  TriggerDef t = Parse(
-      "CREATE TRIGGER T AFTER CREATE ON 'P' FOR EACH NODE "
-      "BEGIN CREATE (:A) SET NEW.x = 1 END");
-  std::string s = ExtractWriteSignature(t).ToString();
-  EXPECT_NE(s.find("+node{A}"), std::string::npos);
-  EXPECT_NE(s.find("P.x"), std::string::npos);
+TEST_F(TerminationTest, ForeachVariableShadowsOuterBinding) {
+  // The FOREACH element variable shadows the CREATE-bound x: writes
+  // through it must widen instead of inheriting the exact creation label.
+  Exec("CREATE TRIGGER T AFTER CREATE ON 'P' FOR EACH NODE "
+       "BEGIN CREATE (x:Safe) FOREACH (x IN [1] | SET x.v = 2) END");
+  Exec("CREATE TRIGGER OnOther AFTER SET ON 'Other'.'v' FOR EACH NODE "
+       "BEGIN CREATE (:X) END");
+  EXPECT_TRUE(Edges().count({"T", "OnOther"}));
+}
+
+TEST_F(TerminationTest, WriteSetRendering) {
+  Exec("CREATE TRIGGER T AFTER CREATE ON 'P' FOR EACH NODE "
+       "BEGIN CREATE (:A) SET NEW.x = 1 END");
+  const TriggerDef* t = db_.catalog().Find("T");
+  ASSERT_NE(t, nullptr);
+  const std::string s =
+      analysis::InferWriteSet(*t, db_.store(), db_.PlanEpoch()).ToString();
+  EXPECT_NE(s.find("+node{A}"), std::string::npos) << s;
+  EXPECT_NE(s.find("P"), std::string::npos) << s;
+  EXPECT_NE(s.find(".x"), std::string::npos) << s;
 }
 
 }  // namespace
-}  // namespace pgt::termination
+}  // namespace pgt
