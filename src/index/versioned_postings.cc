@@ -1,6 +1,7 @@
 #include "src/index/versioned_postings.h"
 
 #include <algorithm>
+#include <functional>
 #include <utility>
 
 namespace pgt::index {
@@ -95,58 +96,71 @@ void VersionedPostings::Baseline(const PropertyIndex& live, uint64_t epoch) {
       });
 }
 
-void VersionedPostings::PublishBand(const Value& key,
-                                    const PropertyIndex& live,
-                                    uint64_t epoch) {
-  if (key.is_null() || IsNanValue(key)) return;
-  scratch_.clear();
-  live.Lookup(key, &scratch_);
-  Band* band = FindBand(key);
-  if (band == nullptr) {
-    if (scratch_.empty()) return;  // never-indexed band stays absent
-    band = EnsureBand(key);
-  }
-  PostingVersion* head = band->head.load(std::memory_order_relaxed);
-  if (head != nullptr && head->ids == scratch_) return;  // no-op candidate
-  auto* v = new PostingVersion();
-  v->epoch = epoch;
-  v->ids = scratch_;
-  v->prev.store(head, std::memory_order_relaxed);
-  band->head.store(v, std::memory_order_release);
-  if (head != nullptr) {
-    ++superseded_;
-    multi_.push_back(band);
-  }
+void VersionedPostings::Stage(uint64_t id, const Value* was,
+                              const Value* now) {
+  if (now != nullptr && (now->is_null() || IsNanValue(*now))) now = nullptr;
+  if (now != nullptr) staged_.push_back({EnsureBand(*now), id, true});
+  if (was == nullptr || was->is_null() || IsNanValue(*was)) return;
+  if (now != nullptr && IndexKeyEq{}(*was, *now)) return;  // same band
+  // A band that does not exist holds nobody, so there is nothing to leave.
+  Band* band = FindBand(*was);
+  if (band != nullptr) staged_.push_back({band, id, false});
 }
 
-void VersionedPostings::Truncate(uint64_t min_keep) {
-  std::sort(multi_.begin(), multi_.end());
-  multi_.erase(std::unique(multi_.begin(), multi_.end()), multi_.end());
-  size_t w = 0;
-  for (Band* band : multi_) {
+void VersionedPostings::PublishStaged(uint64_t epoch) {
+  // Group by band, then by id. A node's routings to one band agree on
+  // `member` (it has one committed value), so duplicates are exact.
+  std::sort(staged_.begin(), staged_.end(),
+            [](const Staged& a, const Staged& b) {
+              if (a.band != b.band) return std::less<Band*>{}(a.band, b.band);
+              return a.id < b.id;
+            });
+  static const std::vector<uint64_t> kNone;
+  for (size_t i = 0; i < staged_.size();) {
+    Band* band = staged_[i].band;
     PostingVersion* head = band->head.load(std::memory_order_relaxed);
-    PostingVersion* v = head;
-    while (v != nullptr && v->epoch > min_keep) {
-      v = v->prev.load(std::memory_order_relaxed);
+    const std::vector<uint64_t>& ids = head != nullptr ? head->ids : kNone;
+    adds_.clear();
+    removes_.clear();
+    for (const size_t first = i;
+         i < staged_.size() && staged_[i].band == band; ++i) {
+      const uint64_t id = staged_[i].id;
+      if (i != first && id == staged_[i - 1].id) continue;  // duplicate
+      const bool was = std::binary_search(ids.begin(), ids.end(), id);
+      if (staged_[i].member && !was) adds_.push_back(id);
+      if (!staged_[i].member && was) removes_.push_back(id);
     }
-    if (v != nullptr) {
-      PostingVersion* dead = v->prev.load(std::memory_order_relaxed);
-      if (dead != nullptr) {
-        v->prev.store(nullptr, std::memory_order_release);
-        while (dead != nullptr) {
-          PostingVersion* p = dead->prev.load(std::memory_order_relaxed);
-          delete dead;
-          --superseded_;
-          dead = p;
-        }
+    if (adds_.empty() && removes_.empty()) continue;  // content unchanged
+    // One merge pass: the head's ids minus `removes_` (a sorted subset),
+    // plus `adds_` (sorted, disjoint from the head).
+    auto* v = new PostingVersion();
+    v->epoch = epoch;
+    v->ids.reserve(ids.size() + adds_.size() - removes_.size());
+    auto add = adds_.begin();
+    auto remove = removes_.begin();
+    for (uint64_t id : ids) {
+      while (add != adds_.end() && *add < id) v->ids.push_back(*add++);
+      if (remove != removes_.end() && *remove == id) {
+        ++remove;
+        continue;
       }
+      v->ids.push_back(id);
     }
-    if (head != nullptr &&
-        head->prev.load(std::memory_order_relaxed) != nullptr) {
-      multi_[w++] = band;  // still multi-versioned: revisit next GC
-    }
+    v->ids.insert(v->ids.end(), add, adds_.end());
+    v->prev.store(head, std::memory_order_relaxed);
+    band->head.store(v, std::memory_order_release);
+    if (head != nullptr) superseded_.Push(v);
   }
-  multi_.resize(w);
+  staged_.clear();
+}
+
+const VersionedPostings::PostingVersion* VersionedPostings::VersionAt(
+    const Band& band, uint64_t epoch) {
+  const PostingVersion* v = band.head.load(std::memory_order_acquire);
+  while (v != nullptr && v->epoch > epoch) {
+    v = v->prev.load(std::memory_order_acquire);
+  }
+  return v;
 }
 
 void VersionedPostings::LookupAt(const Value& value, uint64_t epoch,
@@ -154,11 +168,22 @@ void VersionedPostings::LookupAt(const Value& value, uint64_t epoch,
   if (value.is_null() || IsNanValue(value)) return;
   const Band* band = FindBand(value);
   if (band == nullptr) return;
-  const PostingVersion* v = band->head.load(std::memory_order_acquire);
-  while (v != nullptr && v->epoch > epoch) {
-    v = v->prev.load(std::memory_order_acquire);
-  }
+  const PostingVersion* v = VersionAt(*band, epoch);
   if (v != nullptr) out->insert(out->end(), v->ids.begin(), v->ids.end());
+}
+
+void VersionedPostings::ForEachBandAt(
+    uint64_t epoch,
+    const std::function<void(const Value&, const std::vector<uint64_t>&)>& fn)
+    const {
+  const Table* t = table_.load(std::memory_order_acquire);
+  for (size_t b = 0; b <= t->mask; ++b) {
+    for (const Slot* s = t->buckets[b].load(std::memory_order_acquire);
+         s != nullptr; s = s->next) {
+      const PostingVersion* v = VersionAt(*s->band, epoch);
+      if (v != nullptr) fn(s->band->key, v->ids);
+    }
+  }
 }
 
 }  // namespace pgt::index

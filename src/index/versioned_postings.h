@@ -3,9 +3,11 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
+#include "src/common/superseded_queue.h"
 #include "src/common/value.h"
 #include "src/index/index_def.h"
 #include "src/index/property_index.h"
@@ -25,9 +27,16 @@ namespace pgt::index {
 /// epoch. Resolving a probe at epoch E walks the chain to the newest
 /// version with `epoch <= E`.
 ///
+/// The live index is read once, by `Baseline`. After that each commit's
+/// versions are built from the commit's own change set: the SnapshotManager
+/// `Stage`s every node the commit touched with the values it may have
+/// held and its committed value, and `PublishStaged` derives each touched
+/// band's next version from its head version. Cost is O(changes + copies
+/// of the bands whose membership changed).
+///
 /// Thread contract (mirrors the record sidecar):
-///  * all mutation — `Baseline`, `PublishBand`, `Truncate` — runs on the
-///    writer thread under the SnapshotManager mutex;
+///  * all mutation — `Baseline`, `Stage`, `PublishStaged`, `Truncate` —
+///    runs on the writer thread under the SnapshotManager mutex;
 ///  * `LookupAt` / `Find` are lock-free and safe from any thread
 ///    concurrently with the writer. The band hash table grows by
 ///    publishing a rebuilt bucket directory; superseded directories are
@@ -55,21 +64,26 @@ class VersionedPostings {
   /// INDEX for indexes added while armed.
   void Baseline(const PropertyIndex& live, uint64_t epoch);
 
-  /// Re-publishes the band containing `key` from the live index's current
-  /// (committed) content at `epoch`. Candidates are allowed to
-  /// over-approximate: when the band's content is unchanged the call is a
-  /// dedupe no-op, so callers may nominate any value a commit might have
-  /// touched. At most one publish per band per epoch (callers dedupe their
-  /// candidate list by band).
-  void PublishBand(const Value& key, const PropertyIndex& live,
-                   uint64_t epoch);
+  /// Routes one touched node to the bands its commit may have changed:
+  /// `was` is a value the node may have held under the indexed property at
+  /// the previous epoch (nullptr for none), `now` its committed value when
+  /// the node is a member now — alive and carrying the label (nullptr
+  /// otherwise). NULL and NaN values are never members (PropertyIndex
+  /// admission rule). Call once per candidate `was`; repeats are harmless,
+  /// and candidates may over-approximate — whether the node really was a
+  /// member is read off the band's head version.
+  void Stage(uint64_t id, const Value* was, const Value* now);
 
-  /// Frees versions no snapshot pinned at `min_keep` or newer can observe
-  /// (same cut-and-free discipline as SnapshotManager::TruncateChains).
-  void Truncate(uint64_t min_keep);
+  /// Publishes, at `epoch`, one version for every staged band whose
+  /// membership changed, built from the band's head version. Bands whose
+  /// content is unchanged get no version. Clears the staging area.
+  void PublishStaged(uint64_t epoch);
+
+  /// Frees versions no snapshot pinned at `min_keep` or newer can observe.
+  void Truncate(uint64_t min_keep) { superseded_.Reclaim(min_keep); }
 
   /// Number of superseded (non-head) versions currently banked.
-  size_t SupersededVersions() const { return superseded_; }
+  size_t SupersededVersions() const { return superseded_.size(); }
   size_t BandCount() const { return bands_.size(); }
 
   // --- Reader side (lock-free) ----------------------------------------------
@@ -79,6 +93,15 @@ class VersionedPostings {
   /// nothing (live parity).
   void LookupAt(const Value& value, uint64_t epoch,
                 std::vector<uint64_t>* out) const;
+
+  /// Invokes `fn` for every band that has a version at `epoch`, with that
+  /// version's posting list (sorted ascending, possibly empty), in no
+  /// particular order — the pinned-epoch mirror of
+  /// PropertyIndex::ForEachBandPosting.
+  void ForEachBandAt(
+      uint64_t epoch,
+      const std::function<void(const Value&, const std::vector<uint64_t>&)>&
+          fn) const;
 
  private:
   struct PostingVersion {
@@ -90,6 +113,14 @@ class VersionedPostings {
   struct Band {
     Value key;  // immutable; any band member hashes/compares identically
     std::atomic<PostingVersion*> head{nullptr};
+  };
+
+  // One staged (band, node) routing: `member` is whether the node belongs
+  // to the band after the commit.
+  struct Staged {
+    Band* band = nullptr;
+    uint64_t id = 0;
+    bool member = false;
   };
 
   // Per-table bucket-chain node. Immutable after insertion; rebuilt (not
@@ -105,6 +136,8 @@ class VersionedPostings {
     std::unique_ptr<std::atomic<Slot*>[]> buckets;
   };
 
+  static const PostingVersion* VersionAt(const Band& band,
+                                         uint64_t epoch);  // lock-free
   Band* FindBand(const Value& key) const;  // lock-free
   Band* EnsureBand(const Value& key);      // writer side
   void InsertSlot(Table& t, Band* band);   // writer side
@@ -118,9 +151,9 @@ class VersionedPostings {
   std::vector<std::unique_ptr<Table>> tables_;  // [0..n-2] retired, back live
   std::vector<std::unique_ptr<Band>> bands_;
   std::vector<std::unique_ptr<Slot>> slots_;
-  std::vector<Band*> multi_;  // bands with chains > 1: GC revisit list
-  size_t superseded_ = 0;
-  std::vector<uint64_t> scratch_;  // PublishBand working buffer
+  SupersededQueue<PostingVersion> superseded_;
+  std::vector<Staged> staged_;  // routings since the last PublishStaged
+  std::vector<uint64_t> adds_, removes_;  // PublishStaged working buffers
 };
 
 }  // namespace pgt::index

@@ -173,55 +173,41 @@ void SnapshotManager::PublishIndexBandsLocked(const GraphStore& store,
                                               const GraphDelta& delta,
                                               uint64_t new_epoch) {
   if (index_image_ == nullptr || index_image_->empty()) return;
-  std::vector<Value> candidates;
   for (const auto& [key, sidecar] : *index_image_) {
     const LabelId label = key.first;
     const PropKeyId prop = key.second;
-    const index::PropertyIndex* live = store.indexes().Find(label, prop);
-    if (live == nullptr) continue;  // image and catalog are DDL-synced
-    // Bands this commit may have changed. Over-approximation is fine —
-    // PublishBand dedupes unchanged content — so no label filtering: a
-    // value is a candidate if any touched node carried it under `prop`.
-    candidates.clear();
-    auto add = [&](const Value& v) {
-      if (v.is_null()) return;
-      for (const Value& c : candidates) {
-        if (index::IndexKeyEq{}(c, v)) return;  // one publish per band
-      }
-      candidates.push_back(v);
-    };
-    auto add_record_prop = [&](NodeId id) {
+    // Committed value of a member (alive, labelled; the sidecar drops
+    // NULL/NaN like PropertyIndex::Insert), else nullptr.
+    auto now = [&](NodeId id) -> const Value* {
       const NodeRecord* rec = store.GetNode(id);
-      if (rec == nullptr) return;
-      auto it = rec->props.find(prop);
-      if (it != rec->props.end()) add(it->second);
+      if (!rec->alive || !rec->HasLabel(label)) return nullptr;
+      return rec->props.Find(prop);
     };
-    for (const NodePropChange& c : delta.assigned_node_props) {
-      if (c.key != prop) continue;
-      add(c.old_value);
-      add(c.new_value);
+    // Route each touched node to the bands it may have left — every value
+    // the delta says it held before, or its current one when the delta
+    // changed only its labels — and to the band it is in now.
+    for (const auto* changes :
+         {&delta.assigned_node_props, &delta.removed_node_props}) {
+      for (const NodePropChange& c : *changes) {
+        if (c.key != prop) continue;
+        sidecar->Stage(c.node.value, &c.old_value, now(c.node));
+      }
     }
-    for (const NodePropChange& c : delta.removed_node_props) {
-      if (c.key != prop) continue;
-      add(c.old_value);
-      add(c.new_value);
-    }
-    // Deleted nodes: the final image (tombstones keep props, but the
-    // delta image survives recycling). Covers label-removed-then-deleted.
     for (const DeletedNodeImage& img : delta.deleted_nodes) {
-      auto it = img.props.find(prop);
-      if (it != img.props.end()) add(it->second);
+      sidecar->Stage(img.id.value, img.props.Find(prop), now(img.id));
     }
-    for (NodeId id : delta.created_nodes) add_record_prop(id);
-    for (const LabelChange& c : delta.assigned_labels) {
-      if (c.label == label) add_record_prop(c.node);
+    for (NodeId id : delta.created_nodes) {
+      sidecar->Stage(id.value, nullptr, now(id));
     }
-    for (const LabelChange& c : delta.removed_labels) {
-      if (c.label == label) add_record_prop(c.node);
+    for (const auto* changes :
+         {&delta.assigned_labels, &delta.removed_labels}) {
+      for (const LabelChange& c : *changes) {
+        if (c.label != label) continue;
+        const Value* current = store.GetNode(c.node)->props.Find(prop);
+        sidecar->Stage(c.node.value, current, now(c.node));
+      }
     }
-    for (const Value& v : candidates) {
-      sidecar->PublishBand(v, *live, new_epoch);
-    }
+    sidecar->PublishStaged(new_epoch);
   }
 }
 
@@ -311,10 +297,7 @@ Status SnapshotManager::PublishCommit(const GraphStore& store,
       v->out_rels = std::make_shared<const std::vector<RelId>>(rec->out_rels);
       v->in_rels = std::make_shared<const std::vector<RelId>>(rec->in_rels);
     }
-    if (nodes_.Publish(id, v) != nullptr) {
-      ++sidecar_versions_;
-      multi_nodes_.push_back(id);
-    }
+    if (nodes_.Publish(id, v) != nullptr) superseded_nodes_.Push(v);
   }
   for (uint64_t id : touched_rels) {
     const RelRecord* rec = store.GetRel(RelId{id});
@@ -325,10 +308,7 @@ Status SnapshotManager::PublishCommit(const GraphStore& store,
     v->src = rec->src;
     v->dst = rec->dst;
     if (rec->alive) v->props = rec->props;
-    if (rels_.Publish(id, v) != nullptr) {
-      ++sidecar_versions_;
-      multi_rels_.push_back(id);
-    }
+    if (rels_.Publish(id, v) != nullptr) superseded_rels_.Push(v);
   }
 
   std::sort(touched_labels.begin(), touched_labels.end());
@@ -385,46 +365,12 @@ void SnapshotManager::Unpin(uint64_t epoch) {
   CollectGarbageLocked();
 }
 
-template <typename V>
-void SnapshotManager::TruncateChains(VersionTable<V>& table,
-                                     std::vector<uint64_t>& ids,
-                                     uint64_t min_keep) {
-  SortUnique(ids);
-  size_t w = 0;
-  for (uint64_t id : ids) {
-    V* head = table.Head(id);
-    // Find the version the oldest pin can still observe; everything older
-    // is unreachable by every live (and future) snapshot.
-    V* v = head;
-    while (v != nullptr && v->epoch > min_keep) {
-      v = v->prev.load(std::memory_order_relaxed);
-    }
-    if (v != nullptr) {
-      V* dead = v->prev.load(std::memory_order_relaxed);
-      if (dead != nullptr) {
-        v->prev.store(nullptr, std::memory_order_release);
-        while (dead != nullptr) {
-          V* p = dead->prev.load(std::memory_order_relaxed);
-          delete dead;
-          --sidecar_versions_;
-          dead = p;
-        }
-      }
-    }
-    if (head != nullptr &&
-        head->prev.load(std::memory_order_relaxed) != nullptr) {
-      ids[w++] = id;  // still multi-versioned: revisit next GC
-    }
-  }
-  ids.resize(w);
-}
-
 void SnapshotManager::CollectGarbageLocked() {
   const uint64_t min_keep = pins_.empty()
                                 ? commit_epoch_.load(std::memory_order_relaxed)
                                 : *pins_.begin();
-  TruncateChains(nodes_, multi_nodes_, min_keep);
-  TruncateChains(rels_, multi_rels_, min_keep);
+  superseded_nodes_.Reclaim(min_keep);
+  superseded_rels_.Reclaim(min_keep);
   if (index_image_ != nullptr) {
     for (const auto& [key, sidecar] : *index_image_) {
       sidecar->Truncate(min_keep);
@@ -459,7 +405,7 @@ void SnapshotManager::OnIndexDropped(LabelId label, PropKeyId prop) {
 
 size_t SnapshotManager::SidecarVersions() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return sidecar_versions_;
+  return superseded_nodes_.size() + superseded_rels_.size();
 }
 
 size_t SnapshotManager::IndexSidecarVersions() const {

@@ -18,6 +18,7 @@
 #include "src/common/prop_map.h"
 #include "src/common/status.h"
 #include "src/common/str_util.h"
+#include "src/common/superseded_queue.h"
 #include "src/common/value.h"
 #include "src/index/versioned_postings.h"
 #include "src/storage/graph_store.h"
@@ -47,9 +48,10 @@ struct GraphDelta;
 ///    links are atomics.
 ///
 /// The sidecar is reclaimed when the oldest pinned snapshot advances:
-/// versions older than what every live snapshot can still observe are
-/// freed (and chains truncated) under the manager mutex. Open/close and
-/// commit publication take that mutex; snapshot *reads* never do.
+/// superseded versions are queued in epoch order (SupersededQueue) and
+/// freed, once no live snapshot can observe them, under the manager mutex
+/// — O(versions freed) per commit or release. Open/close and commit
+/// publication take that mutex; snapshot *reads* never do.
 ///
 /// Uncommitted changes are never published, so a snapshot can be opened at
 /// any time between or during transactions and always observes the last
@@ -358,9 +360,11 @@ class SnapshotManager {
 
   /// Publishes the commit that produced `delta`: bumps the epoch and (when
   /// armed) re-versions every record the delta touched, from the
-  /// now-committed live images. Writer thread only. Fails only by fault
-  /// injection ("snapshot.publish", docs/robustness.md), and then before
-  /// any state changes — the caller can still roll the transaction back.
+  /// now-committed live images, and every index band whose membership the
+  /// delta changed, from the band's head version. Writer thread only.
+  /// Fails only by fault injection ("snapshot.publish",
+  /// docs/robustness.md), and then before any state changes — the caller
+  /// can still roll the transaction back.
   Status PublishCommit(const GraphStore& store, const GraphDelta& delta);
 
   uint64_t commit_epoch() const {
@@ -404,18 +408,15 @@ class SnapshotManager {
   void PublishIndexBandsLocked(const GraphStore& store,
                                const GraphDelta& delta, uint64_t new_epoch);
 
-  template <typename V>
-  void TruncateChains(VersionTable<V>& table, std::vector<uint64_t>& ids,
-                      uint64_t min_keep);
-
   std::atomic<uint64_t> commit_epoch_{0};
   std::atomic<bool> armed_{false};
 
   mutable std::mutex mu_;  // pins, committed images, publish, GC
   VersionTable<NodeVersion> nodes_;
   VersionTable<RelVersion> rels_;
-  std::vector<uint64_t> multi_nodes_, multi_rels_;  // ids with chains > 1
-  size_t sidecar_versions_ = 0;
+  // Versions that superseded an older one, in epoch order (GC queue).
+  SupersededQueue<NodeVersion> superseded_nodes_;
+  SupersededQueue<RelVersion> superseded_rels_;
   std::multiset<uint64_t> pins_;
   std::weak_ptr<const GraphSnapshot> cache_;  // latest-epoch snapshot reuse
 

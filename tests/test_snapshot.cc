@@ -7,14 +7,23 @@
 //  * sidecar lifetime — superseded versions are banked only while an older
 //    snapshot can still observe them and are freed on release;
 //  * read-only routing — QueryAt rejects writes/CALL/clock functions, and
-//    Database::Execute runs read-only statements without a transaction.
+//    Database::Execute runs read-only statements without a transaction;
+//  * versioned index postings — after every commit of a randomized
+//    workload, each band's head equals the live index, and earlier pins
+//    keep their epoch's postings; superseded record and posting versions
+//    are reclaimed in epoch order however pins are released.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/storage/snapshot.h"
 #include "src/storage/store_view.h"
 #include "src/trigger/database.h"
@@ -322,6 +331,238 @@ TEST_F(SnapshotTest, RollbackPublishesNothing) {
                 .at(0, 0)
                 .string_value(),
             "keep");
+}
+
+// --- Versioned index postings ------------------------------------------------
+
+// Every band visible at `epoch`, as (typed key rendering, ids), sorted so
+// two listings compare regardless of hash-table layout.
+using BandListing = std::vector<std::pair<std::string, std::vector<uint64_t>>>;
+
+BandListing ListBands(const index::VersionedPostings& sidecar,
+                      uint64_t epoch) {
+  BandListing out;
+  sidecar.ForEachBandAt(
+      epoch, [&](const Value& key, const std::vector<uint64_t>& ids) {
+        out.emplace_back(
+            std::to_string(static_cast<int>(key.type())) + ":" +
+                key.ToString(),
+            ids);
+      });
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+class PostingVersionTest : public SnapshotTest {
+ protected:
+  struct Pinned {
+    std::shared_ptr<const GraphSnapshot> snap;
+    BandListing hash, ordered;
+  };
+
+  void SetUp() override {
+    Run("CREATE INDEX ON :Item(h)");
+    Run("CREATE RANGE INDEX ON :Item(r)");
+    for (int i = 0; i < 8; ++i) {
+      Run("CREATE (:Item {h: " + std::to_string(i % 3) +
+          ", r: " + std::to_string(i % 4) + ".0})");
+    }
+    Run("CREATE (:Other {h: 1, r: 1})");
+    ASSERT_NE(Snap(), nullptr);  // arm: baseline both sidecars
+    item_ = *db_.store().LookupLabel("Item");
+    h_ = *db_.store().LookupPropKey("h");
+    r_ = *db_.store().LookupPropKey("r");
+  }
+
+  Pinned Pin() {
+    Pinned p;
+    p.snap = Snap();
+    p.hash = ListBands(*p.snap->FindIndex(item_, h_), p.snap->epoch());
+    p.ordered = ListBands(*p.snap->FindIndex(item_, r_), p.snap->epoch());
+    return p;
+  }
+
+  // A snapshot pinned earlier still lists exactly its own epoch's bands,
+  // and probing each band at that epoch returns the listed postings.
+  void ExpectStillReads(const Pinned& p) {
+    const uint64_t e = p.snap->epoch();
+    for (PropKeyId prop : {h_, r_}) {
+      const index::VersionedPostings& sidecar =
+          *p.snap->FindIndex(item_, prop);
+      EXPECT_EQ(ListBands(sidecar, e), prop == h_ ? p.hash : p.ordered);
+      sidecar.ForEachBandAt(
+          e, [&](const Value& key, const std::vector<uint64_t>& ids) {
+            std::vector<uint64_t> probed;
+            sidecar.LookupAt(key, e, &probed);
+            EXPECT_EQ(probed, ids) << key.ToString();
+          });
+    }
+  }
+
+  // The head of every sidecar band equals the live index's posting for
+  // that band, and band sizes sum to the live entry count (so no live
+  // entry is missing from the sidecar).
+  void ExpectHeadsMatchLive(const std::string& context) {
+    std::shared_ptr<const GraphSnapshot> now = Snap();
+    ASSERT_EQ(now->epoch(), db_.store().snapshots().commit_epoch());
+    for (PropKeyId prop : {h_, r_}) {
+      const index::PropertyIndex* live =
+          db_.store().indexes().Find(item_, prop);
+      const index::VersionedPostings* sidecar = now->FindIndex(item_, prop);
+      ASSERT_NE(live, nullptr);
+      ASSERT_NE(sidecar, nullptr);
+      size_t total = 0;
+      sidecar->ForEachBandAt(
+          now->epoch(),
+          [&](const Value& key, const std::vector<uint64_t>& ids) {
+            std::vector<uint64_t> expected;
+            live->Lookup(key, &expected);
+            EXPECT_EQ(ids, expected)
+                << context << " band " << key.ToString();
+            total += ids.size();
+          });
+      EXPECT_EQ(total, live->EntryCount()) << context;
+    }
+  }
+
+  LabelId item_ = 0;
+  PropKeyId h_ = 0, r_ = 0;
+};
+
+TEST_F(PostingVersionTest, DeltaBuiltBandsMatchLiveIndexAfterEveryCommit) {
+  const int64_t big = int64_t{1} << 53;
+  // Int/Double sharing a band, ints beyond 2^53 sharing the band of their
+  // double, non-numerics, NaN (never indexed), and NULL (removes).
+  const std::vector<Value> pool = {
+      Value::Int(1),         Value::Double(1.0),
+      Value::Int(2),         Value::Double(2.5),
+      Value::Int(big),       Value::Int(big + 1),
+      Value::Double(static_cast<double>(big)),
+      Value::String("a"),    Value::String("b"),
+      Value::Bool(true),
+      Value::Double(std::numeric_limits<double>::quiet_NaN()),
+      Value::Null(),
+  };
+  Rng rng(20241017);
+  std::vector<Pinned> pins;
+  int commits = 0, rollbacks = 0;
+  for (int round = 0; round < 400; ++round) {
+    const uint64_t bound = db_.store().NodeIdBound();
+    Params params;
+    std::vector<std::string> stmts;
+    const int n = 1 + static_cast<int>(rng.NextBelow(3));
+    const bool fail = rng.NextBelow(8) == 0;
+    for (int k = 0; k < n + (fail ? 1 : 0); ++k) {
+      const std::string v = "v" + std::to_string(k);
+      params[v] = pool[rng.NextBelow(pool.size())];
+      const std::string node =
+          "MATCH (n) WHERE id(n) = " + std::to_string(rng.NextBelow(bound)) +
+          " ";
+      const std::string prop = rng.NextBelow(2) == 0 ? "h" : "r";
+      if (k == n) {  // the failing tail: the whole transaction rolls back
+        stmts.push_back("CREATE (n:Item {h: $" + v + ", r: $" + v +
+                        "}) SET n.q = 1/0");
+        continue;
+      }
+      switch (rng.NextBelow(9)) {
+        case 0:
+        case 1:
+          stmts.push_back(node + "SET n." + prop + " = $" + v);
+          break;
+        case 2:
+          stmts.push_back(node + "REMOVE n." + prop);
+          break;
+        case 3:  // set-and-revert within one transaction
+          stmts.push_back(node + "WITH n, n." + prop + " AS o SET n." +
+                          prop + " = $" + v + " SET n." + prop + " = o");
+          break;
+        case 4:  // label changes with the property unchanged
+          stmts.push_back(node + "SET n:Item");
+          break;
+        case 5:
+          stmts.push_back(node + "REMOVE n:Item");
+          break;
+        case 6:
+          stmts.push_back("CREATE (:Item {h: $" + v + ", r: $" + v + "})");
+          break;
+        case 7:  // create + delete within one transaction
+          stmts.push_back("CREATE (n:Item {h: $" + v + ", r: $" + v +
+                          "}) WITH n DETACH DELETE n");
+          break;
+        default:
+          stmts.push_back(node + "DETACH DELETE n");
+          break;
+      }
+    }
+    const uint64_t epoch = db_.store().snapshots().commit_epoch();
+    auto r = db_.ExecuteTx(stmts, params);
+    ASSERT_EQ(r.ok(), !fail) << stmts.back() << " -> " << r.status();
+    if (fail) {
+      EXPECT_EQ(db_.store().snapshots().commit_epoch(), epoch);
+      ++rollbacks;
+    } else {
+      ++commits;
+    }
+    ExpectHeadsMatchLive("round " + std::to_string(round) + " (" +
+                         stmts.front() + ")");
+    if (round % 25 == 0) pins.push_back(Pin());
+    if (pins.size() > 4) {  // release a pin chosen at random
+      pins.erase(pins.begin() + static_cast<ptrdiff_t>(
+                                    rng.NextBelow(pins.size())));
+    }
+    for (const Pinned& p : pins) ExpectStillReads(p);
+  }
+  EXPECT_GT(commits, 300);
+  EXPECT_GT(rollbacks, 20);
+}
+
+TEST_F(PostingVersionTest, ReclaimsWhenPinsReleaseOutOfOrder) {
+  const SnapshotManager& mgr = db_.store().snapshots();
+  auto bump = [&](int i) {
+    Run("MATCH (n:Item) WHERE id(n) = " + std::to_string(i % 8) +
+        " SET n.h = " + std::to_string(i % 5) + ", n.r = " +
+        std::to_string(i % 7));
+  };
+  std::vector<Pinned> pins;
+  for (int i = 0; i < 30; ++i) {
+    bump(i);
+    if (i % 10 == 0) pins.push_back(Pin());
+  }
+  EXPECT_GT(mgr.SidecarVersions(), 0u);
+  EXPECT_GT(mgr.IndexSidecarVersions(), 0u);
+  // Middle, newest, oldest: every remaining pin keeps reading its epoch.
+  for (size_t victim : {size_t{1}, size_t{1}, size_t{0}}) {
+    pins.erase(pins.begin() + static_cast<ptrdiff_t>(victim));
+    for (const Pinned& p : pins) ExpectStillReads(p);
+    bump(static_cast<int>(victim));
+  }
+  EXPECT_EQ(mgr.PinnedSnapshots(), 0u);
+  EXPECT_EQ(mgr.SidecarVersions(), 0u);
+  EXPECT_EQ(mgr.IndexSidecarVersions(), 0u);
+
+  // One pin held across 1,000 commits banks every superseded version...
+  Pinned held = Pin();
+  const std::string item0 = "MATCH (n:Item) WHERE id(n) = 0 ";
+  const int64_t h0 = Run(item0 + "RETURN n.h AS h").at(0, 0).int_value();
+  for (int i = 0; i < 1000; ++i) {
+    bump(i);
+    if (i % 100 == 0) {
+      ExpectStillReads(held);
+      EXPECT_EQ(RunAt(*held.snap, item0 + "RETURN n.h AS h")
+                    .at(0, 0)
+                    .int_value(),
+                h0);
+    }
+  }
+  EXPECT_GE(mgr.SidecarVersions(), 1000u);
+  EXPECT_GT(mgr.IndexSidecarVersions(), 0u);
+  ExpectStillReads(held);
+  // ...and releasing it reclaims all of them.
+  held = Pinned{};
+  EXPECT_EQ(mgr.PinnedSnapshots(), 0u);
+  EXPECT_EQ(mgr.SidecarVersions(), 0u);
+  EXPECT_EQ(mgr.IndexSidecarVersions(), 0u);
+  ExpectHeadsMatchLive("after reclaiming");
 }
 
 }  // namespace
