@@ -20,6 +20,34 @@ namespace pgt {
 namespace {
 
 const Params kNoParams;
+const std::vector<LabelId> kNoLabels;
+const PropMap kNoProps;
+
+/// The checkpoint thread's half of a checkpoint: streams every node and
+/// relationship id below the pinned bounds. Ids dead or not yet created at
+/// the pinned epoch become empty dead placeholders; after recovery only
+/// the id hole is observable.
+Status StreamRecords(const GraphSnapshot& snap, wal::SnapshotWriter& w) {
+  PGT_RETURN_IF_ERROR(w.BeginNodes(snap.NodeIdBound()));
+  for (uint64_t i = 0; i < snap.NodeIdBound(); ++i) {
+    const NodeVersion* v = snap.Node(NodeId{i});
+    if (v == nullptr || !v->alive) {
+      PGT_RETURN_IF_ERROR(w.AddNode(false, kNoLabels, kNoProps));
+    } else {
+      PGT_RETURN_IF_ERROR(w.AddNode(true, v->labels, v->props));
+    }
+  }
+  PGT_RETURN_IF_ERROR(w.BeginRels(snap.RelIdBound()));
+  for (uint64_t i = 0; i < snap.RelIdBound(); ++i) {
+    const RelVersion* v = snap.Rel(RelId{i});
+    if (v == nullptr || !v->alive) {
+      PGT_RETURN_IF_ERROR(w.AddRel(false, 0, NodeId{}, NodeId{}, kNoProps));
+    } else {
+      PGT_RETURN_IF_ERROR(w.AddRel(true, v->type, v->src, v->dst, v->props));
+    }
+  }
+  return Status::OK();
+}
 
 /// SHOW ASYNC STATUS / CALL pgt.asyncStats() surface: one row of pool
 /// counters (all zeros with the pool off — the surface stays queryable).
@@ -162,6 +190,7 @@ Database::Database(EngineOptions options)
 
 Database::~Database() {
   ShutdownAsync();
+  (void)JoinCheckpoint();
   if (wal_ != nullptr) (void)wal_->CloseClean();
 }
 
@@ -178,9 +207,9 @@ void Database::ShutdownAsync() {
 }
 
 void Database::DrainAsync() {
-  if (async_ == nullptr) return;
   std::lock_guard<std::mutex> lock(writer_mu_);
-  async_->QuiesceHoldingWriterMu();
+  if (async_ != nullptr) async_->QuiesceHoldingWriterMu();
+  (void)JoinCheckpoint();
 }
 
 // --- Durability -------------------------------------------------------------
@@ -229,6 +258,7 @@ Status Database::Close() {
   // Queued DETACHED work is part of the durable history the WAL promises:
   // drain it (and stop the workers) before the CLEAN marker is written.
   ShutdownAsync();
+  (void)JoinCheckpoint();
   if (wal_ == nullptr) return Status::OK();
   return wal_->CloseClean();
 }
@@ -372,8 +402,7 @@ Status Database::LogDdl(wal::WalDdlKind kind, std::string_view text) {
   return wal_->AppendDdl(d);
 }
 
-wal::SnapshotImage Database::BuildSnapshotImage(const GraphSnapshot& snap,
-                                                uint64_t first_live_seq) {
+wal::SnapshotImage Database::CaptureSnapshotMeta(uint64_t first_live_seq) {
   wal::SnapshotImage img;
   img.first_live_seq = first_live_seq;
   img.wal_epoch = wal_->logged_epoch();
@@ -394,30 +423,6 @@ wal::SnapshotImage Database::BuildSnapshotImage(const GraphSnapshot& snap,
   img.prop_keys.reserve(store_.PropKeyDictSize());
   for (size_t i = 0; i < store_.PropKeyDictSize(); ++i) {
     img.prop_keys.push_back(store_.PropKeyName(static_cast<PropKeyId>(i)));
-  }
-
-  // Records come off the pinned snapshot (CheckpointNow runs between
-  // transactions, so the pinned epoch IS the live state; going through the
-  // snapshot keeps this loop writer-safe if checkpointing ever moves off
-  // the writer thread). Dead ids become placeholder tombstones — their
-  // content is unobservable after recovery, only the id hole matters.
-  img.nodes.resize(snap.NodeIdBound());
-  for (uint64_t i = 0; i < snap.NodeIdBound(); ++i) {
-    const NodeVersion* v = snap.Node(NodeId{i});
-    if (v == nullptr || !v->alive) continue;
-    img.nodes[i].alive = true;
-    img.nodes[i].labels = v->labels;
-    img.nodes[i].props = v->props;
-  }
-  img.rels.resize(snap.RelIdBound());
-  for (uint64_t i = 0; i < snap.RelIdBound(); ++i) {
-    const RelVersion* v = snap.Rel(RelId{i});
-    if (v == nullptr || !v->alive) continue;
-    img.rels[i].alive = true;
-    img.rels[i].type = v->type;
-    img.rels[i].src = v->src;
-    img.rels[i].dst = v->dst;
-    img.rels[i].props = v->props;
   }
 
   store_.indexes().ForEach([&](const index::PropertyIndex& idx) {
@@ -442,14 +447,16 @@ wal::SnapshotImage Database::BuildSnapshotImage(const GraphSnapshot& snap,
 
 Status Database::CheckpointNow() {
   std::lock_guard<std::mutex> lock(writer_mu_);
-  // The snapshot image must not be read while the pool mutates the store,
-  // and a checkpoint should capture queued detached effects rather than
-  // park them behind the fresh segment boundary.
+  // A checkpoint should capture queued detached effects rather than park
+  // them behind the fresh segment boundary.
   if (async_ != nullptr) async_->QuiesceHoldingWriterMu();
-  return CheckpointLocked();
+  // An earlier automatic checkpoint's outcome is moot: this one covers more.
+  (void)JoinCheckpoint();
+  PGT_RETURN_IF_ERROR(StartCheckpointLocked());
+  return JoinCheckpoint();
 }
 
-Status Database::CheckpointLocked() {
+Status Database::StartCheckpointLocked() {
   if (wal_ == nullptr) {
     return Status::FailedPrecondition(
         "in-memory database has no WAL to checkpoint");
@@ -458,10 +465,38 @@ Status Database::CheckpointLocked() {
     return Status::FailedPrecondition(
         "cannot checkpoint while a transaction is active");
   }
+  if (checkpoint_.joinable()) {
+    return Status::Internal("a checkpoint is already in flight");
+  }
+  // Between transactions the last logged commit is the last committed one,
+  // and the rotation has synced it: the epoch pinned here is exactly the
+  // durable prefix the new segment continues from.
   PGT_ASSIGN_OR_RETURN(uint64_t first_live_seq, wal_->RotateForSnapshot());
-  PGT_ASSIGN_OR_RETURN(std::shared_ptr<const GraphSnapshot> snap,
-                       OpenSnapshot());
-  return wal_->WriteSnapshot(BuildSnapshotImage(*snap, first_live_seq));
+  Result<std::shared_ptr<const GraphSnapshot>> snap = OpenSnapshot();
+  if (!snap.ok()) {
+    wal_->SnapshotFailed();
+    return snap.status();
+  }
+  checkpoint_done_.store(false, std::memory_order_relaxed);
+  checkpoint_ = std::thread([this, meta = CaptureSnapshotMeta(first_live_seq),
+                             pin = std::move(snap).value()]() mutable {
+    Status st = wal_->WriteSnapshot(meta, [&pin](wal::SnapshotWriter& w) {
+      return StreamRecords(*pin, w);
+    });
+    pin.reset();  // unpin before reporting, so the writer reclaims promptly
+    checkpoint_status_ = std::move(st);
+    checkpoint_done_.store(true, std::memory_order_release);
+  });
+  return Status::OK();
+}
+
+Status Database::JoinCheckpoint() {
+  if (!checkpoint_.joinable()) return Status::OK();
+  checkpoint_.join();
+  Status st = std::move(checkpoint_status_);
+  checkpoint_status_ = Status::OK();
+  if (!st.ok()) wal_->SnapshotFailed();
+  return st;
 }
 
 void Database::SetRuntime(std::unique_ptr<TriggerRuntime> runtime) {
@@ -837,15 +872,23 @@ Status Database::CommitWithTriggers(std::unique_ptr<Transaction> tx) {
   // ... and once AfterCommit has consumed it, its buffers re-arm the next
   // transaction's accumulated delta.
   tx_manager_.RecycleDelta(std::move(total));
-  // Auto-checkpoint once the configured commit budget is spent. Best
-  // effort: a failed checkpoint leaves the WAL chain fully usable, and the
-  // next commit retries. Skipped while a transaction is active (DETACHED
-  // trigger commits nest inside AfterCommit of an outer commit) and while
-  // the async pool has work in flight (the public CheckpointNow quiesces;
-  // this opportunistic path just waits for a quieter commit).
-  if (after.ok() && wal_ != nullptr && wal_->ShouldSnapshot() &&
-      !tx_manager_.HasActive() && (async_ == nullptr || async_->Idle())) {
-    (void)CheckpointLocked();
+  // Auto-checkpoint once the configured commit budget is spent. A
+  // finished background checkpoint is reaped first; one still running
+  // makes this path skip. Best effort: a failed checkpoint leaves the WAL
+  // chain fully usable, and the commit that reaps the failure retries.
+  // Skipped while a transaction is active (DETACHED trigger commits nest
+  // inside AfterCommit of an outer commit) and while the async pool has
+  // work in flight (the public CheckpointNow quiesces; this opportunistic
+  // path just waits for a quieter commit).
+  if (after.ok() && wal_ != nullptr) {
+    if (checkpoint_.joinable() &&
+        checkpoint_done_.load(std::memory_order_acquire)) {
+      (void)JoinCheckpoint();
+    }
+    if (!checkpoint_.joinable() && wal_->ShouldSnapshot() &&
+        !tx_manager_.HasActive() && (async_ == nullptr || async_->Idle())) {
+      (void)StartCheckpointLocked();
+    }
   }
   return after;
 }

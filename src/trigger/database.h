@@ -1,11 +1,13 @@
 #ifndef PGTRIGGERS_TRIGGER_DATABASE_H_
 #define PGTRIGGERS_TRIGGER_DATABASE_H_
 
+#include <atomic>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "src/analysis/analyzer.h"
@@ -68,15 +70,18 @@ class Database {
   /// Open with default WAL options (fsync on, group size 8) at `path`.
   static Result<std::unique_ptr<Database>> Open(const std::string& path);
 
-  /// Clean shutdown: flushes the group-commit buffer, fsyncs, and writes
-  /// the CLEAN marker so the next Open skips torn-tail tolerance. Idempotent;
-  /// the destructor calls it best-effort. No-op for in-memory databases.
+  /// Clean shutdown: waits for an in-flight checkpoint, flushes the
+  /// group-commit buffer, fsyncs, and writes the CLEAN marker so the next
+  /// Open skips torn-tail tolerance. Idempotent; the destructor calls it
+  /// best-effort. No-op for in-memory databases.
   Status Close();
 
-  /// Forces a checkpoint: rotates to a fresh WAL segment, writes a full
-  /// snapshot through the epoch-pinned read substrate, and purges every
-  /// segment the snapshot covers. Also runs automatically every
-  /// `WalOptions::snapshot_interval` commits.
+  /// Forces a checkpoint and waits for it: rotates to a fresh WAL segment,
+  /// streams a full snapshot of the epoch pinned at the rotation, and
+  /// purges every segment the snapshot covers. Also starts automatically
+  /// every `WalOptions::snapshot_interval` commits; those checkpoints run
+  /// on a background thread while the writer keeps committing
+  /// (docs/durability.md). At most one checkpoint is in flight.
   Status CheckpointNow();
 
   /// The write-ahead log, or nullptr for an in-memory database.
@@ -107,8 +112,9 @@ class Database {
   std::mutex& writer_interlock() { return writer_mu_; }
 
   /// Drain barrier: blocks until every queued DETACHED activation has been
-  /// applied (tests, benches, and anything needing serial-equivalent
-  /// state). No-op without a pool.
+  /// applied and the in-flight checkpoint, if any, has finished (tests,
+  /// benches, and anything needing serial-equivalent state or a settled
+  /// WAL directory).
   void DrainAsync();
 
   // --- Snapshot reads (docs/snapshots.md) -----------------------------------
@@ -312,10 +318,17 @@ class Database {
   /// ExecuteTx body; caller holds writer_mu_.
   Result<std::vector<cypher::QueryResult>> ExecuteTxLocked(
       const std::vector<std::string>& statements, const Params& params);
-  /// CheckpointNow body; caller holds writer_mu_ (or is the auto-checkpoint
-  /// inside CommitWithTriggers, which runs under the committing entry
-  /// point's lock). Does not quiesce the pool.
-  Status CheckpointLocked();
+  /// The writer's half of a checkpoint: rotates the WAL, pins the
+  /// committed epoch, captures the metadata, and hands both to the
+  /// checkpoint thread, which streams the snapshot file. Caller holds
+  /// writer_mu_ (or is the auto-checkpoint inside CommitWithTriggers,
+  /// which runs under the committing entry point's lock) and has joined
+  /// the previous checkpoint. Does not quiesce the pool.
+  Status StartCheckpointLocked();
+  /// Waits for the in-flight checkpoint and returns its outcome (OK when
+  /// none is in flight). A failure makes the next commit retry. Caller
+  /// holds writer_mu_, or the async pool is stopped.
+  Status JoinCheckpoint();
   /// Final pool shutdown: quiesce under the interlock, then stop and join
   /// the workers (outside the interlock — a worker may be blocked on it).
   /// Afterwards AfterCommit falls back to the serial inline drain.
@@ -341,10 +354,10 @@ class Database {
   Status LogDdl(wal::WalDdlKind kind, std::string_view text);
   /// Logs the current schema attachment state (called from AttachSchema).
   void LogSchemaChange();
-  /// Builds the full-store image for WriteSnapshot from a pinned snapshot
-  /// plus the live dictionaries and catalogs.
-  wal::SnapshotImage BuildSnapshotImage(const GraphSnapshot& snap,
-                                        uint64_t first_live_seq);
+  /// A snapshot image without records: counters, clock, live dictionaries,
+  /// index specs, schema and triggers. The checkpoint thread streams the
+  /// records from the pinned snapshot.
+  wal::SnapshotImage CaptureSnapshotMeta(uint64_t first_live_seq);
   /// Runs a prepared read-only statement without a transaction (live view,
   /// writer thread): no delta scope, no trigger round, no commit — the
   /// statement produces no events, so skipping them is unobservable.
@@ -410,6 +423,12 @@ class Database {
   /// High-water marks of dictionary entries already written to the log
   /// (wal::BuildDictDelta emits and advances).
   wal::LoggedDictSizes wal_dicts_logged_;
+  /// The in-flight checkpoint (not joinable when none). Started and joined
+  /// under writer_mu_. The thread writes `checkpoint_status_` and then
+  /// sets `checkpoint_done_`, so the auto path can reap it without waiting.
+  std::thread checkpoint_;
+  Status checkpoint_status_;
+  std::atomic<bool> checkpoint_done_{false};
 };
 
 }  // namespace pgt

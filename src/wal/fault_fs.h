@@ -2,11 +2,14 @@
 #define PGTRIGGERS_WAL_FAULT_FS_H_
 
 #include <algorithm>
+#include <chrono>
+#include <condition_variable>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/fault.h"
@@ -92,6 +95,26 @@ class MemVfs final : public Vfs {
     return out;
   }
 
+  /// Test-only pause hook: while held, every Append to a snapshot temp file
+  /// (`snap-*.tmp`) blocks until ReleaseSnapshotWrites, which keeps a
+  /// background checkpoint in flight for as long as a test needs.
+  void HoldSnapshotWrites() {
+    std::lock_guard<std::mutex> lk(hold_mu_);
+    hold_ = true;
+  }
+  void ReleaseSnapshotWrites() {
+    {
+      std::lock_guard<std::mutex> lk(hold_mu_);
+      hold_ = false;
+    }
+    hold_cv_.notify_all();
+  }
+  /// Waits until an Append is parked at the hold; false on timeout.
+  bool WaitForHeldSnapshotWrite(std::chrono::milliseconds timeout) {
+    std::unique_lock<std::mutex> lk(hold_mu_);
+    return hold_cv_.wait_for(lk, timeout, [this] { return parked_ > 0; });
+  }
+
   /// Bytes appended to `path` but not yet covered by a Sync().
   uint64_t UnsyncedBytes(const std::string& path) const {
     std::lock_guard<std::mutex> lk(mu_);
@@ -119,7 +142,8 @@ class MemVfs final : public Vfs {
       state = std::make_shared<FileState>();
       files_.emplace(path, state);
     }
-    return std::unique_ptr<WritableFile>(new MemWritableFile(this, state));
+    return std::unique_ptr<WritableFile>(
+        new MemWritableFile(this, state, IsSnapshotTmp(path)));
   }
 
   Result<std::string> ReadFile(const std::string& path) override {
@@ -198,10 +222,12 @@ class MemVfs final : public Vfs {
 
   class MemWritableFile final : public WritableFile {
    public:
-    MemWritableFile(MemVfs* vfs, std::shared_ptr<FileState> state)
-        : vfs_(vfs), state_(std::move(state)) {}
+    MemWritableFile(MemVfs* vfs, std::shared_ptr<FileState> state,
+                    bool snapshot_tmp)
+        : vfs_(vfs), state_(std::move(state)), snapshot_tmp_(snapshot_tmp) {}
 
     Status Append(std::string_view data) override {
+      if (snapshot_tmp_) vfs_->WaitWhileHeld();
       uint64_t take = data.size();
       Status fault = vfs_->faults_.Hit("memvfs.append", data.size(), &take);
       std::lock_guard<std::mutex> lk(vfs_->mu_);
@@ -230,14 +256,38 @@ class MemVfs final : public Vfs {
    private:
     MemVfs* vfs_;
     std::shared_ptr<FileState> state_;
+    bool snapshot_tmp_;
   };
 
   friend class MemWritableFile;
+
+  static bool IsSnapshotTmp(std::string_view path) {
+    if (const size_t slash = path.rfind('/'); slash != path.npos) {
+      path.remove_prefix(slash + 1);
+    }
+    return path.starts_with("snap-") && path.ends_with(".tmp");
+  }
+
+  void WaitWhileHeld() {
+    std::unique_lock<std::mutex> lk(hold_mu_);
+    if (!hold_) return;
+    ++parked_;
+    hold_cv_.notify_all();
+    hold_cv_.wait(lk, [this] { return !hold_; });
+    --parked_;
+  }
 
   mutable std::mutex mu_;
   std::map<std::string, std::shared_ptr<FileState>> files_;
   std::set<std::string> dirs_;
   FaultRegistry faults_;  // owned: one MemVfs's faults never leak globally
+
+  // Snapshot-write hold (its own lock: CloneCrashed must run while an
+  // append is parked).
+  std::mutex hold_mu_;
+  std::condition_variable hold_cv_;
+  bool hold_ = false;
+  int parked_ = 0;
 };
 
 }  // namespace pgt::wal

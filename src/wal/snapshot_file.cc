@@ -1,5 +1,7 @@
 #include "src/wal/snapshot_file.h"
 
+#include <utility>
+
 #include "src/common/macros.h"
 #include "src/wal/crc32c.h"
 #include "src/wal/serialize.h"
@@ -41,59 +43,132 @@ Status GetStringVec(Decoder& dec, std::vector<std::string>* out,
 
 }  // namespace
 
-std::string EncodeSnapshot(const SnapshotImage& img) {
-  Encoder enc;
-  for (char c : kSnapshotMagic) enc.PutU8(static_cast<uint8_t>(c));
+SnapshotWriter::SnapshotWriter(const SnapshotImage& meta, Sink sink)
+    : meta_(meta), sink_(std::move(sink)) {
+  for (char c : kSnapshotMagic) enc_.PutU8(static_cast<uint8_t>(c));
+  enc_.PutU64(meta.first_live_seq);
+  enc_.PutU64(meta.wal_epoch);
+  enc_.PutU64(meta.committed_count);
+  enc_.PutI64(meta.clock_micros);
+  PutStringVec(enc_, meta.labels);
+  PutStringVec(enc_, meta.rel_types);
+  PutStringVec(enc_, meta.prop_keys);
+}
 
-  enc.PutU64(img.first_live_seq);
-  enc.PutU64(img.wal_epoch);
-  enc.PutU64(img.committed_count);
-  enc.PutI64(img.clock_micros);
-
-  PutStringVec(enc, img.labels);
-  PutStringVec(enc, img.rel_types);
-  PutStringVec(enc, img.prop_keys);
-
-  enc.PutU32(static_cast<uint32_t>(img.nodes.size()));
-  for (const SnapshotNode& n : img.nodes) {
-    enc.PutU8(n.alive ? 1 : 0);
-    enc.PutU32(static_cast<uint32_t>(n.labels.size()));
-    for (LabelId l : n.labels) enc.PutU32(l);
-    enc.PutPropMap(n.props);
+Status SnapshotWriter::Begin(Section from, Section to, uint64_t count) {
+  PGT_RETURN_IF_ERROR(status_);
+  if (section_ != from || pending_ != 0) {
+    return status_ = Status::Internal("snapshot writer: section out of order");
   }
-  enc.PutU32(static_cast<uint32_t>(img.rels.size()));
-  for (const SnapshotRel& r : img.rels) {
-    enc.PutU8(r.alive ? 1 : 0);
-    enc.PutU32(r.type);
-    enc.PutU64(r.src.value);
-    enc.PutU64(r.dst.value);
-    enc.PutPropMap(r.props);
+  if (count > UINT32_MAX) {
+    return status_ = Status::Internal("snapshot writer: too many records");
+  }
+  section_ = to;
+  pending_ = count;
+  enc_.PutU32(static_cast<uint32_t>(count));
+  return Status::OK();
+}
+
+Status SnapshotWriter::Add(Section in) {
+  PGT_RETURN_IF_ERROR(status_);
+  if (section_ != in || pending_ == 0) {
+    return status_ = Status::Internal("snapshot writer: record out of order");
+  }
+  --pending_;
+  return Status::OK();
+}
+
+Status SnapshotWriter::BeginNodes(uint64_t count) {
+  return Begin(Section::kHeader, Section::kNodes, count);
+}
+
+Status SnapshotWriter::AddNode(bool alive, const std::vector<LabelId>& labels,
+                               const PropMap& props) {
+  PGT_RETURN_IF_ERROR(Add(Section::kNodes));
+  enc_.PutU8(alive ? 1 : 0);
+  enc_.PutU32(static_cast<uint32_t>(labels.size()));
+  for (LabelId l : labels) enc_.PutU32(l);
+  enc_.PutPropMap(props);
+  return MaybeFlush();
+}
+
+Status SnapshotWriter::BeginRels(uint64_t count) {
+  return Begin(Section::kNodes, Section::kRels, count);
+}
+
+Status SnapshotWriter::AddRel(bool alive, RelTypeId type, NodeId src,
+                              NodeId dst, const PropMap& props) {
+  PGT_RETURN_IF_ERROR(Add(Section::kRels));
+  enc_.PutU8(alive ? 1 : 0);
+  enc_.PutU32(type);
+  enc_.PutU64(src.value);
+  enc_.PutU64(dst.value);
+  enc_.PutPropMap(props);
+  return MaybeFlush();
+}
+
+Status SnapshotWriter::Finish() {
+  PGT_RETURN_IF_ERROR(status_);
+  if (section_ != Section::kRels || pending_ != 0) {
+    return status_ = Status::Internal("snapshot writer: finished early");
+  }
+  section_ = Section::kDone;
+
+  enc_.PutU32(static_cast<uint32_t>(meta_.indexes.size()));
+  for (const SnapshotIndexSpec& ix : meta_.indexes) {
+    enc_.PutString(ix.label);
+    enc_.PutString(ix.prop);
+    enc_.PutU8(ix.kind);
+    enc_.PutU8(ix.unique ? 1 : 0);
+    enc_.PutU8(ix.enforce_on_write ? 1 : 0);
   }
 
-  enc.PutU32(static_cast<uint32_t>(img.indexes.size()));
-  for (const SnapshotIndexSpec& ix : img.indexes) {
-    enc.PutString(ix.label);
-    enc.PutString(ix.prop);
-    enc.PutU8(ix.kind);
-    enc.PutU8(ix.unique ? 1 : 0);
-    enc.PutU8(ix.enforce_on_write ? 1 : 0);
+  enc_.PutU8(meta_.schema_ddl.has_value() ? 1 : 0);
+  if (meta_.schema_ddl.has_value()) enc_.PutString(*meta_.schema_ddl);
+
+  enc_.PutU32(static_cast<uint32_t>(meta_.triggers.size()));
+  for (const SnapshotTrigger& t : meta_.triggers) {
+    enc_.PutString(t.ddl);
+    enc_.PutU8(t.enabled ? 1 : 0);
   }
 
-  enc.PutU8(img.schema_ddl.has_value() ? 1 : 0);
-  if (img.schema_ddl.has_value()) enc.PutString(*img.schema_ddl);
-
-  enc.PutU32(static_cast<uint32_t>(img.triggers.size()));
-  for (const SnapshotTrigger& t : img.triggers) {
-    enc.PutString(t.ddl);
-    enc.PutU8(t.enabled ? 1 : 0);
-  }
-
-  std::string body = enc.Take();
-  uint32_t crc = MaskCrc(Crc32c(body.data(), body.size()));
+  // The checksum covers everything before it, so it goes out after the
+  // body's last chunk.
+  PGT_RETURN_IF_ERROR(Flush());
   Encoder tail;
-  tail.PutU32(crc);
-  body += tail.Take();
-  return body;
+  tail.PutU32(MaskCrc(crc_));
+  return status_ = sink_(tail.buffer());
+}
+
+Status SnapshotWriter::MaybeFlush() {
+  return enc_.size() >= kChunkBytes ? Flush() : Status::OK();
+}
+
+Status SnapshotWriter::Flush() {
+  crc_ = Crc32c(enc_.buffer().data(), enc_.size(), crc_);
+  status_ = sink_(enc_.buffer());
+  enc_.Clear();
+  return status_;
+}
+
+std::string EncodeSnapshot(const SnapshotImage& img) {
+  std::string out;
+  SnapshotWriter w(img, [&out](std::string_view chunk) {
+    out.append(chunk);
+    return Status::OK();
+  });
+  // An in-memory sink cannot fail and the calls below are in order, so
+  // every status is OK.
+  (void)w.BeginNodes(img.nodes.size());
+  for (const SnapshotNode& n : img.nodes) {
+    (void)w.AddNode(n.alive, n.labels, n.props);
+  }
+  (void)w.BeginRels(img.rels.size());
+  for (const SnapshotRel& r : img.rels) {
+    (void)w.AddRel(r.alive, r.type, r.src, r.dst, r.props);
+  }
+  (void)w.Finish();
+  return out;
 }
 
 Status DecodeSnapshot(std::string_view data, SnapshotImage* out) {

@@ -2,6 +2,7 @@
 #define PGTRIGGERS_WAL_SNAPSHOT_FILE_H_
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -10,6 +11,7 @@
 #include "src/common/ids.h"
 #include "src/common/prop_map.h"
 #include "src/common/status.h"
+#include "src/wal/serialize.h"
 
 namespace pgt::wal {
 
@@ -79,6 +81,56 @@ struct SnapshotImage {
 /// File layout: "PGTSNAP1" magic + body + u32 masked crc32c over everything
 /// before it (magic included). One whole-file checksum: a snapshot is either
 /// entirely valid or discarded in favor of an older one.
+///
+/// The one encoder: streams the file front to back into a sink in chunks
+/// of about kChunkBytes, extending the checksum chunk by chunk, so a
+/// checkpoint never holds more than one chunk of the image in memory. The
+/// header, dictionaries and trailer (indexes, schema, triggers) come from
+/// `meta`; the records arrive one by one, in id order:
+///
+///   SnapshotWriter w(meta, sink);
+///   w.BeginNodes(n);  n x w.AddNode(...);
+///   w.BeginRels(m);   m x w.AddRel(...);
+///   w.Finish();
+///
+/// `meta.nodes` and `meta.rels` are not read. Calls out of this order fail
+/// with Internal, as does every call after the sink failed.
+class SnapshotWriter {
+ public:
+  using Sink = std::function<Status(std::string_view chunk)>;
+  static constexpr size_t kChunkBytes = 1 << 20;
+
+  /// `meta` must outlive the writer.
+  SnapshotWriter(const SnapshotImage& meta, Sink sink);
+
+  Status BeginNodes(uint64_t count);
+  /// A dead node is written as given; callers pass empty labels and props.
+  Status AddNode(bool alive, const std::vector<LabelId>& labels,
+                 const PropMap& props);
+  Status BeginRels(uint64_t count);
+  Status AddRel(bool alive, RelTypeId type, NodeId src, NodeId dst,
+                const PropMap& props);
+  /// Writes the trailer and the checksum and flushes the last chunk.
+  Status Finish();
+
+ private:
+  enum class Section : uint8_t { kHeader, kNodes, kRels, kDone };
+
+  Status Begin(Section from, Section to, uint64_t count);
+  Status Add(Section in);
+  Status MaybeFlush();
+  Status Flush();
+
+  const SnapshotImage& meta_;
+  Sink sink_;
+  Encoder enc_;
+  uint32_t crc_ = 0;
+  Section section_ = Section::kHeader;
+  uint64_t pending_ = 0;  // records still owed to the open section
+  Status status_;         // first failure; every later call returns it
+};
+
+/// The whole image as one string (tests, and files small enough to hold).
 std::string EncodeSnapshot(const SnapshotImage& img);
 Status DecodeSnapshot(std::string_view data, SnapshotImage* out);
 

@@ -32,6 +32,12 @@ class WritableFile {
 /// code uses Vfs::Posix(); crash-recovery tests swap in the MemVfs fault
 /// shim (fault_fs.h) to model power loss, torn tails, bit flips, and
 /// failing fsyncs without touching a real disk.
+///
+/// Thread contract: implementations must accept concurrent calls on
+/// distinct paths (and directory listings beside them). The checkpoint
+/// thread writes, renames and purges snapshot and old segment files while
+/// the writer appends to the current segment. Vfs::Posix() is stateless;
+/// MemVfs locks.
 class Vfs {
  public:
   virtual ~Vfs() = default;

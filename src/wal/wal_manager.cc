@@ -385,7 +385,8 @@ Status WalManager::CloseClean() {
 
 bool WalManager::ShouldSnapshot() const {
   return opts_.snapshot_interval > 0 &&
-         commits_since_snapshot_ >= opts_.snapshot_interval;
+         (snapshot_failed_ ||
+          commits_since_snapshot_ >= opts_.snapshot_interval);
 }
 
 Result<uint64_t> WalManager::RotateForSnapshot() {
@@ -401,15 +402,19 @@ Result<uint64_t> WalManager::RotateForSnapshot() {
     Poison("wal rotate failed: " + s.message());
     return s;
   }
+  commits_since_snapshot_ = 0;
+  snapshot_failed_ = false;
   return cur_seq_;
 }
 
-Status WalManager::WriteSnapshot(const SnapshotImage& img) {
+Status WalManager::WriteSnapshot(
+    const SnapshotImage& meta,
+    const std::function<Status(SnapshotWriter&)>& add_records) const {
   // Checkpoints are best effort: a refused write leaves the segment chain
   // fully usable (no poisoning) and the next commit retries.
   PGT_RETURN_IF_ERROR(FaultRegistry::Global().Hit("wal.snapshot.write"));
   const std::string final_path =
-      JoinPath(opts_.dir, SnapshotName(img.first_live_seq));
+      JoinPath(opts_.dir, SnapshotName(meta.first_live_seq));
   const std::string tmp_path = final_path + ".tmp";
   if (vfs_->Exists(tmp_path)) PGT_RETURN_IF_ERROR(vfs_->Delete(tmp_path));
 
@@ -420,7 +425,11 @@ Status WalManager::WriteSnapshot(const SnapshotImage& img) {
   {
     PGT_ASSIGN_OR_RETURN(std::unique_ptr<WritableFile> f,
                          vfs_->OpenAppend(tmp_path));
-    PGT_RETURN_IF_ERROR(f->Append(EncodeSnapshot(img)));
+    SnapshotWriter w(meta, [&f](std::string_view chunk) {
+      return f->Append(chunk);
+    });
+    PGT_RETURN_IF_ERROR(add_records(w));
+    PGT_RETURN_IF_ERROR(w.Finish());
     PGT_RETURN_IF_ERROR(f->Sync());
     PGT_RETURN_IF_ERROR(f->Close());
   }
@@ -433,12 +442,10 @@ Status WalManager::WriteSnapshot(const SnapshotImage& img) {
     uint64_t seq = 0;
     bool purge = (ParseSeqName(name, "wal-", ".log", &seq) ||
                   ParseSeqName(name, "snap-", ".pgs", &seq)) &&
-                 seq < img.first_live_seq;
+                 seq < meta.first_live_seq;
     if (purge) PGT_RETURN_IF_ERROR(vfs_->Delete(JoinPath(opts_.dir, name)));
   }
-  PGT_RETURN_IF_ERROR(vfs_->SyncDir(opts_.dir));
-  commits_since_snapshot_ = 0;
-  return Status::OK();
+  return vfs_->SyncDir(opts_.dir);
 }
 
 }  // namespace pgt::wal

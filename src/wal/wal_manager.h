@@ -2,6 +2,7 @@
 #define PGTRIGGERS_WAL_WAL_MANAGER_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -65,7 +66,9 @@ class WalReplayHandler {
 /// truncated away so the next recovery sees a clean chain). Any IO failure
 /// while appending poisons the log: the in-memory store may then be ahead
 /// of what the log can ever replay, so further appends are refused rather
-/// than logging a history with a hole in it.
+/// than logging a history with a hole in it. Every method belongs to the
+/// writer thread except WriteSnapshot, which a checkpoint thread may run
+/// concurrently with appends.
 class WalManager {
  public:
   static Result<std::unique_ptr<WalManager>> Open(WalOptions opts);
@@ -91,18 +94,28 @@ class WalManager {
   /// the next recovery runs in strict mode (no torn-tail tolerance).
   Status CloseClean();
 
-  /// True once `snapshot_interval` commits accumulated since the last one.
+  /// True once `snapshot_interval` commits accumulated since the last
+  /// rotation for a snapshot, or once a failed snapshot was reported.
   bool ShouldSnapshot() const;
 
   /// Seals the current segment and opens the next; returns the new seq,
   /// which becomes the snapshot's `first_live_seq`. The new segment header
   /// is made durable before this returns, so a snapshot naming it can never
-  /// point at a missing file.
+  /// point at a missing file. Restarts the ShouldSnapshot commit count.
   Result<uint64_t> RotateForSnapshot();
 
-  /// Durably publishes the snapshot (tmp + fsync + rename + dir sync), then
-  /// purges segments and snapshots below `img.first_live_seq`.
-  Status WriteSnapshot(const SnapshotImage& img);
+  /// Reports that the snapshot begun by the last rotation was not
+  /// published: ShouldSnapshot turns true, so the next check retries.
+  void SnapshotFailed() { snapshot_failed_ = true; }
+
+  /// Streams a snapshot into a tmp file, publishes it durably (fsync +
+  /// rename + dir sync), then purges segments and snapshots below
+  /// `meta.first_live_seq`. `add_records` feeds the writer its node and
+  /// relationship sections. Reads only the options and the Vfs, so it may
+  /// run on a thread of its own while the writer keeps appending.
+  Status WriteSnapshot(
+      const SnapshotImage& meta,
+      const std::function<Status(SnapshotWriter&)>& add_records) const;
 
   const RecoveryStats& recovery_stats() const { return recovery_stats_; }
   /// Epoch of the last commit in the log (snapshot-covered included).
@@ -142,6 +155,7 @@ class WalManager {
   uint64_t logged_epoch_ = 0;
   uint32_t pending_in_group_ = 0;
   uint64_t commits_since_snapshot_ = 0;
+  bool snapshot_failed_ = false;
 
   bool recovered_ = false;
   bool appending_ = false;

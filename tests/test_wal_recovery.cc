@@ -5,19 +5,23 @@
 // on a statement-prefix boundary of the workload, byte-identical (in
 // observable state) to an uncrashed in-memory reference database that ran
 // that same prefix. Plus: clean-shutdown markers skip tail tolerance,
-// checkpoints cover and purge old segments, and append-side IO failures
-// poison the log instead of logging a divergent history.
+// checkpoints cover and purge old segments (also while a background
+// checkpoint is held in flight), and append-side IO failures poison the
+// log instead of logging a divergent history.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "src/common/fault.h"
 #include "src/schema/pg_schema.h"
 #include "src/trigger/database.h"
 #include "src/wal/fault_fs.h"
+#include "src/wal/snapshot_file.h"
 #include "src/wal/vfs.h"
 
 namespace pgt {
@@ -454,6 +458,7 @@ TEST(WalRecovery, AutoCheckpointEveryIntervalCommits) {
   auto db = Database::Open(o);
   ASSERT_TRUE(db.ok()) << db.status();
   ApplyWorkload(**db, kDmlCount);
+  (*db)->DrainAsync();  // barrier: the background checkpoint has finished
   auto names = vfs.ListDir(kDir);
   ASSERT_TRUE(names.ok());
   bool has_snap = false;
@@ -468,6 +473,159 @@ TEST(WalRecovery, AutoCheckpointEveryIntervalCommits) {
   Database ref;
   ApplyWorkload(ref, kDmlCount);
   EXPECT_EQ(DumpState(**rec), DumpState(ref));
+}
+
+/// Commits `CREATE (:Bulk {i: k})` for k in [from, to), one per commit.
+void Bulk(Database& db, int64_t from, int64_t to) {
+  for (int64_t i = from; i < to; ++i) {
+    Params p;
+    p["i"] = Value::Int(i);
+    auto r = db.Execute("CREATE (:Bulk {i: $i})", p);
+    ASSERT_TRUE(r.ok()) << r.status();
+  }
+}
+
+size_t CountFiles(wal::MemVfs& vfs, const std::string& prefix,
+                  const std::string& suffix) {
+  auto names = vfs.ListDir(kDir);
+  EXPECT_TRUE(names.ok());
+  size_t n = 0;
+  for (const std::string& name : *names) {
+    n += name.rfind(prefix, 0) == 0 && name.size() >= suffix.size() &&
+         name.compare(name.size() - suffix.size(), suffix.size(), suffix) ==
+             0;
+  }
+  return n;
+}
+
+/// Parks snapshot-file appends for its lifetime. Declare it after the
+/// database, so it releases before the database's destructor waits for
+/// the checkpoint.
+class SnapshotWriteHold {
+ public:
+  explicit SnapshotWriteHold(wal::MemVfs& vfs) : vfs_(vfs) {
+    vfs_.HoldSnapshotWrites();
+  }
+  ~SnapshotWriteHold() { vfs_.ReleaseSnapshotWrites(); }
+
+ private:
+  wal::MemVfs& vfs_;
+};
+
+TEST(WalRecovery, CrashMidBackgroundCheckpointRecoversFromOlderSnapshot) {
+  constexpr int64_t kInterval = 20;
+  constexpr int64_t kMore = 200;
+  wal::MemVfs vfs;
+  wal::WalOptions o = Opts(&vfs, /*group_size=*/1);
+  o.snapshot_interval = kInterval;
+  auto db = Database::Open(o);
+  ASSERT_TRUE(db.ok()) << db.status();
+  ApplyWorkload(**db, kDmlCount);  // fewer commits than the interval
+  ASSERT_TRUE((*db)->CheckpointNow().ok());  // the older snapshot
+
+  std::unique_ptr<wal::MemVfs> mid;
+  {
+    SnapshotWriteHold hold(vfs);
+    // The interval's last commit rotates the log and starts the background
+    // checkpoint, which parks on its first snapshot-file append.
+    Bulk(**db, 0, kInterval);
+    ASSERT_TRUE(vfs.WaitForHeldSnapshotWrite(std::chrono::seconds(30)));
+    // The writer keeps committing meanwhile; the auto path skips while the
+    // checkpoint runs, so nothing rotates again.
+    Bulk(**db, kInterval, kInterval + kMore);
+    mid = vfs.CloneCrashed();
+  }
+  (*db)->DrainAsync();  // barrier: the checkpoint is published
+  auto after = vfs.CloneCrashed();
+
+  Database ref;
+  ApplyWorkload(ref, kDmlCount);
+  Bulk(ref, 0, kInterval + kMore);
+  const std::string want = DumpState(ref);
+
+  // Mid-flight: nothing is purged yet, and recovery is the older snapshot
+  // plus every segment, the one opened by the rotation included.
+  EXPECT_EQ(CountFiles(*mid, "snap-", ".pgs"), 1u);
+  EXPECT_EQ(CountFiles(*mid, "wal-", ".log"), 2u);
+  {
+    auto rec = Database::Open(Opts(mid.get(), 1));
+    ASSERT_TRUE(rec.ok()) << rec.status();
+    const auto& stats = (*rec)->wal()->recovery_stats();
+    EXPECT_TRUE(stats.snapshot_loaded);
+    EXPECT_EQ(stats.commits_replayed, static_cast<uint64_t>(kInterval + kMore));
+    EXPECT_EQ(DumpState(**rec), want);
+  }
+
+  // Published: the new snapshot covers the rotation's prefix and only the
+  // post-rotation suffix is replayed.
+  EXPECT_EQ(CountFiles(*after, "snap-", ".pgs"), 1u);
+  EXPECT_EQ(CountFiles(*after, "wal-", ".log"), 1u);
+  auto rec = Database::Open(Opts(after.get(), 1));
+  ASSERT_TRUE(rec.ok()) << rec.status();
+  const auto& stats = (*rec)->wal()->recovery_stats();
+  EXPECT_TRUE(stats.snapshot_loaded);
+  EXPECT_EQ(stats.commits_replayed, static_cast<uint64_t>(kMore));
+  EXPECT_EQ(DumpState(**rec), want);
+}
+
+TEST(WalRecovery, FailedBackgroundCheckpointRetriesOnNextCommit) {
+  wal::MemVfs vfs;
+  wal::WalOptions o = Opts(&vfs, /*group_size=*/1);
+  o.snapshot_interval = 5;
+  auto db = Database::Open(o);
+  ASSERT_TRUE(db.ok()) << db.status();
+
+  FaultRegistry::Global().ArmNthHit("wal.snapshot.write", 1);
+  Bulk(**db, 0, 5);     // the fifth commit starts a checkpoint that fails
+  (*db)->DrainAsync();  // ... and the barrier reaps the failure
+  FaultRegistry::Global().DisarmAll();
+  EXPECT_FALSE((*db)->wal()->broken());
+  EXPECT_FALSE((*db)->degraded());
+  EXPECT_EQ(CountFiles(vfs, "snap-", ".pgs"), 0u);
+
+  // The very next commit retries instead of waiting out another interval.
+  Bulk(**db, 5, 6);
+  (*db)->DrainAsync();
+  EXPECT_EQ(CountFiles(vfs, "snap-", ".pgs"), 1u);
+
+  auto crashed = vfs.CloneCrashed();
+  auto rec = Database::Open(Opts(crashed.get(), 1));
+  ASSERT_TRUE(rec.ok()) << rec.status();
+  EXPECT_TRUE((*rec)->wal()->recovery_stats().snapshot_loaded);
+  EXPECT_EQ(DumpState(**rec), DumpState(**db));
+}
+
+TEST(WalRecovery, StreamedSnapshotFileMatchesEncodeSnapshot) {
+  wal::MemVfs vfs;
+  auto db = Database::Open(Opts(&vfs));
+  ASSERT_TRUE(db.ok()) << db.status();
+  ApplyWorkload(**db, kDmlCount);
+  // Enough records to span several chunks, with dead placeholders between.
+  ASSERT_TRUE((*db)
+                  ->Execute("UNWIND RANGE(1, 40000) AS i CREATE (:Bulk {i: i, "
+                            "pad: 'padding-padding-padding-padding-' + "
+                            "toString(i)})")
+                  .ok());
+  ASSERT_TRUE(
+      (*db)->Execute("MATCH (b:Bulk) WHERE b.i % 7 = 0 DELETE b").ok());
+  ASSERT_TRUE((*db)->CheckpointNow().ok());
+
+  auto names = vfs.ListDir(kDir);
+  ASSERT_TRUE(names.ok());
+  std::string snap;
+  for (const std::string& n : *names) {
+    if (n.rfind("snap-", 0) == 0) snap = n;
+  }
+  ASSERT_FALSE(snap.empty());
+  auto bytes = vfs.ReadFile(wal::JoinPath(kDir, snap));
+  ASSERT_TRUE(bytes.ok());
+  ASSERT_GT(bytes->size(), 2 * wal::SnapshotWriter::kChunkBytes);
+
+  wal::SnapshotImage img;
+  ASSERT_TRUE(wal::DecodeSnapshot(*bytes, &img).ok());
+  const std::string encoded = wal::EncodeSnapshot(img);
+  EXPECT_EQ(encoded.size(), bytes->size());
+  EXPECT_TRUE(encoded == *bytes);
 }
 
 TEST(WalRecovery, CorruptNewestSnapshotFallsBackToOlder) {
