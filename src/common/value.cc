@@ -84,6 +84,21 @@ int TypeRank(ValueType t) {
 
 }  // namespace
 
+bool Value::NestsWithin(int levels) const {
+  if (!is_list() && !is_map()) return true;
+  if (levels == 0) return false;
+  if (is_list()) {
+    for (const Value& v : list_value()) {
+      if (!v.NestsWithin(levels - 1)) return false;
+    }
+    return true;
+  }
+  for (const auto& [k, v] : map_value()) {
+    if (!v.NestsWithin(levels - 1)) return false;
+  }
+  return true;
+}
+
 bool Value::Equals(const Value& other) const {
   const ValueType ta = type(), tb = other.type();
   if (ta == ValueType::kNull || tb == ValueType::kNull) {

@@ -47,6 +47,12 @@ enum class ValueType {
 /// Returns a stable name ("NULL", "INTEGER", ...) for a value type.
 const char* ValueTypeName(ValueType t);
 
+/// Deepest list/map nesting a property value may have (`[[1]]` nests 2).
+/// The WAL and snapshot decoders recurse once per level and refuse deeper
+/// input; Transaction refuses deeper property values, so every committed
+/// value can be recovered.
+inline constexpr int kMaxValueDepth = 256;
+
 /// Dynamic value: the single value model shared by node/relationship
 /// properties, Cypher expression evaluation, query result rows, and trigger
 /// transition variables.
@@ -228,9 +234,17 @@ class Value {
   /// bracketed, nodes as `#n<id>`, relationships as `#r<id>`.
   std::string ToString() const;
 
+  /// Whether the value nests at most kMaxValueDepth lists/maps. Descends
+  /// no deeper than the limit, so it is safe on any value.
+  bool WithinMaxDepth() const {
+    return !(is_list() || is_map()) || NestsWithin(kMaxValueDepth);
+  }
+
   bool operator==(const Value& other) const { return Equals(other); }
 
  private:
+  bool NestsWithin(int levels) const;
+
   using StrPtr = std::shared_ptr<const std::string>;
   using ListPtr = std::shared_ptr<const List>;
   using MapPtr = std::shared_ptr<const Map>;

@@ -1,7 +1,5 @@
 #include "src/trigger/catalog.h"
 
-#include <algorithm>
-
 #include "src/common/macros.h"
 #include "src/common/str_util.h"
 #include "src/ivm/ivm_manager.h"
@@ -127,7 +125,7 @@ Status TriggerCatalog::Validate(const TriggerDef& def) const {
       if (!ok) {
         return Status::ConstraintViolation(
             "BEFORE triggers may only SET properties on NEW transition "
-            "items (DESIGN.md D1)");
+            "items (Section 4)");
       }
       for (const cypher::SetItem& s : c->set_items) {
         if (s.kind != cypher::SetItem::Kind::kProperty) {
@@ -246,23 +244,6 @@ const TriggerDef* TriggerCatalog::Find(const std::string& name) const {
     if (t->name == name) return t.get();
   }
   return nullptr;
-}
-
-std::vector<std::shared_ptr<const TriggerDef>> TriggerCatalog::ByTime(
-    ActionTime time) const {
-  std::vector<std::shared_ptr<const TriggerDef>> out;
-  for (const auto& t : triggers_) {
-    if (t->enabled && t->time == time) out.push_back(t);
-  }
-  if (options_->trigger_ordering == TriggerOrdering::kName) {
-    std::sort(out.begin(), out.end(),
-              [](const std::shared_ptr<const TriggerDef>& a,
-                 const std::shared_ptr<const TriggerDef>& b) {
-                return ExecutionOrderLess(TriggerOrdering::kName, *a, *b);
-              });
-  }
-  // kCreationTime: triggers_ is already in creation order.
-  return out;
 }
 
 void TriggerCatalog::NoteSuccess(const std::string& name) {

@@ -50,7 +50,7 @@ enum class DetachedGate {
 /// The installed-trigger catalog: owns TriggerDefs (shared with queued
 /// activations, so a DROP TRIGGER can never dangle an in-flight
 /// activation), validates legality at install time, maintains the
-/// event-dispatch index, and provides the per-action-time execution order
+/// event-dispatch index, and defines the per-action-time execution order
 /// (Section 4.2 "Order of execution": creation-time total order, with the
 /// PostgreSQL-style name order available for the ablation).
 class TriggerCatalog {
@@ -68,7 +68,7 @@ class TriggerCatalog {
   ///  * the statement must not SET/REMOVE the target label (Section 4.2;
   ///    checked statically here, guarded at runtime by the engine);
   ///  * BEFORE triggers may only SET properties (they "condition NEW
-  ///    states", DESIGN.md D1);
+  ///    states", Section 4);
   ///  * WHEN pipelines must be read-only (MATCH/UNWIND/WITH);
   ///  * REFERENCING aliases must match the granularity and item kind.
   Status Install(TriggerDef def);
@@ -78,11 +78,6 @@ class TriggerCatalog {
   void DropAll();
 
   const TriggerDef* Find(const std::string& name) const;
-
-  /// Enabled triggers with the given action time, in execution order. The
-  /// returned pointers share ownership with the catalog, so they outlive a
-  /// concurrent Drop of the same trigger.
-  std::vector<std::shared_ptr<const TriggerDef>> ByTime(ActionTime time) const;
 
   /// All triggers (enabled and disabled), in creation order.
   std::vector<const TriggerDef*> All() const;
@@ -142,9 +137,9 @@ class TriggerCatalog {
   /// the next firing. Null detaches (the default).
   void SetIvmSink(ivm::IvmManager* ivm) { ivm_ = ivm; }
 
-  /// The Section 4.2 execution-order comparator, shared by ByTime and the
-  /// engine's cross-bucket merge so the two dispatch strategies can never
-  /// order triggers differently.
+  /// The Section 4.2 execution-order comparator: the engine orders the
+  /// triggers one statement activates by it (creation time, or name under
+  /// TriggerOrdering::kName).
   static bool ExecutionOrderLess(TriggerOrdering ordering,
                                  const TriggerDef& a, const TriggerDef& b) {
     return ordering == TriggerOrdering::kName ? a.name < b.name

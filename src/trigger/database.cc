@@ -140,7 +140,6 @@ Database::Database(EngineOptions options)
     : options_(options),
       tx_manager_(&store_),
       catalog_(&options_),
-      clock_(options.clock_epoch_micros),
       engine_(std::make_unique<PgTriggerEngine>(this)),
       analyzer_(&catalog_, &store_, &options_),
       plan_cache_(options.plan_cache_capacity) {

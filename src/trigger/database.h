@@ -389,7 +389,10 @@ class Database {
   PlanCompileCounters plan_compile_counters_;
   uint64_t adhoc_plan_recompiles_ = 0;
   cypher::ProcedureRegistry procedures_;
-  LogicalClock clock_;
+  /// Fixed start of the DATETIME() clock (2023-11-14T22:13:20Z), so runs
+  /// are reproducible; recovery moves the clock to the logged reading.
+  static constexpr int64_t kClockEpochMicros = 1'700'000'000'000'000;
+  LogicalClock clock_{kClockEpochMicros};
   std::unique_ptr<PgTriggerEngine> engine_;
   std::unique_ptr<TriggerRuntime> runtime_;  // null = native engine
   std::optional<schema::SchemaDef> schema_;  // commit-time guard

@@ -48,10 +48,6 @@ std::optional<RelTypeId> RelTypeOf(const GraphStore& store,
   return std::nullopt;
 }
 
-bool HasLabel(const std::vector<LabelId>& labels, LabelId l) {
-  return std::binary_search(labels.begin(), labels.end(), l);
-}
-
 /// Target label of a node trigger, resolved once per definition and cached
 /// (interner ids are stable; a miss is re-looked-up — the label may be
 /// interned later).
@@ -74,136 +70,10 @@ struct Entry {
   Value old_value;
 };
 
-/// Matches one trigger (with already-resolved target/property symbols)
-/// against the delta: the per-event linear scan, shared by the legacy path
-/// and by MatchActivations' public per-trigger API.
-std::vector<Entry> MatchEntries(const GraphStore& store,
-                                LabelEventSemantics label_sem,
-                                const TriggerDef& def, uint32_t target,
-                                std::optional<PropKeyId> prop,
-                                const GraphDelta& delta) {
-  std::vector<Entry> entries;
-  const bool is_node = def.item == ItemKind::kNode;
-
-  switch (def.event) {
-    case TriggerEvent::kCreate: {
-      if (is_node) {
-        for (NodeId id : delta.created_nodes) {
-          if (HasLabel(LabelsOf(store, delta, id), target)) {
-            entries.push_back({id.value, false, true, false,
-                               kInvalidSymbol, Value()});
-          }
-        }
-      } else {
-        for (RelId id : delta.created_rels) {
-          if (RelTypeOf(store, delta, id) == target) {
-            entries.push_back({id.value, false, true, false,
-                               kInvalidSymbol, Value()});
-          }
-        }
-      }
-      break;
-    }
-    case TriggerEvent::kDelete: {
-      if (is_node) {
-        for (const DeletedNodeImage& img : delta.deleted_nodes) {
-          if (HasLabel(img.labels, target)) {
-            entries.push_back({img.id.value, true, false, false,
-                               kInvalidSymbol, Value()});
-          }
-        }
-      } else {
-        for (const DeletedRelImage& img : delta.deleted_rels) {
-          if (img.type == target) {
-            entries.push_back({img.id.value, true, false, false,
-                               kInvalidSymbol, Value()});
-          }
-        }
-      }
-      break;
-    }
-    case TriggerEvent::kSet: {
-      if (prop.has_value()) {
-        if (is_node) {
-          for (const NodePropChange& pc : delta.assigned_node_props) {
-            if (pc.key == *prop &&
-                HasLabel(LabelsOf(store, delta, pc.node), target)) {
-              entries.push_back(
-                  {pc.node.value, true, true, true, pc.key, pc.old_value});
-            }
-          }
-        } else {
-          for (const RelPropChange& pc : delta.assigned_rel_props) {
-            if (pc.key == *prop && RelTypeOf(store, delta, pc.rel) == target) {
-              entries.push_back(
-                  {pc.rel.value, true, true, true, pc.key, pc.old_value});
-            }
-          }
-        }
-      } else {
-        // Label event (nodes only; validated at install time).
-        for (const LabelChange& lc : delta.assigned_labels) {
-          if (label_sem == LabelEventSemantics::kMonitoredLabel) {
-            if (lc.label == target) {
-              entries.push_back({lc.node.value, false, true, false,
-                                 kInvalidSymbol, Value()});
-            }
-          } else {
-            if (lc.label != target &&
-                HasLabel(LabelsOf(store, delta, lc.node), target)) {
-              entries.push_back({lc.node.value, false, true, false,
-                                 kInvalidSymbol, Value()});
-            }
-          }
-        }
-      }
-      break;
-    }
-    case TriggerEvent::kRemove: {
-      if (prop.has_value()) {
-        if (is_node) {
-          for (const NodePropChange& pc : delta.removed_node_props) {
-            if (pc.key == *prop &&
-                HasLabel(LabelsOf(store, delta, pc.node), target)) {
-              entries.push_back(
-                  {pc.node.value, true, false, true, pc.key, pc.old_value});
-            }
-          }
-        } else {
-          for (const RelPropChange& pc : delta.removed_rel_props) {
-            if (pc.key == *prop && RelTypeOf(store, delta, pc.rel) == target) {
-              entries.push_back(
-                  {pc.rel.value, true, false, true, pc.key, pc.old_value});
-            }
-          }
-        }
-      } else {
-        for (const LabelChange& lc : delta.removed_labels) {
-          if (label_sem == LabelEventSemantics::kMonitoredLabel) {
-            if (lc.label == target) {
-              entries.push_back({lc.node.value, true, false, false,
-                                 kInvalidSymbol, Value()});
-            }
-          } else {
-            if (lc.label != target &&
-                HasLabel(LabelsOf(store, delta, lc.node), target)) {
-              entries.push_back({lc.node.value, true, false, false,
-                                 kInvalidSymbol, Value()});
-            }
-          }
-        }
-      }
-      break;
-    }
-  }
-  return entries;
-}
-
 /// Turns one trigger's matched entries into activations (FOR EACH: one per
-/// entry; FOR ALL: one batched, deduplicated). Both dispatch strategies
-/// funnel through here, so their activations are structurally identical.
-/// Envs come from `env_pool` when given (engine-internal dispatch), so a
-/// steady-state round reuses warm buffers instead of allocating.
+/// entry; FOR ALL: one batched, deduplicated). Envs come from `env_pool`
+/// when given (engine-internal dispatch), so a steady-state round reuses
+/// warm buffers instead of allocating.
 void BuildActivations(std::shared_ptr<const TriggerDef> def,
                       const std::vector<Entry>& entries,
                       TransitionEnvPool* env_pool,
@@ -276,10 +146,10 @@ void BuildActivations(std::shared_ptr<const TriggerDef> def,
 
 }  // namespace
 
-/// Per-trigger entry buckets of one MatchAllIndexed walk, kept as engine
-/// scratch so the per-statement dispatch allocates nothing once warm. The
-/// buffers are only live within a single MatchAllIndexed call (activation
-/// derivation never re-enters the engine).
+/// Per-trigger entry buckets of one Derive walk, kept as engine scratch so
+/// the per-statement dispatch allocates nothing once warm. The buffers are
+/// only live within a single Derive call (activation derivation never
+/// re-enters the engine).
 struct PgTriggerEngine::MatchScratch {
   struct Bucket {
     std::shared_ptr<const TriggerDef> def;
@@ -315,65 +185,27 @@ PgTriggerEngine::PgTriggerEngine(Database* db)
 
 PgTriggerEngine::~PgTriggerEngine() = default;
 
-void PgTriggerEngine::AppendActivations(std::shared_ptr<const TriggerDef> def,
-                                        const GraphDelta& delta,
-                                        TransitionEnvPool* pool,
-                                        std::vector<Activation>* out) const {
-  const GraphStore& store = db_->store();
-  const bool is_node = def->item == ItemKind::kNode;
-
-  // Resolve the target label / relationship type; if it was never interned,
-  // no item can carry it and no event can match.
-  std::optional<uint32_t> target;
-  if (is_node) {
-    target = store.LookupLabel(def->label);
-  } else {
-    target = store.LookupRelType(def->label);
-  }
-  if (!target.has_value()) return;
-
-  std::optional<PropKeyId> prop;
-  if (!def->property.empty()) {
-    prop = store.LookupPropKey(def->property);
-    if (!prop.has_value()) return;  // property key never used
-  }
-
-  std::vector<Entry> entries =
-      MatchEntries(store, db_->options().label_event_semantics, *def, *target,
-                   prop, delta);
-  BuildActivations(std::move(def), entries, pool, out);
-}
-
 std::vector<Activation> PgTriggerEngine::MatchActivations(
-    const TriggerDef& def, const GraphDelta& delta) const {
-  std::vector<Activation> out;
-  // Non-owning alias: callers (tests, translators) pass stack-allocated
-  // defs; the resulting activations must not outlive them.
-  AppendActivations(std::shared_ptr<const TriggerDef>(
-                        std::shared_ptr<const TriggerDef>(), &def),
-                    delta, /*pool=*/nullptr, &out);
-  return out;
+    const TriggerDef& def, const GraphDelta& delta) {
+  // A one-trigger index over a non-owning alias: callers (tests, benches)
+  // pass stack-allocated defs; the activations must not outlive them.
+  DispatchIndex index;
+  index.Add(std::shared_ptr<const TriggerDef>(
+      std::shared_ptr<const TriggerDef>(), &def));
+  return Derive(index, def.time, delta, /*pool=*/nullptr);
 }
 
-std::vector<Activation> PgTriggerEngine::MatchAllLinear(
-    ActionTime time, const GraphDelta& delta) {
-  std::vector<Activation> out = AcquireActs();
-  for (std::shared_ptr<const TriggerDef>& def : db_->catalog().ByTime(time)) {
-    AppendActivations(std::move(def), delta, &env_pool_, &out);
-  }
-  return out;
-}
-
-std::vector<Activation> PgTriggerEngine::MatchAllIndexed(
-    ActionTime time, const GraphDelta& delta) {
+std::vector<Activation> PgTriggerEngine::Derive(DispatchIndex& index,
+                                                ActionTime time,
+                                                const GraphDelta& delta,
+                                                TransitionEnvPool* pool) {
   const GraphStore& store = db_->store();
-  DispatchIndex& dispatch = db_->catalog().dispatch();
-  if (dispatch.HasPending()) dispatch.ResolvePending(store);
+  if (index.HasPending()) index.ResolvePending(store);
 
   // Per-trigger entry buckets, created in first-match order. Each trigger
-  // reads exactly one delta category, so walking the categories in any
-  // fixed order preserves the per-trigger entry order of the linear scan.
-  // Buckets live in engine scratch: cleared per call, capacity kept.
+  // reads exactly one delta category, so every trigger sees its entries in
+  // delta order. Buckets live in engine scratch: cleared per call,
+  // capacity kept.
   MatchScratch& scratch = *scratch_;
   scratch.Reset();
   auto& buckets = scratch.buckets;
@@ -392,7 +224,7 @@ std::vector<Activation> PgTriggerEngine::MatchAllIndexed(
   };
   auto probe = [&](ItemKind item, TriggerEvent event, uint32_t sym,
                    PropKeyId prop) {
-    return dispatch.Probe(EventKey{time, item, event, sym, prop});
+    return index.Probe(EventKey{time, item, event, sym, prop});
   };
   const LabelEventSemantics label_sem = db_->options().label_event_semantics;
 
@@ -479,7 +311,7 @@ std::vector<Activation> PgTriggerEngine::MatchAllIndexed(
   emit_label_events(delta.removed_labels, TriggerEvent::kRemove,
                     /*has_old=*/true, /*has_new=*/false);
 
-  // Cross-bucket execution order matches the catalog's ByTime ordering.
+  // Cross-bucket execution order: Section 4.2 "Order of execution".
   const TriggerOrdering ordering = db_->options().trigger_ordering;
   std::sort(buckets.begin(), buckets.end(),
             [ordering](const MatchScratch::Bucket& a,
@@ -490,7 +322,7 @@ std::vector<Activation> PgTriggerEngine::MatchAllIndexed(
 
   std::vector<Activation> out = AcquireActs();
   for (MatchScratch::Bucket& b : buckets) {
-    BuildActivations(std::move(b.def), b.entries, &env_pool_, &out);
+    BuildActivations(std::move(b.def), b.entries, pool, &out);
   }
   return out;
 }
@@ -501,10 +333,7 @@ std::vector<Activation> PgTriggerEngine::MatchAll(ActionTime time,
   // can match — skip the delta walk entirely.
   if (db_->catalog().EnabledCount(time) == 0) return {};
   if (delta.Empty()) return {};
-  if (db_->options().use_dispatch_index) {
-    return MatchAllIndexed(time, delta);
-  }
-  return MatchAllLinear(time, delta);
+  return Derive(db_->catalog().dispatch(), time, delta, &env_pool_);
 }
 
 namespace {
@@ -682,7 +511,7 @@ Status PgTriggerEngine::ValidateBeforeDelta(const TriggerDef& def,
   auto fail = [&](const std::string& what) {
     return Status::ConstraintViolation(
         "BEFORE trigger '" + def.name + "' " + what +
-        "; BEFORE triggers may only condition NEW states (DESIGN.md D1)");
+        "; BEFORE triggers may only condition NEW states (Section 4)");
   };
   if (!delta.created_nodes.empty() || !delta.created_rels.empty() ||
       !delta.deleted_nodes.empty() || !delta.deleted_rels.empty() ||

@@ -137,20 +137,21 @@ class PgTriggerEngine : public TriggerRuntime {
 
   EngineStats& stats() { return stats_; }
 
-  /// Derives the activations of `def` raised by `delta` (exposed for tests
-  /// and for the translators' equivalence checks). Event matching follows
-  /// Section 4.2 and Table 3; label-event semantics follow
-  /// EngineOptions::label_event_semantics (D3). The returned activations
-  /// alias `def` without owning it; they must not outlive it.
+  /// Derives the activations of `def` raised by `delta`, whether or not
+  /// `def` is installed or enabled (tests and the Table 3 bench use it).
+  /// Runs the same walk as MatchAll over a one-trigger DispatchIndex, so
+  /// event matching (Section 4.2 and Table 3) and label-event semantics
+  /// (EngineOptions::label_event_semantics) are MatchAll's exactly. The
+  /// returned activations alias `def` without owning it; they must not
+  /// outlive it.
   std::vector<Activation> MatchActivations(const TriggerDef& def,
-                                           const GraphDelta& delta) const;
+                                           const GraphDelta& delta);
 
   /// All activations of enabled `time` triggers raised by `delta`, in
   /// execution order (EngineOptions::trigger_ordering across triggers,
-  /// delta order within one trigger). Probes the catalog's DispatchIndex
-  /// with one walk over the delta, or falls back to the legacy per-trigger
-  /// linear scan when EngineOptions::use_dispatch_index is off; both paths
-  /// produce identical activations in identical order.
+  /// delta order within one trigger). Walks the delta once and probes the
+  /// catalog's DispatchIndex per event, so the cost is O(|delta| +
+  /// matches) however many triggers are installed.
   std::vector<Activation> MatchAll(ActionTime time, const GraphDelta& delta);
 
   /// Evaluates condition and (if it holds) executes the action of one
@@ -206,13 +207,13 @@ class PgTriggerEngine : public TriggerRuntime {
   Status RunPlans(cypher::EvalContext& ctx, const Activation& act,
                   const TriggerPlans& plans, TriggerStats& ts,
                   ivm::TriggerIvmState* ivm_state);
-  std::vector<Activation> MatchAllIndexed(ActionTime time,
-                                          const GraphDelta& delta);
-  std::vector<Activation> MatchAllLinear(ActionTime time,
-                                         const GraphDelta& delta);
-  void AppendActivations(std::shared_ptr<const TriggerDef> def,
-                         const GraphDelta& delta, TransitionEnvPool* pool,
-                         std::vector<Activation>* out) const;
+  /// The one Section 4.2 event-matching routine behind MatchAll and
+  /// MatchActivations: resolves `index`'s pending triggers, walks `delta`
+  /// once probing `index` for `time` events, and builds the activations in
+  /// execution order. Envs come from `pool` when non-null.
+  std::vector<Activation> Derive(DispatchIndex& index, ActionTime time,
+                                 const GraphDelta& delta,
+                                 TransitionEnvPool* pool);
   /// `writer` is the trigger whose action produced `delta` (nullptr for a
   /// user statement): it attributes cascade-probe edges and lets the
   /// max_cascade_depth abort cite the statically-found cycle through the
@@ -248,9 +249,9 @@ class PgTriggerEngine : public TriggerRuntime {
   EngineStats stats_;
   TransitionEnvPool env_pool_;
   std::vector<std::vector<Activation>> acts_pool_;
-  /// Scratch buffers for MatchAllIndexed (per-trigger entry buckets),
-  /// reused across statements so the indexed dispatch walk allocates
-  /// nothing once warm. Only live within one MatchAllIndexed call.
+  /// Scratch buffers for Derive (per-trigger entry buckets), reused
+  /// across statements so the dispatch walk allocates nothing once warm.
+  /// Only live within one Derive call.
   struct MatchScratch;
   std::unique_ptr<MatchScratch> scratch_;
   CascadeProbe cascade_probe_;  // null when disarmed (the common case)

@@ -86,14 +86,6 @@ struct EngineOptions {
   LabelEventSemantics label_event_semantics =
       LabelEventSemantics::kMonitoredLabel;
 
-  /// Activation matching strategy. True (default): iterate the delta once
-  /// and probe the event-keyed DispatchIndex — O(|delta| + matches) per
-  /// statement regardless of how many triggers are installed. False: legacy
-  /// linear scan — every enabled trigger of the action time re-walks the
-  /// whole delta (O(T x |delta|)); kept for differential testing and the
-  /// dispatch-scaling ablation.
-  bool use_dispatch_index = true;
-
   /// Capacity of the Database's prepared-plan LRU for ad-hoc statement
   /// text. Every statement executes as a compiled plan (src/cypher/plan,
   /// docs/plan.md); the LRU keeps them across calls, and any index/trigger
@@ -128,9 +120,6 @@ struct EngineOptions {
   /// builds a report on demand); kWarn/kReject keep the triggering graph
   /// incrementally up to date on every CREATE/DROP TRIGGER.
   TerminationPolicy termination_policy = TerminationPolicy::kOff;
-
-  /// Epoch for the deterministic logical clock behind DATETIME().
-  int64_t clock_epoch_micros = 1'700'000'000'000'000;  // fixed, reproducible
 
   // --- Off-writer ASYNC (DETACHED) execution (docs/async.md) ----------------
 

@@ -17,6 +17,20 @@ Status UniqueViolation(const index::IndexCatalog::UniqueConflict& c) {
       std::to_string(c.holder.value));
 }
 
+/// Property values nest at most kMaxValueDepth lists/maps, so the WAL can
+/// decode every committed value.
+Status CheckDepth(const Value& v) {
+  if (v.WithinMaxDepth()) return Status::OK();
+  return Status::InvalidArgument("property value nests deeper than " +
+                                 std::to_string(kMaxValueDepth) +
+                                 " lists/maps");
+}
+
+Status CheckDepth(const PropMap& props) {
+  for (const auto& [key, v] : props) PGT_RETURN_IF_ERROR(CheckDepth(v));
+  return Status::OK();
+}
+
 }  // namespace
 
 Transaction::Transaction(GraphStore* store, uint64_t id)
@@ -79,6 +93,7 @@ Status Transaction::CheckActive() const {
 Result<NodeId> Transaction::CreateNode(const std::vector<LabelId>& labels,
                                        PropMap props) {
   PGT_RETURN_IF_ERROR(CheckActive());
+  PGT_RETURN_IF_ERROR(CheckDepth(props));
   // Write-time unique enforcement happens here (not in the store), so the
   // rollback path — which replays inverse mutations directly through the
   // store — can never be blocked by a constraint.
@@ -96,6 +111,7 @@ Result<NodeId> Transaction::CreateNode(const std::vector<LabelId>& labels,
 Result<RelId> Transaction::CreateRel(NodeId src, RelTypeId type, NodeId dst,
                                      PropMap props) {
   PGT_RETURN_IF_ERROR(CheckActive());
+  PGT_RETURN_IF_ERROR(CheckDepth(props));
   PGT_ASSIGN_OR_RETURN(RelId id,
                        store_->CreateRel(src, type, dst, std::move(props)));
   CurrentDelta().created_rels.push_back(id);
@@ -168,6 +184,7 @@ Status Transaction::RemoveLabel(NodeId id, LabelId label) {
 
 Status Transaction::SetNodeProp(NodeId id, PropKeyId key, Value value) {
   PGT_RETURN_IF_ERROR(CheckActive());
+  PGT_RETURN_IF_ERROR(CheckDepth(value));
   if (!replay_unchecked_ && !store_->indexes().empty() && !value.is_null()) {
     const NodeRecord* n = store_->GetNode(id);
     if (n != nullptr && n->alive) {
@@ -204,6 +221,7 @@ Status Transaction::RemoveNodeProp(NodeId id, PropKeyId key) {
 
 Status Transaction::SetRelProp(RelId id, PropKeyId key, Value value) {
   PGT_RETURN_IF_ERROR(CheckActive());
+  PGT_RETURN_IF_ERROR(CheckDepth(value));
   const Value new_copy = value;
   PGT_ASSIGN_OR_RETURN(Value old,
                        store_->SetRelProp(id, key, std::move(value)));

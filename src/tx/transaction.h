@@ -90,6 +90,8 @@ class Transaction {
   }
 
   // --- Change-tracked mutations --------------------------------------------
+  // Property values nesting more than kMaxValueDepth lists/maps are
+  // refused with InvalidArgument.
 
   Result<NodeId> CreateNode(const std::vector<LabelId>& labels,
                             PropMap props);

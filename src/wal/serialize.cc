@@ -191,10 +191,16 @@ Status Decoder::GetString(std::string_view* out) {
   return Status::OK();
 }
 
-Status Decoder::GetValue(Value* out) {
+Status Decoder::GetValueAt(Value* out, int depth) {
   uint8_t tag;
   PGT_RETURN_IF_ERROR(GetU8(&tag));
-  switch (static_cast<ValueType>(tag)) {
+  const ValueType type = static_cast<ValueType>(tag);
+  if ((type == ValueType::kList || type == ValueType::kMap) &&
+      depth >= kMaxValueDepth) {
+    return Status::IoError("decode: value nests deeper than " +
+                           std::to_string(kMaxValueDepth) + " lists/maps");
+  }
+  switch (type) {
     case ValueType::kNull:
       *out = Value();
       return Status::OK();
@@ -230,7 +236,7 @@ Status Decoder::GetValue(Value* out) {
       items.reserve(n);
       for (uint32_t i = 0; i < n; ++i) {
         Value item;
-        PGT_RETURN_IF_ERROR(GetValue(&item));
+        PGT_RETURN_IF_ERROR(GetValueAt(&item, depth + 1));
         items.push_back(std::move(item));
       }
       *out = Value::MakeList(std::move(items));
@@ -245,7 +251,7 @@ Status Decoder::GetValue(Value* out) {
         std::string_view key;
         PGT_RETURN_IF_ERROR(GetString(&key));
         Value item;
-        PGT_RETURN_IF_ERROR(GetValue(&item));
+        PGT_RETURN_IF_ERROR(GetValueAt(&item, depth + 1));
         items.emplace(std::string(key), std::move(item));
       }
       *out = Value::MakeMap(std::move(items));

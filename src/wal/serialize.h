@@ -59,7 +59,8 @@ class Decoder {
   Status GetI64(int64_t* out);
   Status GetDouble(double* out);
   Status GetString(std::string_view* out);
-  Status GetValue(Value* out);
+  /// Refuses (IoError) lists/maps nested deeper than kMaxValueDepth.
+  Status GetValue(Value* out) { return GetValueAt(out, 0); }
   Status GetPropMap(PropMap* out);
   Status GetDelta(GraphDelta* out);
 
@@ -79,6 +80,8 @@ class Decoder {
 
   template <typename T>
   Status GetFixed(T* out);
+  /// `depth` counts the lists/maps enclosing the value being decoded.
+  Status GetValueAt(Value* out, int depth);
 
   std::string_view data_;
   size_t pos_ = 0;

@@ -50,9 +50,9 @@ TEST_F(CatalogTest, DropAndDisable) {
                       "BEGIN CREATE (:A) END")
                   .ok());
   ASSERT_TRUE(catalog_.SetEnabled("T", false).ok());
-  EXPECT_TRUE(catalog_.ByTime(ActionTime::kAfter).empty());
+  EXPECT_EQ(catalog_.EnabledCount(ActionTime::kAfter), 0u);
   ASSERT_TRUE(catalog_.SetEnabled("T", true).ok());
-  EXPECT_EQ(catalog_.ByTime(ActionTime::kAfter).size(), 1u);
+  EXPECT_EQ(catalog_.EnabledCount(ActionTime::kAfter), 1u);
   ASSERT_TRUE(catalog_.Drop("T").ok());
   EXPECT_EQ(catalog_.Drop("T").code(), StatusCode::kNotFound);
 }
@@ -147,7 +147,7 @@ TEST_F(CatalogTest, ReferencingMustMatchGranularityAndItem) {
                   .ok());
 }
 
-TEST_F(CatalogTest, ByTimeFiltersAndOrdersByCreation) {
+TEST_F(CatalogTest, EnabledCountFiltersAndOrderIsByCreation) {
   ASSERT_TRUE(Install("CREATE TRIGGER Zeta AFTER CREATE ON 'L' FOR EACH "
                       "NODE BEGIN CREATE (:A) END")
                   .ok());
@@ -157,12 +157,16 @@ TEST_F(CatalogTest, ByTimeFiltersAndOrdersByCreation) {
   ASSERT_TRUE(Install("CREATE TRIGGER Mid ONCOMMIT CREATE ON 'L' FOR EACH "
                       "NODE BEGIN CREATE (:A) END")
                   .ok());
-  auto after = catalog_.ByTime(ActionTime::kAfter);
-  ASSERT_EQ(after.size(), 2u);
-  EXPECT_EQ(after[0]->name, "Zeta");  // creation order, not alphabetical
-  EXPECT_EQ(after[1]->name, "Alpha");
-  EXPECT_EQ(catalog_.ByTime(ActionTime::kOnCommit).size(), 1u);
-  EXPECT_TRUE(catalog_.ByTime(ActionTime::kDetached).empty());
+  ASSERT_EQ(catalog_.EnabledCount(ActionTime::kAfter), 2u);
+  const TriggerDef* zeta = catalog_.Find("Zeta");
+  const TriggerDef* alpha = catalog_.Find("Alpha");
+  // Creation order, not alphabetical.
+  EXPECT_TRUE(TriggerCatalog::ExecutionOrderLess(options_.trigger_ordering,
+                                                 *zeta, *alpha));
+  EXPECT_FALSE(TriggerCatalog::ExecutionOrderLess(options_.trigger_ordering,
+                                                  *alpha, *zeta));
+  EXPECT_EQ(catalog_.EnabledCount(ActionTime::kOnCommit), 1u);
+  EXPECT_EQ(catalog_.EnabledCount(ActionTime::kDetached), 0u);
 }
 
 TEST_F(CatalogTest, NameOrderingOption) {
@@ -173,8 +177,10 @@ TEST_F(CatalogTest, NameOrderingOption) {
   ASSERT_TRUE(Install("CREATE TRIGGER Alpha AFTER CREATE ON 'L' FOR EACH "
                       "NODE BEGIN CREATE (:A) END")
                   .ok());
-  auto after = catalog_.ByTime(ActionTime::kAfter);
-  EXPECT_EQ(after[0]->name, "Alpha");  // PostgreSQL-style
+  // PostgreSQL-style: Alpha runs first.
+  EXPECT_TRUE(TriggerCatalog::ExecutionOrderLess(
+      options_.trigger_ordering, *catalog_.Find("Alpha"),
+      *catalog_.Find("Zeta")));
 }
 
 TEST_F(CatalogTest, DropAllClearsEverything) {

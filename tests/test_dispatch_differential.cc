@@ -1,10 +1,16 @@
-// Differential suite for the event-keyed dispatch subsystem: the
-// DispatchIndex fast path must produce byte-identical activations and the
-// same firing order / per-trigger stats as the legacy per-trigger linear
-// scan, across all four action times, both trigger orderings, and both
-// label-event semantics. Also holds the delta-lifetime regression tests:
-// relationship events on rels deleted later in the same transaction, and
-// DROP TRIGGER while DETACHED activations are queued.
+// Recorded-output suite for event-keyed dispatch (Section 4.2 event
+// matching through the DispatchIndex). tests/dispatch_corpus.expected pins,
+// for every trigger ordering x label-event semantics configuration, the
+// firing log, per-trigger stats and final node count of an end-to-end
+// workload, plus the exact activations MatchAll derives at all four action
+// times. The transcript was recorded while the retired per-trigger linear
+// scan still coexisted with the index and produced byte-identical output
+// for every section (tests/transcript.h holds the harness).
+//
+// Also holds the statement-snapshot and index-maintenance tests, and the
+// delta-lifetime regression tests: relationship events on rels deleted
+// later in the same transaction, and DROP TRIGGER while DETACHED
+// activations are queued.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +19,7 @@
 #include <vector>
 
 #include "src/trigger/database.h"
+#include "tests/transcript.h"
 
 namespace pgt {
 namespace {
@@ -27,7 +34,7 @@ TriggerDef ParseDef(const std::string& ddl) {
 }
 
 /// Canonical text form of an activation (trigger identity + full transition
-/// environment), for byte-identical comparisons across dispatch modes.
+/// environment), as recorded in the transcript.
 std::string Describe(const Activation& act) {
   std::ostringstream os;
   os << act.trigger->name << "{";
@@ -108,178 +115,174 @@ std::vector<std::string> FiringLog(Database& db) {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end differential: identical firing order and stats in both modes.
+// The dispatch corpus: one recorded section per (trigger ordering x
+// label-event semantics) configuration.
 
-struct ModeParams {
-  TriggerOrdering ordering;
-  LabelEventSemantics semantics;
+/// Trigger set spanning all four action times, both granularities, both
+/// item kinds, property and label events. Names are chosen so that name
+/// order differs from creation order.
+const char* kCorpusTriggers[] = {
+    "CREATE TRIGGER Zcreate AFTER CREATE ON 'M' FOR EACH NODE "
+    "BEGIN CREATE (:Log {t: 'Zcreate'}) END",
+    "CREATE TRIGGER Acreate AFTER CREATE ON 'M' FOR ALL NODES "
+    "BEGIN CREATE (:Log {t: 'Acreate'}) END",
+    "CREATE TRIGGER Ybefore BEFORE SET ON 'M'.'p' FOR EACH NODE "
+    "BEGIN SET NEW.btag = 1 END",
+    "CREATE TRIGGER Bset AFTER SET ON 'M'.'p' FOR EACH NODE "
+    "BEGIN CREATE (:Log {t: 'Bset'}) END",
+    "CREATE TRIGGER Xlabel AFTER SET ON 'Extra' FOR EACH NODE "
+    "BEGIN CREATE (:Log {t: 'Xlabel'}) END",
+    "CREATE TRIGGER Crem AFTER REMOVE ON 'Extra' FOR EACH NODE "
+    "BEGIN CREATE (:Log {t: 'Crem'}) END",
+    // Label events on the target 'M': under kTargetSetChange they fire
+    // when another label (here 'Extra') changes on an 'M' node; under
+    // kMonitoredLabel only when 'M' itself is set or removed.
+    "CREATE TRIGGER Kmark AFTER SET ON 'M' FOR EACH NODE "
+    "BEGIN CREATE (:Log {t: 'Kmark'}) END",
+    "CREATE TRIGGER Lunmark AFTER REMOVE ON 'M' FOR ALL NODES "
+    "BEGIN CREATE (:Log {t: 'Lunmark'}) END",
+    "CREATE TRIGGER Wrelset AFTER SET ON 'T'.'w' FOR EACH RELATIONSHIP "
+    "BEGIN CREATE (:Log {t: 'Wrelset'}) END",
+    "CREATE TRIGGER Dreldel AFTER DELETE ON 'T' FOR EACH RELATIONSHIP "
+    "BEGIN CREATE (:Log {t: 'Dreldel'}) END",
+    "CREATE TRIGGER Vcommit ONCOMMIT CREATE ON 'M' FOR ALL NODES "
+    "BEGIN CREATE (:Log {t: 'Vcommit'}) END",
+    "CREATE TRIGGER Edetach DETACHED DELETE ON 'N' FOR EACH NODE "
+    "BEGIN CREATE (:Log {t: 'Edetach'}) END",
 };
 
-class DispatchDifferential
-    : public ::testing::TestWithParam<std::tuple<int, int>> {
- protected:
-  EngineOptions Options(bool use_dispatch_index) const {
-    EngineOptions opts;
-    opts.trigger_ordering = std::get<0>(GetParam()) == 0
-                                ? TriggerOrdering::kCreationTime
-                                : TriggerOrdering::kName;
-    opts.label_event_semantics = std::get<1>(GetParam()) == 0
-                                     ? LabelEventSemantics::kMonitoredLabel
-                                     : LabelEventSemantics::kTargetSetChange;
-    opts.use_dispatch_index = use_dispatch_index;
-    return opts;
-  }
-
-  /// Trigger set spanning all four action times, both granularities, both
-  /// item kinds, property and label events. Names are chosen so that
-  /// name order differs from creation order.
-  void InstallTriggers(Database& db) {
-    const std::vector<std::string> ddls = {
-        "CREATE TRIGGER Zcreate AFTER CREATE ON 'M' FOR EACH NODE "
-        "BEGIN CREATE (:Log {t: 'Zcreate'}) END",
-        "CREATE TRIGGER Acreate AFTER CREATE ON 'M' FOR ALL NODES "
-        "BEGIN CREATE (:Log {t: 'Acreate'}) END",
-        "CREATE TRIGGER Ybefore BEFORE SET ON 'M'.'p' FOR EACH NODE "
-        "BEGIN SET NEW.btag = 1 END",
-        "CREATE TRIGGER Bset AFTER SET ON 'M'.'p' FOR EACH NODE "
-        "BEGIN CREATE (:Log {t: 'Bset'}) END",
-        "CREATE TRIGGER Xlabel AFTER SET ON 'Extra' FOR EACH NODE "
-        "BEGIN CREATE (:Log {t: 'Xlabel'}) END",
-        "CREATE TRIGGER Crem AFTER REMOVE ON 'Extra' FOR EACH NODE "
-        "BEGIN CREATE (:Log {t: 'Crem'}) END",
-        "CREATE TRIGGER Wrelset AFTER SET ON 'T'.'w' FOR EACH RELATIONSHIP "
-        "BEGIN CREATE (:Log {t: 'Wrelset'}) END",
-        "CREATE TRIGGER Dreldel AFTER DELETE ON 'T' FOR EACH RELATIONSHIP "
-        "BEGIN CREATE (:Log {t: 'Dreldel'}) END",
-        "CREATE TRIGGER Vcommit ONCOMMIT CREATE ON 'M' FOR ALL NODES "
-        "BEGIN CREATE (:Log {t: 'Vcommit'}) END",
-        "CREATE TRIGGER Edetach DETACHED DELETE ON 'N' FOR EACH NODE "
-        "BEGIN CREATE (:Log {t: 'Edetach'}) END",
-    };
-    for (const std::string& ddl : ddls) {
-      auto r = db.Execute(ddl);
-      ASSERT_TRUE(r.ok()) << ddl << " -> " << r.status();
-    }
-  }
-
-  void RunWorkload(Database& db) {
-    const std::vector<std::string> statements = {
-        "CREATE (:M {p: 1})",
-        "CREATE (:M {p: 2}), (:N {q: 1})",
-        "MATCH (m:M) SET m.p = 10",
-        "MATCH (m:M {p: 10}) SET m:Extra",
-        "MATCH (m:Extra) REMOVE m:Extra",
-        "CREATE (:S1), (:S2)",
-        "MATCH (a:S1), (b:S2) CREATE (a)-[:T {w: 1}]->(b)",
-        "MATCH ()-[r:T]->() SET r.w = 2",
-        "MATCH ()-[r:T]->() DELETE r",
-        "MATCH (n:N) DELETE n",
-    };
-    for (const std::string& s : statements) {
-      auto r = db.Execute(s);
-      ASSERT_TRUE(r.ok()) << s << " -> " << r.status();
-    }
-  }
+/// End-to-end workload: its firing log, stats and node count are recorded.
+const char* kCorpusWorkload[] = {
+    "CREATE (:M {p: 1})",
+    "CREATE (:M {p: 2}), (:N {q: 1})",
+    "MATCH (m:M) SET m.p = 10",
+    "MATCH (m:M {p: 10}) SET m:Extra",
+    "MATCH (m:Extra) REMOVE m:Extra",
+    "CREATE (:S1), (:S2)",
+    "MATCH (a:S1), (b:S2) CREATE (a)-[:T {w: 1}]->(b)",
+    "MATCH ()-[r:T]->() SET r.w = 2",
+    "MATCH ()-[r:T]->() DELETE r",
+    "MATCH (n:N) DELETE n",
 };
 
-TEST_P(DispatchDifferential, FiringOrderAndStatsIdentical) {
-  Database indexed(Options(/*use_dispatch_index=*/true));
-  Database linear(Options(/*use_dispatch_index=*/false));
-  InstallTriggers(indexed);
-  InstallTriggers(linear);
-  RunWorkload(indexed);
-  RunWorkload(linear);
+/// Statements whose raw deltas are fed to MatchAll at every action time.
+const char* kCorpusDeltas[] = {
+    "CREATE (:M {p: 1}), (:M {p: 2}), (:N)",
+    "MATCH (m:M) SET m.p = 20",
+    "MATCH (m:M) SET m:Extra",
+    "MATCH (m:Extra) REMOVE m:Extra",
+    "CREATE (:S1), (:S2)",
+    "MATCH (a:S1), (b:S2) CREATE (a)-[:T {w: 1}]->(b)",
+    "MATCH ()-[r:T]->() SET r.w = 5",
+    "MATCH ()-[r:T]->() DELETE r",
+    "MATCH (n:N) DETACH DELETE n",
+};
 
-  const std::vector<std::string> log_indexed = FiringLog(indexed);
-  const std::vector<std::string> log_linear = FiringLog(linear);
-  EXPECT_FALSE(log_indexed.empty());
-  EXPECT_EQ(log_indexed, log_linear);
-
-  const EngineStats& si = indexed.stats();
-  const EngineStats& sl = linear.stats();
-  ASSERT_EQ(si.per_trigger.size(), sl.per_trigger.size());
-  for (const auto& [name, ts] : si.per_trigger) {
-    auto it = sl.per_trigger.find(name);
-    ASSERT_NE(it, sl.per_trigger.end()) << name;
-    EXPECT_EQ(ts.considered, it->second.considered) << name;
-    EXPECT_EQ(ts.fired, it->second.fired) << name;
-    EXPECT_EQ(ts.action_rows, it->second.action_rows) << name;
-    EXPECT_EQ(ts.errors, it->second.errors) << name;
+void InstallCorpusTriggers(std::ostringstream& os, Database& db) {
+  for (const char* ddl : kCorpusTriggers) {
+    auto r = db.Execute(ddl);
+    if (!r.ok()) os << "error: " << ddl << " -> " << r.status() << "\n";
   }
-  EXPECT_EQ(Count(indexed, "MATCH (n) RETURN COUNT(*) AS c"),
-            Count(linear, "MATCH (n) RETURN COUNT(*) AS c"));
 }
 
-TEST_P(DispatchDifferential, MatchAllActivationsByteIdentical) {
-  Database db(Options(/*use_dispatch_index=*/true));
-  InstallTriggers(db);
+std::string CorpusSection(TriggerOrdering ordering,
+                          LabelEventSemantics semantics) {
+  EngineOptions opts;
+  opts.trigger_ordering = ordering;
+  opts.label_event_semantics = semantics;
+  std::ostringstream os;
 
-  const std::vector<std::string> statements = {
-      "CREATE (:M {p: 1}), (:M {p: 2}), (:N)",
-      "MATCH (m:M) SET m.p = 20",
-      "MATCH (m:M) SET m:Extra",
-      "MATCH (m:Extra) REMOVE m:Extra",
-      "CREATE (:S1), (:S2)",
-      "MATCH (a:S1), (b:S2) CREATE (a)-[:T {w: 1}]->(b)",
-      "MATCH ()-[r:T]->() SET r.w = 5",
-      "MATCH ()-[r:T]->() DELETE r",
-      "MATCH (n:N) DETACH DELETE n",
+  Database db(opts);
+  InstallCorpusTriggers(os, db);
+  for (const char* s : kCorpusWorkload) {
+    auto r = db.Execute(s);
+    if (!r.ok()) os << "error: " << s << " -> " << r.status() << "\n";
+  }
+  os << "-- firing log\n";
+  for (const std::string& t : FiringLog(db)) os << t << "\n";
+  os << "-- stats\n";
+  for (const auto& [name, ts] : db.stats().per_trigger) {
+    os << name << ": considered=" << ts.considered << " fired=" << ts.fired
+       << " action_rows=" << ts.action_rows << " errors=" << ts.errors
+       << "\n";
+  }
+  os << "-- nodes: " << Count(db, "MATCH (n) RETURN COUNT(*) AS c") << "\n";
+
+  os << "-- activations\n";
+  Database fresh(opts);
+  InstallCorpusTriggers(os, fresh);
+  constexpr std::pair<ActionTime, const char*> kTimes[] = {
+      {ActionTime::kBefore, "BEFORE"},
+      {ActionTime::kAfter, "AFTER"},
+      {ActionTime::kOnCommit, "ONCOMMIT"},
+      {ActionTime::kDetached, "DETACHED"},
   };
-  constexpr ActionTime kTimes[] = {ActionTime::kBefore, ActionTime::kAfter,
-                                   ActionTime::kOnCommit,
-                                   ActionTime::kDetached};
-  for (const std::string& s : statements) {
-    GraphDelta delta = RunAndCapture(db, s);
-    for (ActionTime time : kTimes) {
-      db.options().use_dispatch_index = true;
-      const std::vector<std::string> fast =
-          DescribeAll(db.engine(), time, delta);
-      db.options().use_dispatch_index = false;
-      const std::vector<std::string> slow =
-          DescribeAll(db.engine(), time, delta);
-      db.options().use_dispatch_index = true;
-      EXPECT_EQ(fast, slow) << "statement: " << s;
+  for (const char* s : kCorpusDeltas) {
+    os << "> " << s << "\n";
+    GraphDelta delta = RunAndCapture(fresh, s);
+    for (const auto& [time, tag] : kTimes) {
+      for (const std::string& act : DescribeAll(fresh.engine(), time, delta)) {
+        os << tag << " " << act << "\n";
+      }
     }
   }
+  return os.str();
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    OrderingsAndSemantics, DispatchDifferential,
-    ::testing::Combine(::testing::Values(0, 1), ::testing::Values(0, 1)),
-    [](const ::testing::TestParamInfo<std::tuple<int, int>>& info) {
-      return std::string(std::get<0>(info.param) == 0 ? "CreationTime"
-                                                      : "NameOrder") +
-             (std::get<1>(info.param) == 0 ? "MonitoredLabel"
-                                           : "TargetSetChange");
-    });
+const RecordedTranscript& Corpus() {
+  using O = TriggerOrdering;
+  using L = LabelEventSemantics;
+  static const RecordedTranscript kCorpus(
+      "dispatch_corpus",
+      {
+          {"creation_time.monitored_label",
+           [] { return CorpusSection(O::kCreationTime, L::kMonitoredLabel); }},
+          {"creation_time.target_set_change",
+           [] { return CorpusSection(O::kCreationTime, L::kTargetSetChange); }},
+          {"name.monitored_label",
+           [] { return CorpusSection(O::kName, L::kMonitoredLabel); }},
+          {"name.target_set_change",
+           [] { return CorpusSection(O::kName, L::kTargetSetChange); }},
+      });
+  return kCorpus;
+}
+
+TEST(DispatchCorpus, CreationTimeMonitoredLabel) {
+  Corpus().Check("creation_time.monitored_label");
+}
+TEST(DispatchCorpus, CreationTimeTargetSetChange) {
+  Corpus().Check("creation_time.target_set_change");
+}
+TEST(DispatchCorpus, NameMonitoredLabel) {
+  Corpus().Check("name.monitored_label");
+}
+TEST(DispatchCorpus, NameTargetSetChange) {
+  Corpus().Check("name.target_set_change");
+}
+TEST(DispatchCorpus, EverySectionRecorded) {
+  Corpus().CheckEverySectionRecorded();
+}
 
 // ---------------------------------------------------------------------------
-// Statement-level snapshot semantics (locked in by this PR): all triggers
-// activated by the same statement are matched up front against one
-// consistent snapshot of the statement's events (Section 4.2), so an
-// earlier trigger's action cannot un-match a sibling trigger of the same
-// statement. (Previously matching was lazy, per trigger, against the
-// mutated store.)
+// Statement-level snapshot semantics: all triggers activated by the same
+// statement are matched up front against one consistent snapshot of the
+// statement's events (Section 4.2), so an earlier trigger's action cannot
+// un-match a sibling trigger of the same statement.
 
 TEST(SnapshotSemantics, EarlierTriggerCannotUnmatchSibling) {
-  for (bool use_index : {true, false}) {
-    EngineOptions opts;
-    opts.use_dispatch_index = use_index;
-    Database db(opts);
-    // T1 runs first (creation order) and strips :B from the new node; T2
-    // monitors CREATE on 'B' and must still fire on the snapshot.
-    ASSERT_TRUE(db.Execute("CREATE TRIGGER T1 AFTER CREATE ON 'A' "
-                           "FOR EACH NODE BEGIN REMOVE NEW:B END")
-                    .ok());
-    ASSERT_TRUE(db.Execute("CREATE TRIGGER T2 AFTER CREATE ON 'B' "
-                           "FOR EACH NODE BEGIN CREATE (:SawB) END")
-                    .ok());
-    ASSERT_TRUE(db.Execute("CREATE (:A:B)").ok());
-    EXPECT_EQ(Count(db, "MATCH (s:SawB) RETURN COUNT(*) AS c"), 1)
-        << "use_dispatch_index=" << use_index;
-    EXPECT_EQ(db.stats().per_trigger["T1"].fired, 1u);
-    EXPECT_EQ(db.stats().per_trigger["T2"].fired, 1u);
-  }
+  Database db;
+  // T1 runs first (creation order) and strips :B from the new node; T2
+  // monitors CREATE on 'B' and must still fire on the snapshot.
+  ASSERT_TRUE(db.Execute("CREATE TRIGGER T1 AFTER CREATE ON 'A' "
+                         "FOR EACH NODE BEGIN REMOVE NEW:B END")
+                  .ok());
+  ASSERT_TRUE(db.Execute("CREATE TRIGGER T2 AFTER CREATE ON 'B' "
+                         "FOR EACH NODE BEGIN CREATE (:SawB) END")
+                  .ok());
+  ASSERT_TRUE(db.Execute("CREATE (:A:B)").ok());
+  EXPECT_EQ(Count(db, "MATCH (s:SawB) RETURN COUNT(*) AS c"), 1);
+  EXPECT_EQ(db.stats().per_trigger["T1"].fired, 1u);
+  EXPECT_EQ(db.stats().per_trigger["T2"].fired, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -402,9 +405,6 @@ TEST_F(RelDeltaLifetime, IndexedDispatchUsesSameFallback) {
   GraphDelta delta = DeletedOnlyDelta();
   delta.assigned_rel_props.push_back(
       RelPropChange{RelId{977}, key_, Value::Int(1), Value::Int(2)});
-  db_.options().use_dispatch_index = true;
-  EXPECT_EQ(db_.engine().MatchAll(ActionTime::kDetached, delta).size(), 1u);
-  db_.options().use_dispatch_index = false;
   EXPECT_EQ(db_.engine().MatchAll(ActionTime::kDetached, delta).size(), 1u);
 }
 

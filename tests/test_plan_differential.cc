@@ -14,12 +14,10 @@
 // compiled executor still coexisted and produced identical output for
 // every section, so it doubles as the interpreter's semantics. On a
 // mismatch the test writes the actual transcript to plan_corpus.actual in
-// the working directory for review.
+// the working directory for review (tests/transcript.h).
 
 #include <gtest/gtest.h>
 
-#include <fstream>
-#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -27,6 +25,7 @@
 
 #include "src/storage/snapshot.h"
 #include "src/trigger/database.h"
+#include "tests/transcript.h"
 
 namespace pgt {
 namespace {
@@ -485,77 +484,27 @@ std::string SectionSnapshotReads() {
   return os.str();
 }
 
-using SectionFn = std::string (*)();
-
-const std::map<std::string, SectionFn>& Sections() {
-  static const std::map<std::string, SectionFn> kSections = {
-      {"corpus", &SectionCorpus},
-      {"multi_statement_tx", &SectionMultiStatementTx},
-      {"index_ddl", &SectionIndexDdl},
-      {"late_interned_symbols", &SectionLateInternedSymbols},
-      {"star_and_call", &SectionStarAndCall},
-      {"runtime_errors", &SectionRuntimeErrors},
-      {"const_in_probe", &SectionConstInProbe},
-      {"huge_int_bands", &SectionHugeIntBands},
-      {"snapshot_reads", &SectionSnapshotReads},
-  };
-  return kSections;
-}
-
-/// The whole transcript: "### <section>" headers, sections in name order.
-std::string Transcript() {
-  std::string out;
-  for (const auto& [name, fn] : Sections()) {
-    out += "### " + name + "\n" + fn();
-  }
-  return out;
-}
-
-std::map<std::string, std::string> ParseExpected(const std::string& text) {
-  std::map<std::string, std::string> out;
-  std::string* current = nullptr;
-  std::istringstream in(text);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.rfind("### ", 0) == 0) {
-      current = &out[line.substr(4)];
-      continue;
-    }
-    if (current != nullptr) *current += line + "\n";
-  }
-  return out;
+const RecordedTranscript& Corpus() {
+  static const RecordedTranscript kCorpus(
+      "plan_corpus",
+      {
+          {"corpus", &SectionCorpus},
+          {"multi_statement_tx", &SectionMultiStatementTx},
+          {"index_ddl", &SectionIndexDdl},
+          {"late_interned_symbols", &SectionLateInternedSymbols},
+          {"star_and_call", &SectionStarAndCall},
+          {"runtime_errors", &SectionRuntimeErrors},
+          {"const_in_probe", &SectionConstInProbe},
+          {"huge_int_bands", &SectionHugeIntBands},
+          {"snapshot_reads", &SectionSnapshotReads},
+      });
+  return kCorpus;
 }
 
 class PlanCorpus : public ::testing::Test {
  protected:
-  static void SetUpTestSuite() {
-    std::ifstream in(PGT_TEST_DATA_DIR "/plan_corpus.expected");
-    ASSERT_TRUE(in.good()) << "missing tests/plan_corpus.expected";
-    std::stringstream buf;
-    buf << in.rdbuf();
-    expected_ = new std::map<std::string, std::string>(
-        ParseExpected(buf.str()));
-  }
-  static void TearDownTestSuite() {
-    delete expected_;
-    expected_ = nullptr;
-  }
-
-  void Check(const std::string& section) {
-    ASSERT_NE(expected_, nullptr);
-    auto it = expected_->find(section);
-    ASSERT_NE(it, expected_->end()) << "no recorded section " << section;
-    const std::string actual = Sections().at(section)();
-    if (actual != it->second) {
-      std::ofstream("plan_corpus.actual") << Transcript();
-    }
-    EXPECT_EQ(actual, it->second) << "section " << section;
-  }
-
-  static std::map<std::string, std::string>* expected_;
+  void Check(const std::string& section) { Corpus().Check(section); }
 };
-
-std::map<std::string, std::string>* PlanCorpus::expected_ = nullptr;
 
 TEST_F(PlanCorpus, Corpus) { Check("corpus"); }
 TEST_F(PlanCorpus, MultiStatementTx) { Check("multi_statement_tx"); }
@@ -568,8 +517,7 @@ TEST_F(PlanCorpus, HugeIntBands) { Check("huge_int_bands"); }
 TEST_F(PlanCorpus, SnapshotReads) { Check("snapshot_reads"); }
 
 TEST_F(PlanCorpus, EverySectionRecorded) {
-  ASSERT_NE(expected_, nullptr);
-  EXPECT_EQ(expected_->size(), Sections().size());
+  Corpus().CheckEverySectionRecorded();
 }
 
 // Trigger DDL bumps the plan epoch as well (conservative invalidation).

@@ -14,8 +14,10 @@
 #include <vector>
 
 #include "src/common/value.h"
+#include "src/trigger/database.h"
 #include "src/tx/delta.h"
 #include "src/wal/crc32c.h"
+#include "src/wal/fault_fs.h"
 #include "src/wal/serialize.h"
 #include "src/wal/snapshot_file.h"
 #include "src/wal/wal_format.h"
@@ -97,6 +99,89 @@ TEST(WalValueCodec, ListsAndMapsNested) {
   inner.emplace("deep", Value::MakeMap({}));
   m.emplace("m", Value::MakeMap(std::move(inner)));
   ExpectValueRoundTrip(Value::MakeMap(std::move(m)));
+}
+
+/// `depth` lists (or maps, keyed "k") nested around the integer 1.
+Value Nested(int depth, bool maps = false) {
+  Value v = Value::Int(1);
+  for (int i = 0; i < depth; ++i) {
+    if (maps) {
+      Value::Map m;
+      m.emplace("k", std::move(v));
+      v = Value::MakeMap(std::move(m));
+    } else {
+      v = Value::MakeList({std::move(v)});
+    }
+  }
+  return v;
+}
+
+TEST(WalValueCodec, NestingAtTheDepthCapRoundTrips) {
+  ExpectValueRoundTrip(Nested(kMaxValueDepth));
+  ExpectValueRoundTrip(Nested(kMaxValueDepth, /*maps=*/true));
+  for (bool maps : {false, true}) {
+    const std::string bytes = EncodeValue(Nested(kMaxValueDepth + 1, maps));
+    Decoder dec(bytes);
+    Value out;
+    EXPECT_EQ(dec.GetValue(&out).code(), StatusCode::kIoError);
+  }
+}
+
+TEST(WalValueCodec, MillionDeepCraftedListFailsCleanly) {
+  // One-element lists nested 1,000,000 deep (5 bytes per level): decoding
+  // must return a Status, not overflow the stack.
+  Encoder enc;
+  for (int i = 0; i < 1'000'000; ++i) {
+    enc.PutU8(static_cast<uint8_t>(ValueType::kList));
+    enc.PutU32(1);
+  }
+  enc.PutU8(static_cast<uint8_t>(ValueType::kNull));
+  Decoder dec(enc.buffer());
+  Value out;
+  EXPECT_EQ(dec.GetValue(&out).code(), StatusCode::kIoError);
+}
+
+TEST(WalValueCodec, WritesPastTheDepthCapAreRefused) {
+  // Every committed value must stay decodable: growing a property one list
+  // level per statement stops at the cap with InvalidArgument, leaves the
+  // last accepted value in place, and that value survives recovery.
+  MemVfs vfs;
+  WalOptions opts;
+  opts.dir = "/db";
+  opts.vfs = &vfs;
+  {
+    auto db = Database::Open(opts);
+    ASSERT_TRUE(db.ok()) << db.status();
+    ASSERT_TRUE((*db)->Execute("CREATE (:N {p: 1})").ok());
+    for (int i = 0; i < kMaxValueDepth; ++i) {
+      ASSERT_TRUE((*db)->Execute("MATCH (n:N) SET n.p = [n.p]").ok()) << i;
+    }
+    auto past = (*db)->Execute("MATCH (n:N) SET n.p = [n.p]");
+    EXPECT_EQ(past.status().code(), StatusCode::kInvalidArgument);
+    ASSERT_TRUE(
+        (*db)->Execute("MATCH (n:N) CREATE (n)-[:R {p: 1}]->(n)").ok());
+    const Params too_deep{{"v", Nested(kMaxValueDepth + 1)}};
+    for (const char* write : {
+             "CREATE (:N {p: $v})",
+             "MATCH (n:N) CREATE (n)-[:R {p: $v}]->(n)",
+             "MATCH ()-[r:R]->() SET r.p = $v",
+         }) {
+      EXPECT_EQ((*db)->Execute(write, too_deep).status().code(),
+                StatusCode::kInvalidArgument)
+          << write;
+    }
+    auto r = (*db)->Execute("MATCH (n:N) RETURN n.p");
+    ASSERT_TRUE(r.ok()) << r.status();
+    ASSERT_EQ(r->rows.size(), 1u);
+    EXPECT_EQ(EncodeValue(r->rows[0][0]), EncodeValue(Nested(kMaxValueDepth)));
+    ASSERT_TRUE((*db)->Close().ok());
+  }
+  auto db = Database::Open(opts);
+  ASSERT_TRUE(db.ok()) << db.status();
+  auto r = (*db)->Execute("MATCH (n:N) RETURN n.p");
+  ASSERT_TRUE(r.ok()) << r.status();
+  ASSERT_EQ(r->rows.size(), 1u);
+  EXPECT_EQ(EncodeValue(r->rows[0][0]), EncodeValue(Nested(kMaxValueDepth)));
 }
 
 TEST(WalValueCodec, PropMapRoundTrip) {
