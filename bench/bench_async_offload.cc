@@ -89,7 +89,6 @@ Point RunMode(const std::string& mode, const Config& cfg, int pool,
   EngineOptions opts;
   opts.async_pool_size = pool;
   opts.async_queue_capacity = 1 << 16;
-  opts.async_backpressure = AsyncBackpressure::kBlock;
   Database db(opts);
   BuildGraph(db, cfg);
   InstallAuditTrigger(db);

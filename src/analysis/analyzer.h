@@ -61,7 +61,8 @@ struct AnalysisReport {
 /// whenever the catalog changed without notifications (EnsureSynced
 /// compares the catalog's ddl_epoch).
 ///
-/// Single-threaded like the rest of the engine (DESIGN.md D7).
+/// Single-threaded: only the writer touches it, and trigger DDL quiesces
+/// the async pool first (docs/async.md, "Quiesce fences").
 class TriggerAnalyzer {
  public:
   TriggerAnalyzer(const TriggerCatalog* catalog, const GraphStore* store,

@@ -16,7 +16,6 @@ std::shared_ptr<PreparedStatement> PlanCache::Get(std::string_view text) {
 
 void PlanCache::Put(std::string_view text,
                     std::shared_ptr<PreparedStatement> stmt) {
-  if (capacity_ == 0) return;
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(text);
   if (it != entries_.end()) {

@@ -38,7 +38,7 @@ struct PreparedStatement {
 /// validation is the caller's job — the cache only stores and evicts.
 class PlanCache {
  public:
-  explicit PlanCache(size_t capacity = 128) : capacity_(capacity) {}
+  explicit PlanCache(size_t capacity) : capacity_(capacity) {}
 
   /// Returns the cached entry for `text` (marking it most-recently-used),
   /// or null. Heterogeneous lookup: no string copy on the hot Get path.

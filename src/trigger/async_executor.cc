@@ -12,9 +12,8 @@
 
 namespace pgt {
 
-AsyncExecutor::AsyncExecutor(Database* db, int workers, size_t capacity,
-                             AsyncBackpressure backpressure)
-    : db_(db), capacity_(capacity), backpressure_(backpressure) {
+AsyncExecutor::AsyncExecutor(Database* db, int workers, size_t capacity)
+    : db_(db), capacity_(capacity) {
   if (workers < 0) workers = 0;
   alive_workers_ = workers;
   workers_.reserve(static_cast<size_t>(workers));
@@ -69,11 +68,6 @@ void AsyncExecutor::Enqueue(std::vector<Activation>&& acts,
       shed_.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
-    if (backpressure_ == AsyncBackpressure::kReject &&
-        OutstandingLocked() >= capacity_) {
-      rejected_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
     auto item = std::make_unique<Item>();
     item->seq = next_seq_++;
     item->act = std::move(act);
@@ -100,8 +94,8 @@ void AsyncExecutor::WorkerMain() {
     // Fault containment: an injected "async.worker" fault kills this worker
     // mid-claim. Crucially the claimed item is still published — unevaluated
     // (no_fire stays false), so it gets the full on-writer run — which keeps
-    // the FIFO apply chain satisfiable: quiesce/backpressure waits watch for
-    // done_.count(next_apply_), and a silently vanished head would park them
+    // the FIFO apply chain satisfiable: the quiesce wait watches for
+    // done_.count(next_apply_), and a silently vanished head would park it
     // forever (docs/robustness.md).
     const bool dying = !FaultRegistry::Global().Hit("async.worker").ok();
     if (!dying) PreEvaluate(item.get());
@@ -113,7 +107,7 @@ void AsyncExecutor::WorkerMain() {
         worker_deaths_.fetch_add(1, std::memory_order_relaxed);
         if (--alive_workers_ <= 0) {
           // Last worker down: nobody is left to claim pending_ items, so a
-          // kBlock writer waiting for the pool to drain would deadlock.
+          // writer blocked on backpressure would wait forever.
           // Adopt the whole queue unevaluated (full runs at apply) and stop
           // accepting — the engine serial-drains future commits inline.
           accepting_.store(false, std::memory_order_release);
@@ -205,7 +199,7 @@ void AsyncExecutor::TryApply() {
       item = std::move(it->second);
       done_.erase(it);
     }
-    ApplyOwned(item.get(), /*spilled=*/false);
+    ApplyOwned(item.get());
     {
       std::lock_guard<std::mutex> lock(mu_);
       ++next_apply_;
@@ -215,20 +209,18 @@ void AsyncExecutor::TryApply() {
   }
 }
 
-void AsyncExecutor::ApplyOwned(Item* item, bool spilled) {
+void AsyncExecutor::ApplyOwned(Item* item) {
   uint64_t chain = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     applying_ = true;
     chain = ++chain_applies_;
   }
-  // Pool-mode analog of the serial drain's max_detached_queue valve: a
+  // Pool-mode analog of the serial drain's kMaxDetachedQueue valve: a
   // self-sustaining detached chain (each apply enqueues successors) is cut
   // off by dropping instead of erroring — the activating committer already
   // returned, so there is nobody left to hand the error to (docs/async.md).
-  const auto limit =
-      static_cast<uint64_t>(db_->options().max_detached_queue);
-  if (chain > limit) {
+  if (chain > static_cast<uint64_t>(PgTriggerEngine::kMaxDetachedQueue)) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
   } else if (!FaultRegistry::Global().Hit("async.apply").ok()) {
     // Fault containment: an injected apply failure sheds the activation but
@@ -242,12 +234,10 @@ void AsyncExecutor::ApplyOwned(Item* item, bool spilled) {
     db_->engine().ApplyPoolSkip(item->act);
     prefiltered_.fetch_add(1, std::memory_order_relaxed);
     applied_.fetch_add(1, std::memory_order_relaxed);
-    if (spilled) spilled_.fetch_add(1, std::memory_order_relaxed);
   } else {
     (void)db_->engine().ApplyPoolDeferred(item->act, *item->source);
     deferred_.fetch_add(1, std::memory_order_relaxed);
     applied_.fetch_add(1, std::memory_order_relaxed);
-    if (spilled) spilled_.fetch_add(1, std::memory_order_relaxed);
   }
   std::lock_guard<std::mutex> lock(mu_);
   applying_ = false;
@@ -289,7 +279,7 @@ void AsyncExecutor::QuiesceHoldingWriterMu() {
         continue;
       }
     }
-    ApplyOwned(item.get(), /*spilled=*/false);
+    ApplyOwned(item.get());
     {
       std::lock_guard<std::mutex> lock(mu_);
       ++next_apply_;
@@ -300,46 +290,13 @@ void AsyncExecutor::QuiesceHoldingWriterMu() {
 }
 
 void AsyncExecutor::StatementBoundary() {
-  if (backpressure_ == AsyncBackpressure::kReject) return;
-  if (backpressure_ == AsyncBackpressure::kBlock) {
-    std::unique_lock<std::mutex> lock(mu_);
-    // alive_workers_ == 0: every worker died to an injected fault; nothing
-    // will drain pending_, so waiting would deadlock. Leftovers are applied
-    // at the next quiesce point (DDL / checkpoint / shutdown).
-    cv_state_.wait(lock, [this] {
-      return stop_ || alive_workers_ <= 0 || OutstandingLocked() <= capacity_;
-    });
-    return;
-  }
-  // kSpill: the writer thread absorbs the overflow itself, oldest first.
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stop_ || OutstandingLocked() <= capacity_) return;
-  }
-  std::lock_guard<std::mutex> writer(db_->writer_interlock());
-  for (;;) {
-    std::unique_ptr<Item> item;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      if (stop_ || OutstandingLocked() <= capacity_) return;
-      item = TakeNextLocked();
-      if (item == nullptr) {
-        // Same shape as the quiesce wait: a worker holds the head.
-        cv_state_.wait(lock, [this] {
-          return stop_ || done_.count(next_apply_) != 0 ||
-                 OutstandingLocked() <= capacity_;
-        });
-        continue;
-      }
-    }
-    ApplyOwned(item.get(), /*spilled=*/true);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++next_apply_;
-      if (OutstandingLocked() == 0) chain_applies_ = 0;
-    }
-    cv_state_.notify_all();
-  }
+  std::unique_lock<std::mutex> lock(mu_);
+  // alive_workers_ == 0: every worker died to an injected fault; nothing
+  // will drain pending_, so waiting would deadlock. Leftovers are applied
+  // at the next quiesce point (DDL / checkpoint / shutdown).
+  cv_state_.wait(lock, [this] {
+    return stop_ || alive_workers_ <= 0 || OutstandingLocked() <= capacity_;
+  });
 }
 
 bool AsyncExecutor::Idle() const {
@@ -359,7 +316,6 @@ AsyncPoolStats AsyncExecutor::Stats() const {
   s.applied = applied_.load(std::memory_order_relaxed);
   s.prefiltered = prefiltered_.load(std::memory_order_relaxed);
   s.deferred = deferred_.load(std::memory_order_relaxed);
-  s.spilled = spilled_.load(std::memory_order_relaxed);
   s.rejected = rejected_.load(std::memory_order_relaxed);
   s.shed = shed_.load(std::memory_order_relaxed);
   s.worker_deaths = worker_deaths_.load(std::memory_order_relaxed);

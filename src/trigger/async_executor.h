@@ -14,7 +14,6 @@
 #include "src/storage/snapshot.h"
 #include "src/trigger/engine.h"
 #include "src/trigger/trigger_plan.h"
-#include "src/trigger/options.h"
 #include "src/tx/delta.h"
 
 namespace pgt {
@@ -28,12 +27,14 @@ struct AsyncPoolStats {
   uint64_t applied = 0;      ///< activations fully retired (any outcome)
   uint64_t prefiltered = 0;  ///< retired via the snapshot no-fire fast path
   uint64_t deferred = 0;     ///< retired via the full on-writer run
-  uint64_t spilled = 0;      ///< applied inline by the writer (kSpill)
-  uint64_t rejected = 0;     ///< dropped at enqueue (kReject) or overflow
+  /// Always 0: the writer never applies pool work at a statement boundary
+  /// (it blocks instead). Kept for readers of the stats struct.
+  uint64_t spilled = 0;
+  uint64_t rejected = 0;     ///< dropped by the chain valve
   uint64_t queue_depth = 0;  ///< outstanding (enqueued, not yet applied)
   uint64_t in_flight = 0;    ///< currently pre-evaluating on a worker
   /// Activations dropped by fault containment (injected enqueue/apply
-  /// failures — docs/robustness.md), distinct from backpressure rejects.
+  /// failures — docs/robustness.md), distinct from chain-valve rejects.
   uint64_t shed = 0;
   /// Workers lost to injected faults; at zero live workers the pool stops
   /// accepting and the engine falls back to the serial inline drain.
@@ -69,8 +70,8 @@ struct AsyncPoolStats {
 /// Ordering: applies advance a single next-sequence cursor; a work item
 /// can only be applied when every earlier item has been. Workers race for
 /// the writer interlock to apply ready prefixes; the writer itself applies
-/// inline when spilling or quiescing. Per-trigger FIFO follows from the
-/// global FIFO.
+/// inline only when quiescing. Per-trigger FIFO follows from the global
+/// FIFO.
 ///
 /// Shutdown, CheckpointNow, and DDL quiesce the pool first (the Database
 /// calls QuiesceHoldingWriterMu while holding the writer interlock), so a
@@ -78,8 +79,7 @@ struct AsyncPoolStats {
 /// checkpoint image never silently forgets queued detached work.
 class AsyncExecutor {
  public:
-  AsyncExecutor(Database* db, int workers, size_t capacity,
-                AsyncBackpressure backpressure);
+  AsyncExecutor(Database* db, int workers, size_t capacity);
   ~AsyncExecutor();
   AsyncExecutor(const AsyncExecutor&) = delete;
   AsyncExecutor& operator=(const AsyncExecutor&) = delete;
@@ -89,16 +89,14 @@ class AsyncExecutor {
   bool accepting() const { return accepting_.load(std::memory_order_acquire); }
 
   /// Hands one commit's detached activations to the pool. Caller holds the
-  /// writer interlock (called from AfterCommit). Never blocks; kReject
-  /// drops beyond-capacity activations here.
+  /// writer interlock (called from AfterCommit). Never blocks.
   void Enqueue(std::vector<Activation>&& acts,
                std::shared_ptr<const GraphDelta> source,
                std::shared_ptr<const GraphSnapshot> snapshot);
 
   /// Backpressure hook, called at a statement boundary with the writer
-  /// interlock RELEASED: kBlock waits for the workers to drain below
-  /// capacity; kSpill applies oldest items inline until below capacity;
-  /// kReject returns immediately.
+  /// interlock RELEASED: waits for the workers to drain the queue to at
+  /// most `capacity` outstanding items.
   void StatementBoundary();
 
   /// Drain barrier: applies/awaits every outstanding item, in order.
@@ -136,9 +134,8 @@ class AsyncExecutor {
   void TryApply();
   /// Applies one item per its verdict (or drops it past the chain valve).
   /// Caller holds the writer interlock, not mu_, and advances next_apply_
-  /// afterwards. `spilled` attributes the apply to the writer's kSpill
-  /// backpressure path for the stats.
-  void ApplyOwned(Item* item, bool spilled);
+  /// afterwards.
+  void ApplyOwned(Item* item);
 
   /// Extracts the item with seq == next_apply_ if it is immediately
   /// available (evaluated, or still pending — returned unevaluated for a
@@ -151,7 +148,6 @@ class AsyncExecutor {
 
   Database* db_;
   const size_t capacity_;
-  const AsyncBackpressure backpressure_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_work_;   // workers: pending_ non-empty / stop
@@ -171,7 +167,7 @@ class AsyncExecutor {
   /// (chain) hand-offs from fresh writer commits.
   bool applying_ = false;
   /// Consecutive applies since the pool was last idle / last fed by a
-  /// fresh writer commit — the pool-mode max_detached_queue chain valve.
+  /// fresh writer commit — the pool-mode kMaxDetachedQueue chain valve.
   uint64_t chain_applies_ = 0;
   std::atomic<bool> accepting_{true};
 
@@ -179,7 +175,6 @@ class AsyncExecutor {
   std::atomic<uint64_t> applied_{0};
   std::atomic<uint64_t> prefiltered_{0};
   std::atomic<uint64_t> deferred_{0};
-  std::atomic<uint64_t> spilled_{0};
   std::atomic<uint64_t> rejected_{0};
   std::atomic<uint64_t> shed_{0};
   std::atomic<uint64_t> worker_deaths_{0};

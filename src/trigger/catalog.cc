@@ -1,5 +1,7 @@
 #include "src/trigger/catalog.h"
 
+#include <algorithm>
+
 #include "src/common/macros.h"
 #include "src/common/str_util.h"
 #include "src/ivm/ivm_manager.h"
@@ -276,11 +278,7 @@ void TriggerCatalog::NoteFailure(const std::string& name, const Status& error,
     // Only a half-open probe can reach here; a failed probe doubles the
     // backoff window (capped) and closes the breaker again.
     h.probe_inflight = false;
-    const auto cap = static_cast<uint64_t>(
-        options_->quarantine_backoff_cap > 0 ? options_->quarantine_backoff_cap
-                                             : 1);
-    h.backoff = h.backoff >= cap ? cap : h.backoff * 2;
-    if (h.backoff > cap) h.backoff = cap;
+    h.backoff = std::min(h.backoff * 2, kQuarantineBackoffCap);
     h.skips_remaining = h.backoff;
     h.reason = "probe failed: " + error.ToString();
     h.quarantined_at_micros = now_micros;
@@ -303,10 +301,7 @@ void TriggerCatalog::NoteFailure(const std::string& name, const Status& error,
     // DETACHED actions are autonomous (their errors never fail a host
     // transaction), so the breaker can retry them: skip `backoff`
     // opportunities, then let one probe through.
-    h.backoff = static_cast<uint64_t>(
-        options_->quarantine_backoff_base > 0
-            ? options_->quarantine_backoff_base
-            : 1);
+    h.backoff = kQuarantineBackoffBase;
     h.skips_remaining = h.backoff;
     h.probe_inflight = false;
     IvmUnregister(name);

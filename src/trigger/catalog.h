@@ -2,6 +2,7 @@
 #define PGTRIGGERS_TRIGGER_CATALOG_H_
 
 #include <array>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -55,6 +56,14 @@ enum class DetachedGate {
 /// PostgreSQL-style name order available for the ablation).
 class TriggerCatalog {
  public:
+  /// DETACHED half-open retry: a quarantined trigger skips
+  /// kQuarantineBackoffBase firing opportunities, then lets exactly one
+  /// activation through as a probe. Each failed probe doubles the window,
+  /// up to kQuarantineBackoffCap. Counted in firing opportunities, not wall
+  /// time, so recovery is deterministic and testable.
+  static constexpr uint64_t kQuarantineBackoffBase = 4;
+  static constexpr uint64_t kQuarantineBackoffCap = 256;
+
   explicit TriggerCatalog(const EngineOptions* options)
       : options_(options) {}
 

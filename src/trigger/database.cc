@@ -134,6 +134,21 @@ void RegisterOneRowProcedure(cypher::ProcedureRegistry& procedures,
       });
 }
 
+/// Parameters nest at most kMaxValueDepth lists/maps, like stored property
+/// values: evaluating a value recurses once per level, so an unbounded one
+/// could overflow the stack.
+Status CheckParamDepth(const Params& params) {
+  for (const auto& [name, v] : params) {
+    if (!v.WithinMaxDepth()) {
+      return Status::InvalidArgument("parameter $" + name +
+                                     " nests deeper than " +
+                                     std::to_string(kMaxValueDepth) +
+                                     " lists/maps");
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Database::Database(EngineOptions options)
@@ -141,8 +156,7 @@ Database::Database(EngineOptions options)
       tx_manager_(&store_),
       catalog_(&options_),
       engine_(std::make_unique<PgTriggerEngine>(this)),
-      analyzer_(&catalog_, &store_, &options_),
-      plan_cache_(options.plan_cache_capacity) {
+      analyzer_(&catalog_, &store_, &options_) {
   // Incremental WHEN maintenance (docs/ivm.md): the store's mutation hooks
   // feed the manager; the catalog tears state down on drop / disable /
   // quarantine. States build lazily at the first compiled firing.
@@ -178,8 +192,7 @@ Database::Database(EngineOptions options)
                           [this] { return HealthTable(); });
   if (options_.async_pool_size > 0) {
     async_ = std::make_unique<AsyncExecutor>(
-        this, options_.async_pool_size, options_.async_queue_capacity,
-        options_.async_backpressure);
+        this, options_.async_pool_size, options_.async_queue_capacity);
     // Arm the snapshot substrate up front: AfterCommit pins one snapshot
     // per detached hand-off, and arming mid-stream would have to wait for
     // an idle writer.
@@ -624,6 +637,7 @@ Result<std::shared_ptr<const GraphSnapshot>> Database::OpenSnapshot() {
 Result<cypher::QueryResult> Database::QueryAt(const GraphSnapshot& snapshot,
                                               std::string_view text,
                                               const Params& params) const {
+  PGT_RETURN_IF_ERROR(CheckParamDepth(params));
   // Parse and compile per call: the plan cache and the frame pool are
   // writer-thread structures, while a program compiled here against the
   // snapshot's own dictionaries and index image is confined to this thread
@@ -798,7 +812,6 @@ void Database::AttachSchema(std::optional<schema::SchemaDef> schema) {
 }
 
 std::string Database::TerminationCycleHint(const std::string& trigger_name) {
-  if (options_.termination_policy == TerminationPolicy::kOff) return "";
   analyzer_.EnsureSynced(PlanEpoch());
   return analyzer_.CycleHintFor(trigger_name);
 }
@@ -920,49 +933,46 @@ Result<cypher::QueryResult> Database::ExecuteDdl(std::string_view text) {
   // Degraded mode refuses catalog mutations too: LogDdl would fail after
   // the catalog changed, diverging memory from the durable history.
   if (!introspection && degraded()) return DegradedError();
-  const bool analyze = options_.termination_policy != TerminationPolicy::kOff;
   switch (ddl.kind) {
     case TriggerDdl::Kind::kCreate: {
       const std::string name = ddl.def.name;
       PGT_RETURN_IF_ERROR(catalog_.Install(std::move(ddl.def)));
-      if (analyze) {
-        analyzer_.NoteInstall(name, PlanEpoch());
-        // Replayed DDL was legal when logged; recovery must restore the
-        // durable catalog verbatim, so the reject policy only applies to
-        // fresh CREATEs.
-        if (options_.termination_policy == TerminationPolicy::kReject &&
-            !in_recovery_) {
-          const std::vector<std::string> cycle =
-              analyzer_.UnguardedCycleThrough(name);
-          if (!cycle.empty()) {
-            (void)catalog_.Drop(name);
-            analyzer_.NoteDrop(name);
-            std::string path;
-            for (size_t i = 0; i < cycle.size(); ++i) {
-              if (i > 0) path += " -> ";
-              path += cycle[i];
-            }
-            return Status::InvalidArgument(
-                "CREATE TRIGGER '" + name +
-                "' rejected: introduces unguarded triggering cycle " + path +
-                " (termination_policy = reject; a cycle member lacks a "
-                "WHEN guard — see SHOW TRIGGER ANALYSIS)");
+      analyzer_.NoteInstall(name, PlanEpoch());
+      // Replayed DDL was legal when logged; recovery must restore the
+      // durable catalog verbatim, so the reject policy only applies to
+      // fresh CREATEs.
+      if (options_.termination_policy == TerminationPolicy::kReject &&
+          !in_recovery_) {
+        const std::vector<std::string> cycle =
+            analyzer_.UnguardedCycleThrough(name);
+        if (!cycle.empty()) {
+          (void)catalog_.Drop(name);
+          analyzer_.NoteDrop(name);
+          std::string path;
+          for (size_t i = 0; i < cycle.size(); ++i) {
+            if (i > 0) path += " -> ";
+            path += cycle[i];
           }
+          return Status::InvalidArgument(
+              "CREATE TRIGGER '" + name +
+              "' rejected: introduces unguarded triggering cycle " + path +
+              " (termination_policy = reject; a cycle member lacks a "
+              "WHEN guard — see SHOW TRIGGER ANALYSIS)");
         }
       }
       break;
     }
     case TriggerDdl::Kind::kDrop:
       PGT_RETURN_IF_ERROR(catalog_.Drop(ddl.name));
-      if (analyze) analyzer_.NoteDrop(ddl.name);
+      analyzer_.NoteDrop(ddl.name);
       break;
     case TriggerDdl::Kind::kEnable:
       PGT_RETURN_IF_ERROR(catalog_.SetEnabled(ddl.name, true));
-      if (analyze) analyzer_.NoteSetEnabled(ddl.name, PlanEpoch());
+      analyzer_.NoteSetEnabled(ddl.name, PlanEpoch());
       break;
     case TriggerDdl::Kind::kDisable:
       PGT_RETURN_IF_ERROR(catalog_.SetEnabled(ddl.name, false));
-      if (analyze) analyzer_.NoteSetEnabled(ddl.name, PlanEpoch());
+      analyzer_.NoteSetEnabled(ddl.name, PlanEpoch());
       break;
     case TriggerDdl::Kind::kShowAnalysis: {
       // Introspection: no catalog mutation, nothing to log.
@@ -1065,13 +1075,13 @@ Result<cypher::QueryResult> Database::ExecuteIndexDdl(std::string_view text) {
 
 Result<cypher::QueryResult> Database::Execute(std::string_view text,
                                               const Params& params) {
+  PGT_RETURN_IF_ERROR(CheckParamDepth(params));
   Result<cypher::QueryResult> result = [&] {
     std::lock_guard<std::mutex> lock(writer_mu_);
     return ExecuteNested(text, params);
   }();
-  // Backpressure runs with the interlock RELEASED so the pool can drain
-  // through it (kBlock waits for the workers; kSpill has the writer apply
-  // overflow itself).
+  // Backpressure runs with the interlock RELEASED so the pool's workers
+  // can apply through it while the writer waits.
   if (async_ != nullptr) async_->StatementBoundary();
   return result;
 }
@@ -1116,6 +1126,7 @@ Result<cypher::QueryResult> Database::ExecuteNested(std::string_view text,
 
 Result<std::vector<cypher::QueryResult>> Database::ExecuteTx(
     const std::vector<std::string>& statements, const Params& params) {
+  PGT_RETURN_IF_ERROR(CheckParamDepth(params));
   Result<std::vector<cypher::QueryResult>> result = [&] {
     std::lock_guard<std::mutex> lock(writer_mu_);
     return ExecuteTxLocked(statements, params);

@@ -90,6 +90,8 @@ class Database {
   // --- Query / DDL execution ----------------------------------------------
 
   /// Executes one statement (query or trigger DDL) as its own transaction.
+  /// Execute, ExecuteTx and QueryAt refuse (InvalidArgument) a parameter
+  /// nesting more than kMaxValueDepth lists/maps.
   Result<cypher::QueryResult> Execute(std::string_view text,
                                       const Params& params = {});
 
@@ -162,10 +164,9 @@ class Database {
 
   // --- Static termination analysis (docs/analysis.md) -----------------------
 
-  /// The plan-grounded triggering-graph analyzer. Maintained incrementally
-  /// on trigger DDL when termination_policy != kOff; always available on
-  /// demand (SHOW TRIGGER ANALYSIS / CALL pgt.analyzeTriggers() sync it
-  /// lazily regardless of policy).
+  /// The plan-grounded triggering-graph analyzer, maintained incrementally
+  /// on every trigger DDL (SHOW TRIGGER ANALYSIS / CALL
+  /// pgt.analyzeTriggers() read it).
   analysis::TriggerAnalyzer& analyzer() { return analyzer_; }
 
   /// Runs (or refreshes) the analysis and returns the deterministic report.
@@ -175,7 +176,6 @@ class Database {
 
   /// Statically-found cycle through `trigger_name`, formatted
   /// "A -> B -> A", for max_cascade_depth abort messages. Empty when the
-  /// policy is kOff (preserves pre-analysis messages byte-for-byte) or the
   /// trigger is on no cycle.
   std::string TerminationCycleHint(const std::string& trigger_name);
 
@@ -265,6 +265,10 @@ class Database {
   Result<cypher::QueryResult> RunPreparedInTx(
       Transaction& tx, const cypher::plan::PreparedStatement& stmt,
       const Params& params);
+
+  /// Capacity of the ad-hoc prepared-plan LRU. Trigger plans are cached on
+  /// their TriggerDef and do not count against it (docs/plan.md).
+  static constexpr size_t kPlanCacheCapacity = 128;
 
   /// The ad-hoc prepared-plan cache (stats read by tests/benches).
   const cypher::plan::PlanCache& plan_cache() const { return plan_cache_; }
@@ -403,7 +407,7 @@ class Database {
   /// never policy-rejected (it was legal when logged; recovery must bring
   /// back the durable state verbatim).
   bool in_recovery_ = false;
-  cypher::plan::PlanCache plan_cache_;
+  cypher::plan::PlanCache plan_cache_{kPlanCacheCapacity};
   cypher::plan::FramePool frame_pool_;
   /// Writer-thread execution budget. Armed per top-level statement (and
   /// per DETACHED activation) by BudgetScope; MakeEvalContext hands out a

@@ -561,8 +561,7 @@ Status PgTriggerEngine::ProcessStatementLevel(Transaction& tx,
                       " (possible non-terminating rule set; see Section "
                       "6.2.3)";
     if (writer != nullptr) {
-      // Cite the statically-found cycle through the looping trigger (empty
-      // when termination_policy is kOff — message preserved byte-for-byte).
+      // Cite the statically-found cycle through the looping trigger.
       const std::string hint = db_->TerminationCycleHint(writer->name);
       if (!hint.empty()) {
         msg += "; static analysis found triggering cycle " + hint;
@@ -663,10 +662,10 @@ Status PgTriggerEngine::OnCommitPoint(Transaction& tx) {
   while (!current->Empty()) {
     std::vector<Activation> acts = MatchAll(ActionTime::kOnCommit, *current);
     if (acts.empty()) break;
-    if (++round > db_->options().max_oncommit_rounds) {
+    if (++round > kMaxOnCommitRounds) {
       return Status::CascadeLimitExceeded(
           "ONCOMMIT processing did not reach a fixpoint within " +
-          std::to_string(db_->options().max_oncommit_rounds) + " rounds");
+          std::to_string(kMaxOnCommitRounds) + " rounds");
     }
     stats_.oncommit_rounds_max =
         std::max<uint64_t>(stats_.oncommit_rounds_max, round);
@@ -730,10 +729,10 @@ Status PgTriggerEngine::AfterCommit(const GraphDelta& tx_delta) {
   int processed = 0;
   Status result = Status::OK();
   while (!detached_queue_.empty()) {
-    if (++processed > db_->options().max_detached_queue) {
+    if (++processed > kMaxDetachedQueue) {
       result = Status::CascadeLimitExceeded(
-          "DETACHED trigger chain exceeded max_detached_queue=" +
-          std::to_string(db_->options().max_detached_queue));
+          "DETACHED trigger chain exceeded " +
+          std::to_string(kMaxDetachedQueue) + " activations");
       detached_queue_.clear();
       break;
     }

@@ -127,6 +127,14 @@ class TriggerRuntime {
 /// (creation-time by default, per Section 4.2).
 class PgTriggerEngine : public TriggerRuntime {
  public:
+  /// ONCOMMIT fixpoint rounds (paper Section 4: ONCOMMIT actions run at
+  /// the commit point on the accumulated delta) before the commit aborts
+  /// with CascadeLimitExceeded.
+  static constexpr int kMaxOnCommitRounds = 32;
+  /// DETACHED activations processed in one post-commit chain: the serial
+  /// drain aborts past it, the async pool's chain valve drops past it.
+  static constexpr int kMaxDetachedQueue = 1024;
+
   explicit PgTriggerEngine(Database* db);
   ~PgTriggerEngine() override;  // MatchScratch is engine.cc-private
 

@@ -10,7 +10,7 @@ namespace pgt {
 /// with no property). The paper's Section 4.2 assumption — "no trigger can
 /// monitor the setting or removal of its target label" — admits two
 /// readings; both are implemented and compared in the ablation bench
-/// (DESIGN.md D3):
+/// (paper Section 4.2):
 enum class LabelEventSemantics {
   /// The ON label *is* the monitored label: the trigger fires when label L
   /// itself is set on / removed from a node. This matches the paper's
@@ -34,36 +34,15 @@ enum class TriggerOrdering {
 /// What the static termination analysis (src/analysis/, docs/analysis.md)
 /// does when CREATE TRIGGER would close a cycle in the triggering graph
 /// with no WHEN guard on any cycle member (Baralis/Ceri/Widom: such a rule
-/// set cannot be proven terminating).
+/// set cannot be proven terminating). Under either policy the triggering
+/// graph is maintained incrementally on every trigger DDL.
 enum class TerminationPolicy {
-  /// No registration-time analysis; max_cascade_depth remains the only
-  /// backstop. Default — preserves pre-analysis behavior byte-for-byte.
-  kOff,
-  /// Maintain the triggering graph incrementally; unguarded cycles are
-  /// surfaced via SHOW TRIGGER ANALYSIS / CALL pgt.analyzeTriggers() but
-  /// the CREATE succeeds.
+  /// Unguarded cycles are surfaced via SHOW TRIGGER ANALYSIS / CALL
+  /// pgt.analyzeTriggers() and cited by cascade aborts, but the CREATE
+  /// succeeds. Default.
   kWarn,
   /// Refuse a CREATE TRIGGER that introduces an unguarded cycle, naming
   /// the cycle in the error.
-  kReject,
-};
-
-/// What the writer does at a statement boundary when the ASYNC pool's
-/// queue exceeds async_queue_capacity (docs/async.md). Applied only when
-/// async_pool_size > 0.
-enum class AsyncBackpressure {
-  /// Wait until the workers drain the queue below capacity. Lossless;
-  /// bounds memory at the cost of writer latency spikes.
-  kBlock,
-  /// The writer takes over the oldest queued item (always the next one in
-  /// the global apply order) and executes it inline until the queue is
-  /// below capacity again. Lossless and FIFO-preserving; degrades toward
-  /// on-writer execution under sustained overload.
-  kSpill,
-  /// New activations are dropped at enqueue time while the queue is at
-  /// capacity (counted in pgt.asyncStats() as `rejected`). Lossy: final
-  /// state may miss detached effects — explicit opt-in for fire-and-forget
-  /// workloads only.
   kReject,
 };
 
@@ -71,28 +50,13 @@ enum class AsyncBackpressure {
 struct EngineOptions {
   /// Maximum depth of cascaded trigger activations before the transaction
   /// aborts with CascadeLimitExceeded (runaway-rule backstop; Section 6.2.3
-  /// discusses non-terminating relocation cascades). When the static
-  /// analysis is active (termination_policy != kOff), the abort message
+  /// discusses non-terminating relocation cascades). The abort message
   /// also cites the statically-found cycle through the looping trigger —
   /// see docs/analysis.md.
   int max_cascade_depth = 32;
 
-  /// Maximum ONCOMMIT fixpoint rounds (DESIGN.md D4) before aborting.
-  int max_oncommit_rounds = 32;
-
-  /// Maximum queued DETACHED activations processed after one commit chain.
-  int max_detached_queue = 1024;
-
   LabelEventSemantics label_event_semantics =
       LabelEventSemantics::kMonitoredLabel;
-
-  /// Capacity of the Database's prepared-plan LRU for ad-hoc statement
-  /// text. Every statement executes as a compiled plan (src/cypher/plan,
-  /// docs/plan.md); the LRU keeps them across calls, and any index/trigger
-  /// DDL bumps the plan epoch and invalidates them. 0 disables ad-hoc
-  /// caching (each statement is parsed and compiled per call); trigger
-  /// plans, cached on their TriggerDef, are unaffected.
-  size_t plan_cache_capacity = 128;
 
   /// Incremental WHEN evaluation (src/ivm, docs/ivm.md). True (default):
   /// triggers whose WHEN lowers to the supported single-MATCH +
@@ -115,11 +79,8 @@ struct EngineOptions {
 
   TriggerOrdering trigger_ordering = TriggerOrdering::kCreationTime;
 
-  /// Registration-time termination analysis (docs/analysis.md). kOff skips
-  /// all analyzer maintenance on trigger DDL (SHOW TRIGGER ANALYSIS still
-  /// builds a report on demand); kWarn/kReject keep the triggering graph
-  /// incrementally up to date on every CREATE/DROP TRIGGER.
-  TerminationPolicy termination_policy = TerminationPolicy::kOff;
+  /// Registration-time termination analysis (docs/analysis.md).
+  TerminationPolicy termination_policy = TerminationPolicy::kWarn;
 
   // --- Off-writer ASYNC (DETACHED) execution (docs/async.md) ----------------
 
@@ -131,11 +92,9 @@ struct EngineOptions {
   /// in strict global FIFO order through the single-writer commit pipeline.
   int async_pool_size = 0;
 
-  /// Queue depth (outstanding activations) above which the backpressure
-  /// policy engages at the next statement boundary.
+  /// Queue depth (outstanding activations) above which the writer blocks
+  /// at the next statement boundary until the workers drain below it.
   size_t async_queue_capacity = 1024;
-
-  AsyncBackpressure async_backpressure = AsyncBackpressure::kBlock;
 
   // --- Execution budgets & fault containment (docs/robustness.md) -----------
 
@@ -159,19 +118,10 @@ struct EngineOptions {
   /// reason + timestamp, visible in SHOW TRIGGER STATUS / CALL
   /// pgt.health(). Statement-time triggers (BEFORE/AFTER/ONCOMMIT) stay
   /// quarantined until a manual ALTER TRIGGER ... ENABLE; DETACHED
-  /// triggers retry via exponential-backoff half-open probes (below).
+  /// triggers retry via exponential-backoff half-open probes
+  /// (TriggerCatalog::kQuarantineBackoffBase / kQuarantineBackoffCap).
   /// 0 (default) disables the breaker.
   int quarantine_threshold = 0;
-
-  /// DETACHED half-open retry: after quarantine, the trigger skips
-  /// quarantine_backoff_base firing opportunities, then lets exactly one
-  /// activation through as a probe. Success re-enables the trigger and
-  /// resets its failure count; failure doubles the backoff (capped at
-  /// quarantine_backoff_cap) and re-quarantines. Measured in firing
-  /// opportunities, not wall time, so recovery is deterministic and
-  /// testable.
-  int quarantine_backoff_base = 4;
-  int quarantine_backoff_cap = 256;
 };
 
 }  // namespace pgt

@@ -24,8 +24,9 @@ namespace pgt::wal {
 /// by Sync()). `CloneCrashed` produces the directory tree a machine would
 /// find after power loss: each file cut back to its durable length, plus an
 /// optional partial suffix of the unsynced bytes (torn tail) and an optional
-/// single-bit flip (media corruption). Fault knobs inject fsync failures and
-/// short writes to exercise the WAL's poisoning / rollback path.
+/// single-bit flip (media corruption). The per-instance fault registry
+/// (`faults()`) injects fsync failures and short writes to exercise the
+/// WAL's poisoning / rollback path.
 ///
 /// Directory metadata is modeled as always-durable: renames and deletes
 /// apply immediately in the crashed clone. The real WAL orders operations so
@@ -33,35 +34,7 @@ namespace pgt::wal {
 /// unfavorable one, which tests model by crashing before the metadata op.
 class MemVfs final : public Vfs {
  public:
-  /// Legacy fault knobs, kept as the crash suites' interface but
-  /// implemented on the unified FaultRegistry (docs/robustness.md): the
-  /// plan arms the owned registry's "memvfs.sync" (Nth-hit) and
-  /// "memvfs.append" (byte-budget) points. Chaos tests bypass the plan and
-  /// arm `faults()` directly.
-  struct FaultPlan {
-    /// Fail the Nth Sync() call from now (1 = next). 0 = never.
-    int fail_sync_at = 0;
-    /// After this many appended bytes from now, writes stop short: the
-    /// overflowing Append keeps only a prefix and returns an IO error.
-    /// -1 = never.
-    int64_t short_write_after_bytes = -1;
-  };
-
   MemVfs() = default;
-
-  void SetFaultPlan(const FaultPlan& plan) {
-    faults_.DisarmAll();
-    if (plan.fail_sync_at > 0) {
-      faults_.ArmNthHit("memvfs.sync", static_cast<uint64_t>(plan.fail_sync_at),
-                        StatusCode::kIoError, "injected fsync failure");
-    }
-    if (plan.short_write_after_bytes >= 0) {
-      FaultRegistry::FaultSpec spec;
-      spec.message = "injected short write";
-      spec.unit_budget = plan.short_write_after_bytes;
-      faults_.Arm("memvfs.append", std::move(spec));
-    }
-  }
 
   /// The per-instance fault registry behind this filesystem's IO paths
   /// ("memvfs.append" carries byte units; "memvfs.sync" one hit per fsync).

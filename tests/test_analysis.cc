@@ -20,15 +20,8 @@ namespace {
 
 using EdgeSet = std::set<std::pair<std::string, std::string>>;
 
-EngineOptions WarnOptions() {
-  EngineOptions o;
-  o.termination_policy = TerminationPolicy::kWarn;
-  return o;
-}
-
 class AnalysisTest : public ::testing::Test {
  protected:
-  AnalysisTest() : db_(WarnOptions()) {}
 
   void Exec(const std::string& q) {
     auto r = db_.Execute(q);
@@ -303,23 +296,42 @@ TEST(AnalysisPolicyTest, RejectAllowsPrunedCycle) {
   EXPECT_EQ(db.catalog().All().size(), 1u);
 }
 
-TEST(AnalysisPolicyTest, OffIsDefaultAndDoesNotEnforce) {
-  Database db;  // termination_policy defaults to kOff
+TEST(AnalysisPolicyTest, WarnIsDefaultAndCitesCycleWithoutEnforcing) {
+  Database db;  // termination_policy defaults to kWarn
   ASSERT_TRUE(db.Execute("CREATE TRIGGER Loop AFTER CREATE ON 'P' "
                          "FOR EACH NODE BEGIN CREATE (:P) END")
                   .ok());
-  // The cascade abort message stays byte-identical to the pre-analysis
-  // engine: no static-analysis citation under kOff.
   Status st = db.Execute("CREATE (:P)").status();
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kCascadeLimitExceeded);
-  EXPECT_EQ(st.message().find("static analysis"), std::string::npos)
+  EXPECT_NE(
+      st.message().find("static analysis found triggering cycle Loop -> "
+                        "Loop"),
+      std::string::npos)
       << st.message();
+}
+
+TEST(AnalysisPolicyTest, DefaultAnalyzerTracksDdlWithoutShow) {
+  // The graph is maintained on every trigger DDL, not rebuilt on demand:
+  // entry_count() never syncs, so it only moves if the DDL path did.
+  Database db;
+  EXPECT_EQ(db.analyzer().entry_count(), 0u);
+  ASSERT_TRUE(db.Execute("CREATE TRIGGER A AFTER CREATE ON 'P' "
+                         "FOR EACH NODE BEGIN CREATE (:Q) END")
+                  .ok());
+  EXPECT_EQ(db.analyzer().entry_count(), 1u);
+  ASSERT_TRUE(db.Execute("CREATE TRIGGER B AFTER CREATE ON 'Q' "
+                         "FOR EACH NODE BEGIN CREATE (:R) END")
+                  .ok());
+  EXPECT_EQ(db.analyzer().entry_count(), 2u);
+  EXPECT_EQ(db.analyzer().edge_count(), 1u);
+  ASSERT_TRUE(db.Execute("DROP TRIGGER A").ok());
+  EXPECT_EQ(db.analyzer().entry_count(), 1u);
+  EXPECT_EQ(db.analyzer().edge_count(), 0u);
 }
 
 TEST(AnalysisPolicyTest, WarnCascadeAbortCitesStaticCycle) {
   EngineOptions o;
-  o.termination_policy = TerminationPolicy::kWarn;
   o.max_cascade_depth = 5;
   Database db(o);
   ASSERT_TRUE(db.Execute("CREATE TRIGGER Loop AFTER CREATE ON 'P' "
@@ -374,7 +386,7 @@ TEST_F(AnalysisTest, AnalyzeTriggersProcedure) {
 // --- Recovery --------------------------------------------------------------
 
 TEST(AnalysisRecoveryTest, RecoveryReplaysDdlPastRejectPolicy) {
-  // A cycle installed under kOff must recover verbatim even when the
+  // A cycle installed under kWarn must recover verbatim even when the
   // database reopens under kReject; only fresh CREATEs are policed.
   wal::MemVfs vfs;
   wal::WalOptions w;

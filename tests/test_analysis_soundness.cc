@@ -139,7 +139,6 @@ TEST(AnalysisSoundnessTest, RuntimeCascadeEdgesAreStaticallyPredicted) {
   for (uint32_t corpus = 0; corpus < 12; ++corpus) {
     std::mt19937 rng(1234 + corpus * 7919);
     EngineOptions opts;
-    opts.termination_policy = TerminationPolicy::kWarn;
     opts.max_cascade_depth = 8;
     Database db(opts);
 

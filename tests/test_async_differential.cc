@@ -1,6 +1,6 @@
 // Acceptance differential for off-writer ASYNC execution (docs/async.md):
-// with the queue drained at every statement boundary (capacity 0, kBlock or
-// kSpill), a pool-enabled database must produce byte-identical final graph
+// with the queue drained at every statement boundary (capacity 0), a
+// pool-enabled database must produce byte-identical final graph
 // state, per-trigger firing order, and per-trigger stats to the legacy
 // on-writer serial drain — for any pool size. The only documented
 // divergences are engine-global counters the prefilter path skips
@@ -145,12 +145,10 @@ Signature RunMode(const EngineOptions& opts, bool global_when) {
   return Capture(db);
 }
 
-EngineOptions PoolOptions(int workers, size_t capacity,
-                          AsyncBackpressure backpressure) {
+EngineOptions PoolOptions(int workers, size_t capacity) {
   EngineOptions opts;
   opts.async_pool_size = workers;
   opts.async_queue_capacity = capacity;
-  opts.async_backpressure = backpressure;
   return opts;
 }
 
@@ -173,22 +171,12 @@ class AsyncDifferential : public ::testing::Test {
 };
 
 TEST_F(AsyncDifferential, PoolOfOneBlockMatchesSerial) {
-  EXPECT_EQ(RunMode(PoolOptions(1, 0, AsyncBackpressure::kBlock), true),
+  EXPECT_EQ(RunMode(PoolOptions(1, 0), true),
             serial_);
 }
 
 TEST_F(AsyncDifferential, PoolOfFourBlockMatchesSerial) {
-  EXPECT_EQ(RunMode(PoolOptions(4, 0, AsyncBackpressure::kBlock), true),
-            serial_);
-}
-
-TEST_F(AsyncDifferential, PoolOfOneSpillMatchesSerial) {
-  EXPECT_EQ(RunMode(PoolOptions(1, 0, AsyncBackpressure::kSpill), true),
-            serial_);
-}
-
-TEST_F(AsyncDifferential, PoolOfFourSpillMatchesSerial) {
-  EXPECT_EQ(RunMode(PoolOptions(4, 0, AsyncBackpressure::kSpill), true),
+  EXPECT_EQ(RunMode(PoolOptions(4, 0), true),
             serial_);
 }
 
@@ -202,7 +190,7 @@ TEST(AsyncDifferentialOverlapped, DeepQueueMatchesSerialModuloInterleaving) {
   // not a pool artifact — docs/async.md).
   Signature serial = RunMode(EngineOptions{}, /*global_when=*/false);
   Signature pooled =
-      RunMode(PoolOptions(2, 1024, AsyncBackpressure::kBlock), false);
+      RunMode(PoolOptions(2, 1024), false);
   EXPECT_EQ(pooled, serial);
 }
 

@@ -1,7 +1,7 @@
 // Unit tests for the off-writer ASYNC (DETACHED) execution pool
 // (src/trigger/async_executor.*, docs/async.md): strict global FIFO apply
 // order, snapshot-pinned WHEN pre-evaluation (prefilter vs deferred),
-// the three backpressure policies, the DrainAsync barrier, drain-on-close,
+// blocking backpressure, the DrainAsync barrier, drain-on-close,
 // the chain valve for self-sustaining detached cascades, and the
 // SHOW ASYNC STATUS / CALL pgt.asyncStats() introspection surface.
 
@@ -21,12 +21,10 @@ namespace {
 // ---------------------------------------------------------------------------
 // Helpers
 
-EngineOptions PoolOptions(int workers, size_t capacity,
-                          AsyncBackpressure backpressure) {
+EngineOptions PoolOptions(int workers, size_t capacity) {
   EngineOptions opts;
   opts.async_pool_size = workers;
   opts.async_queue_capacity = capacity;
-  opts.async_backpressure = backpressure;
   return opts;
 }
 
@@ -91,7 +89,7 @@ TEST(AsyncStatus, QueryableWithPoolDisabled) {
 }
 
 TEST(AsyncStatus, ReportsPoolShape) {
-  Database db(PoolOptions(2, 64, AsyncBackpressure::kBlock));
+  Database db(PoolOptions(2, 64));
   std::map<std::string, int64_t> stats = AsyncStats(db);
   EXPECT_EQ(stats["workers"], 2);
   EXPECT_EQ(stats["queue_depth"], 0);
@@ -102,7 +100,7 @@ TEST(AsyncStatus, ReportsPoolShape) {
 // FIFO apply order
 
 TEST(AsyncPool, AppliesInCommitOrder) {
-  Database db(PoolOptions(2, 0, AsyncBackpressure::kBlock));
+  Database db(PoolOptions(2, 0));
   Install(db,
           "CREATE TRIGGER Chrono DETACHED CREATE ON 'N' FOR EACH NODE "
           "BEGIN CREATE (:Log {i: NEW.i}) END");
@@ -118,7 +116,7 @@ TEST(AsyncPool, AppliesInCommitOrder) {
 }
 
 TEST(AsyncPool, BatchKeepsDeltaOrder) {
-  Database db(PoolOptions(4, 0, AsyncBackpressure::kBlock));
+  Database db(PoolOptions(4, 0));
   Install(db,
           "CREATE TRIGGER Chrono DETACHED CREATE ON 'N' FOR EACH NODE "
           "BEGIN CREATE (:Log {i: NEW.i}) END");
@@ -132,13 +130,13 @@ TEST(AsyncPool, BatchKeepsDeltaOrder) {
 // Snapshot-pinned WHEN pre-evaluation
 
 TEST(AsyncPool, StableEpochPrefiltersNoFireActivations) {
-  Database db(PoolOptions(1, 0, AsyncBackpressure::kBlock));
+  Database db(PoolOptions(1, 0));
   Install(db,
           "CREATE TRIGGER Guard DETACHED CREATE ON 'N' FOR EACH NODE "
           "WHEN NEW.q > 100 "
           "BEGIN CREATE (:Log {i: NEW.q}) END");
 
-  // capacity 0 + kBlock drains at every statement boundary, so the pinned
+  // capacity 0 drains at every statement boundary, so the pinned
   // epoch is still current when each verdict is applied: a false WHEN is
   // retired off-writer with no autonomous transaction at all.
   Exec(db, "CREATE (:N {q: 1})");
@@ -175,7 +173,7 @@ TEST(AsyncPool, DeleteSourcesAlwaysDefer) {
   // Deleted-item images resolve through transaction ghosts a snapshot
   // cannot carry, so delete-sourced activations skip pre-evaluation and
   // take the full on-writer run (which re-injects the ghosts).
-  Database db(PoolOptions(1, 0, AsyncBackpressure::kBlock));
+  Database db(PoolOptions(1, 0));
   Install(db,
           "CREATE TRIGGER Tomb DETACHED DELETE ON 'N' FOR EACH NODE "
           "WHEN OLD.q = 1 "
@@ -192,7 +190,7 @@ TEST(AsyncPool, OverlappedCommitsStayExact) {
   // With a deep queue the writer runs ahead of the pool; pre-evaluated
   // verdicts whose pinned epoch went stale must fall back to the full run.
   // Every activation is accounted for exactly once either way.
-  Database db(PoolOptions(2, 1024, AsyncBackpressure::kBlock));
+  Database db(PoolOptions(2, 1024));
   Install(db,
           "CREATE TRIGGER Guard DETACHED CREATE ON 'N' FOR EACH NODE "
           "WHEN NEW.q % 2 = 0 "
@@ -214,50 +212,34 @@ TEST(AsyncPool, OverlappedCommitsStayExact) {
 }
 
 // ---------------------------------------------------------------------------
-// Backpressure policies
+// Backpressure
 
-TEST(AsyncPool, RejectDropsAtCapacity) {
-  // capacity 0 + kReject: the queue is permanently "at capacity", so every
-  // hand-off is dropped and counted — explicit lossy fire-and-forget mode.
-  Database db(PoolOptions(1, 0, AsyncBackpressure::kReject));
-  Install(db,
-          "CREATE TRIGGER Lossy DETACHED CREATE ON 'N' FOR EACH NODE "
-          "BEGIN CREATE (:Log {i: NEW.i}) END");
-  for (int i = 1; i <= 3; ++i) {
-    Exec(db, "CREATE (:N {i: " + std::to_string(i) + "})");
-  }
-  db.DrainAsync();
-  std::map<std::string, int64_t> stats = AsyncStats(db);
-  EXPECT_EQ(stats["rejected"], 3);
-  EXPECT_EQ(stats["enqueued"], 0);
-  EXPECT_EQ(stats["applied"], 0);
-  EXPECT_EQ(Count(db, "MATCH (l:Log) RETURN count(l)"), 0);
-  EXPECT_EQ(Count(db, "MATCH (n:N) RETURN count(n)"), 3);
-}
-
-TEST(AsyncPool, SpillPreservesOrderAndState) {
-  // capacity 0 + kSpill: the writer absorbs whatever the workers have not
-  // applied by the statement boundary. Lossless and order-preserving.
-  Database db(PoolOptions(1, 0, AsyncBackpressure::kSpill));
+TEST(AsyncPool, BoundaryBlocksUntilQueueIsWithinCapacity) {
+  // Each statement returns only once the workers have drained the queue to
+  // at most the capacity, so a read between statements never sees more.
+  // Nothing is dropped and the writer never applies pool work itself.
+  Database db(PoolOptions(1, 2));
   Install(db,
           "CREATE TRIGGER Chrono DETACHED CREATE ON 'N' FOR EACH NODE "
           "BEGIN CREATE (:Log {i: NEW.i}) END");
-  for (int i = 1; i <= 5; ++i) {
+  for (int i = 1; i <= 6; ++i) {
     Exec(db, "CREATE (:N {i: " + std::to_string(i) + "})");
+    EXPECT_LE(AsyncStats(db)["queue_depth"], 2);
   }
-  EXPECT_EQ(IntLog(db), (std::vector<int64_t>{1, 2, 3, 4, 5}));
+  db.DrainAsync();
+  EXPECT_EQ(IntLog(db), (std::vector<int64_t>{1, 2, 3, 4, 5, 6}));
   std::map<std::string, int64_t> stats = AsyncStats(db);
-  EXPECT_EQ(stats["enqueued"], 5);
-  EXPECT_EQ(stats["applied"], 5);
+  EXPECT_EQ(stats["enqueued"], 6);
+  EXPECT_EQ(stats["applied"], 6);
   EXPECT_EQ(stats["rejected"], 0);
-  EXPECT_LE(stats["spilled"], 5);
+  EXPECT_EQ(stats["spilled"], 0);
 }
 
 // ---------------------------------------------------------------------------
 // Barriers and shutdown
 
 TEST(AsyncPool, DrainAsyncIsABarrier) {
-  Database db(PoolOptions(1, 1024, AsyncBackpressure::kBlock));
+  Database db(PoolOptions(1, 1024));
   Install(db,
           "CREATE TRIGGER Chrono DETACHED CREATE ON 'N' FOR EACH NODE "
           "BEGIN CREATE (:Log {i: NEW.i}) END");
@@ -277,7 +259,7 @@ TEST(AsyncPool, DrainAsyncIsABarrier) {
 TEST(AsyncPool, DdlQuiescesQueuedWork) {
   // DROP TRIGGER fences on the pool: activations of the dropped trigger
   // that are already queued still apply, before the drop takes effect.
-  Database db(PoolOptions(1, 1024, AsyncBackpressure::kBlock));
+  Database db(PoolOptions(1, 1024));
   Install(db,
           "CREATE TRIGGER Doomed DETACHED CREATE ON 'N' FOR EACH NODE "
           "BEGIN CREATE (:Log {i: NEW.i}) END");
@@ -291,7 +273,7 @@ TEST(AsyncPool, DdlQuiescesQueuedWork) {
 }
 
 TEST(AsyncPool, CloseDrainsAndFallsBackToSerial) {
-  Database db(PoolOptions(1, 1024, AsyncBackpressure::kBlock));
+  Database db(PoolOptions(1, 1024));
   Install(db,
           "CREATE TRIGGER Chrono DETACHED CREATE ON 'N' FOR EACH NODE "
           "BEGIN CREATE (:Log {i: NEW.i}) END");
@@ -314,24 +296,23 @@ TEST(AsyncPool, ChainValveCutsSelfSustainingCascade) {
   // A detached trigger on :A that creates another :A would re-activate
   // itself forever. The serial drain errors the activating committer; the
   // pool has no committer left to error to, so the valve drops the chain
-  // at max_detached_queue applies and counts the drop.
-  EngineOptions opts = PoolOptions(1, 0, AsyncBackpressure::kBlock);
-  opts.max_detached_queue = 5;
-  Database db(opts);
+  // at kMaxDetachedQueue applies and counts the drop.
+  constexpr int64_t kLimit = PgTriggerEngine::kMaxDetachedQueue;
+  Database db(PoolOptions(1, 0));
   Install(db,
           "CREATE TRIGGER Ouro DETACHED CREATE ON 'A' FOR EACH NODE "
           "BEGIN CREATE (:A) END");
   Exec(db, "CREATE (:A)");
   // Seed node + one node per allowed chain apply.
-  EXPECT_EQ(Count(db, "MATCH (a:A) RETURN count(a)"), 6);
+  EXPECT_EQ(Count(db, "MATCH (a:A) RETURN count(a)"), kLimit + 1);
   std::map<std::string, int64_t> stats = AsyncStats(db);
   EXPECT_EQ(stats["rejected"], 1);
-  EXPECT_EQ(stats["applied"], 5);
-  EXPECT_EQ(stats["enqueued"], 6);
+  EXPECT_EQ(stats["applied"], kLimit);
+  EXPECT_EQ(stats["enqueued"], kLimit + 1);
   // A fresh writer hand-off resets the valve: the next chain gets its own
   // full allowance.
   Exec(db, "CREATE (:A)");
-  EXPECT_EQ(Count(db, "MATCH (a:A) RETURN count(a)"), 12);
+  EXPECT_EQ(Count(db, "MATCH (a:A) RETURN count(a)"), 2 * (kLimit + 1));
   stats = AsyncStats(db);
   EXPECT_EQ(stats["rejected"], 2);
 }

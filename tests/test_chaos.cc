@@ -96,9 +96,7 @@ EngineOptions ChaosOptions() {
   EngineOptions o;
   o.async_pool_size = 2;
   o.async_queue_capacity = 8;
-  o.async_backpressure = AsyncBackpressure::kBlock;
   o.quarantine_threshold = 3;
-  o.quarantine_backoff_base = 2;
   o.max_plan_steps = 200000;         // budgets armed: ticks are exercised
   o.statement_timeout_ms = 2000;
   return o;

@@ -478,8 +478,7 @@ TEST(DropWhileQueued, QueuedDetachedActivationSurvivesDrop) {
 TEST(DropWhileQueued, PoolModeQueuedActivationSurvivesDrop) {
   EngineOptions opts;
   opts.async_pool_size = 2;
-  opts.async_queue_capacity = 0;  // kBlock: drain at every boundary
-  opts.async_backpressure = AsyncBackpressure::kBlock;
+  opts.async_queue_capacity = 0;  // drain at every statement boundary
   Database db(opts);
   db.procedures().Register(
       "test.dropb", {},

@@ -214,12 +214,13 @@ TEST_F(EngineSemanticsTest, OnCommitFailureRollsBackWholeTransaction) {
 }
 
 TEST_F(EngineSemanticsTest, OnCommitFixpointBoundedByRounds) {
-  db_.options().max_oncommit_rounds = 4;
   Exec("CREATE TRIGGER Pump ONCOMMIT CREATE ON 'P' FOR EACH NODE "
        "BEGIN CREATE (:P) END");
   Status st = ExecError("CREATE (:P)");
   EXPECT_EQ(st.code(), StatusCode::kCascadeLimitExceeded);
   EXPECT_EQ(Count("MATCH (p:P) RETURN COUNT(*) AS c"), 0);
+  EXPECT_EQ(db_.stats().oncommit_rounds_max,
+            static_cast<uint64_t>(PgTriggerEngine::kMaxOnCommitRounds));
 }
 
 TEST_F(EngineSemanticsTest, DetachedRunsAfterCommitInOwnTransaction) {
@@ -244,11 +245,12 @@ TEST_F(EngineSemanticsTest, DetachedFailureDoesNotAffectUserTransaction) {
 }
 
 TEST_F(EngineSemanticsTest, DetachedChainBounded) {
-  db_.options().max_detached_queue = 8;
   Exec("CREATE TRIGGER Chain DETACHED CREATE ON 'P' FOR EACH NODE "
        "BEGIN CREATE (:P) END");
   Status st = ExecError("CREATE (:P)");
   EXPECT_EQ(st.code(), StatusCode::kCascadeLimitExceeded);
+  EXPECT_EQ(db_.stats().detached_runs,
+            static_cast<uint64_t>(PgTriggerEngine::kMaxDetachedQueue));
 }
 
 TEST_F(EngineSemanticsTest, DetachedDeleteReadsInjectedGhost) {

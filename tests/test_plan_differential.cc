@@ -549,13 +549,12 @@ TEST(PlanCache, HitsOnRepeatedText) {
 }
 
 TEST(PlanCache, EvictsAtCapacity) {
-  EngineOptions opts;
-  opts.plan_cache_capacity = 2;
-  Database db(opts);
-  ASSERT_TRUE(db.Execute("RETURN 1 AS a").ok());
-  ASSERT_TRUE(db.Execute("RETURN 2 AS a").ok());
-  ASSERT_TRUE(db.Execute("RETURN 3 AS a").ok());
-  EXPECT_EQ(db.plan_cache().size(), 2u);
+  Database db;
+  for (size_t i = 0; i <= Database::kPlanCacheCapacity; ++i) {
+    ASSERT_TRUE(db.Execute("RETURN " + std::to_string(i) + " AS a").ok());
+  }
+  EXPECT_EQ(db.plan_cache().size(), Database::kPlanCacheCapacity);
+  EXPECT_EQ(db.plan_cache().capacity(), Database::kPlanCacheCapacity);
 }
 
 // Parameterized statements share one cached plan across different values.

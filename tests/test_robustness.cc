@@ -154,12 +154,13 @@ TEST_F(RobustnessTest, RepeatedBudgetAbortsLeakNothing) {
 
 // --- Circuit breaker ---------------------------------------------------------
 
-EngineOptions Breaker(int threshold, int backoff_base = 4) {
+EngineOptions Breaker(int threshold) {
   EngineOptions o;
   o.quarantine_threshold = threshold;
-  o.quarantine_backoff_base = backoff_base;
   return o;
 }
+
+constexpr uint64_t kBackoffBase = TriggerCatalog::kQuarantineBackoffBase;
 
 TEST_F(RobustnessTest, StatementTriggerQuarantinedAfterThreshold) {
   Database db(Breaker(3));
@@ -215,7 +216,7 @@ TEST_F(RobustnessTest, StatementTriggerQuarantinedAfterThreshold) {
 }
 
 TEST_F(RobustnessTest, DetachedTriggerRecoversViaBackoffProbe) {
-  Database db(Breaker(/*threshold=*/2, /*backoff_base=*/1));
+  Database db(Breaker(/*threshold=*/2));
   Exec(db, "CREATE TRIGGER D DETACHED CREATE ON 'P' FOR EACH NODE "
            "BEGIN CREATE (:Log) END");
   FaultRegistry::Global().Arm("engine.activation", [] {
@@ -231,10 +232,11 @@ TEST_F(RobustnessTest, DetachedTriggerRecoversViaBackoffProbe) {
   const TriggerHealth* h = db.catalog().Health("D");
   ASSERT_NE(h, nullptr);
   EXPECT_TRUE(h->quarantined);
+  EXPECT_EQ(h->backoff, kBackoffBase);
 
-  // The fault has passed. Opportunity 1 is skipped (backoff window of 1),
-  // opportunity 2 runs as the half-open probe and succeeds -> recovered.
-  Exec(db, "CREATE (:P)");  // skipped
+  // The fault has passed. The first kBackoffBase opportunities are
+  // skipped, the next runs as the half-open probe and succeeds.
+  for (uint64_t i = 0; i < kBackoffBase; ++i) Exec(db, "CREATE (:P)");
   EXPECT_EQ(Count(db, "MATCH (l:Log) RETURN COUNT(*) AS c"), 0);
   Exec(db, "CREATE (:P)");  // probe
   EXPECT_EQ(Count(db, "MATCH (l:Log) RETURN COUNT(*) AS c"), 1);
@@ -242,14 +244,14 @@ TEST_F(RobustnessTest, DetachedTriggerRecoversViaBackoffProbe) {
   ASSERT_NE(h, nullptr);
   EXPECT_FALSE(h->quarantined);
   EXPECT_EQ(h->probes, 1u);
-  EXPECT_EQ(h->skipped, 1u);
+  EXPECT_EQ(h->skipped, kBackoffBase);
 
   Exec(db, "CREATE (:P)");  // back to normal service
   EXPECT_EQ(Count(db, "MATCH (l:Log) RETURN COUNT(*) AS c"), 2);
 }
 
 TEST_F(RobustnessTest, FailedProbeDoublesTheBackoff) {
-  Database db(Breaker(/*threshold=*/1, /*backoff_base=*/1));
+  Database db(Breaker(/*threshold=*/1));
   Exec(db, "CREATE TRIGGER D DETACHED CREATE ON 'P' FOR EACH NODE "
            "BEGIN CREATE (:Log) END");
   // Fail the first firing AND the first probe (hits 1 and 2).
@@ -259,21 +261,41 @@ TEST_F(RobustnessTest, FailedProbeDoublesTheBackoff) {
     return s;
   }());
 
-  Exec(db, "CREATE (:P)");  // failure -> quarantined, backoff 1
-  Exec(db, "CREATE (:P)");  // skipped
-  Exec(db, "CREATE (:P)");  // probe -> fails -> backoff 2
+  Exec(db, "CREATE (:P)");  // failure -> quarantined, backoff = base
+  for (uint64_t i = 0; i < kBackoffBase; ++i) Exec(db, "CREATE (:P)");
+  Exec(db, "CREATE (:P)");  // probe -> fails -> backoff doubles
   const TriggerHealth* h = db.catalog().Health("D");
   ASSERT_NE(h, nullptr);
   EXPECT_TRUE(h->quarantined);
-  EXPECT_EQ(h->backoff, 2u);
+  EXPECT_EQ(h->backoff, 2 * kBackoffBase);
   EXPECT_EQ(h->quarantines, 2u);
 
-  Exec(db, "CREATE (:P)");  // skipped (1/2)
-  Exec(db, "CREATE (:P)");  // skipped (2/2)
+  for (uint64_t i = 0; i < 2 * kBackoffBase; ++i) Exec(db, "CREATE (:P)");
   EXPECT_EQ(Count(db, "MATCH (l:Log) RETURN COUNT(*) AS c"), 0);
   Exec(db, "CREATE (:P)");  // probe -> succeeds -> recovered
   EXPECT_EQ(Count(db, "MATCH (l:Log) RETURN COUNT(*) AS c"), 1);
   EXPECT_FALSE(db.catalog().Health("D")->quarantined);
+}
+
+TEST_F(RobustnessTest, ProbeBackoffStopsAtTheCap) {
+  Database db(Breaker(/*threshold=*/1));
+  Exec(db, "CREATE TRIGGER D DETACHED CREATE ON 'P' FOR EACH NODE "
+           "BEGIN CREATE (:Log) END");
+  // Every firing and every probe fails.
+  FaultRegistry::Global().Arm("engine.activation", [] {
+    FaultRegistry::FaultSpec s;
+    s.trigger_count = 1000;
+    return s;
+  }());
+  // The window doubles 4 -> 8 -> ... -> 256 (opportunity 259), then the
+  // probe at opportunity 516 fails again and the window stays at the cap.
+  for (int i = 0; i < 600; ++i) Exec(db, "CREATE (:P)");
+  const TriggerHealth* h = db.catalog().Health("D");
+  ASSERT_NE(h, nullptr);
+  EXPECT_TRUE(h->quarantined);
+  EXPECT_EQ(h->backoff, TriggerCatalog::kQuarantineBackoffCap);
+  EXPECT_EQ(h->quarantines, 8u);
+  EXPECT_EQ(Count(db, "MATCH (l:Log) RETURN COUNT(*) AS c"), 0);
 }
 
 // --- Degraded read-only mode -------------------------------------------------
@@ -456,7 +478,6 @@ EngineOptions AsyncPool(int workers) {
   EngineOptions o;
   o.async_pool_size = workers;
   o.async_queue_capacity = 4;
-  o.async_backpressure = AsyncBackpressure::kBlock;
   return o;
 }
 
@@ -536,6 +557,35 @@ TEST_F(RobustnessTest, DeeplyNestedStatementsFailCleanly) {
   auto ok = db.Execute("RETURN " + DeepParens(100) + " AS v");
   ASSERT_TRUE(ok.ok()) << ok.status();
   EXPECT_EQ(ok->rows[0][0].int_value(), 1);
+}
+
+/// `depth` one-element lists nested around the integer 1.
+Value NestedList(int depth) {
+  Value v = Value::Int(1);
+  for (int i = 0; i < depth; ++i) v = Value::MakeList({std::move(v)});
+  return v;
+}
+
+TEST_F(RobustnessTest, ParametersNestedPastTheValueDepthCapAreRefused) {
+  // Parameters obey the same kMaxValueDepth cap as stored values on every
+  // entry point; evaluating an unbounded one used to overflow the stack.
+  Database db;
+  auto snap = db.OpenSnapshot();
+  ASSERT_TRUE(snap.ok()) << snap.status();
+  const std::string q = "RETURN toString($p) AS s";
+  const Params at_cap{{"p", NestedList(kMaxValueDepth)}};
+  const Params past_cap{{"p", NestedList(kMaxValueDepth + 1)}};
+
+  EXPECT_TRUE(db.Execute(q, at_cap).ok());
+  EXPECT_TRUE(db.ExecuteTx({q}, at_cap).ok());
+  EXPECT_TRUE(db.QueryAt(**snap, q, at_cap).ok());
+
+  for (const Status& st : {db.Execute(q, past_cap).status(),
+                           db.ExecuteTx({q}, past_cap).status(),
+                           db.QueryAt(**snap, q, past_cap).status()}) {
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st;
+    EXPECT_NE(st.message().find("$p"), std::string::npos) << st;
+  }
 }
 
 }  // namespace

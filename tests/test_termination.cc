@@ -19,15 +19,8 @@ namespace {
 
 using EdgeSet = std::set<std::pair<std::string, std::string>>;
 
-EngineOptions WarnOptions() {
-  EngineOptions o;
-  o.termination_policy = TerminationPolicy::kWarn;
-  return o;
-}
-
 class TerminationTest : public ::testing::Test {
  protected:
-  TerminationTest() : db_(WarnOptions()) {}
 
   void Exec(const std::string& q) {
     auto r = db_.Execute(q);

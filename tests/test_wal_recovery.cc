@@ -396,7 +396,7 @@ TEST(WalRecovery, TornTailRepairIsSyncedBeforeAppending) {
   // The very first fsync of the reopen must be the repaired segment's:
   // recovery makes its truncate durable before any newer segment exists,
   // and a failure of that fsync aborts the open instead of being skipped.
-  crashed->SetFaultPlan({.fail_sync_at = 1});
+  crashed->faults().ArmNthHit("memvfs.sync", 1);
   EXPECT_FALSE(Database::Open(Opts(crashed.get(), 64)).ok());
   // The repair fsync aborts recovery before StartAppending runs — without
   // it, sync #1 would instead be the next segment's header sync, which
@@ -405,7 +405,7 @@ TEST(WalRecovery, TornTailRepairIsSyncedBeforeAppending) {
 
   // The truncate itself already happened; with fsync healthy again the
   // next open recovers the durable prefix plus every intact tail record.
-  crashed->SetFaultPlan({});
+  crashed->faults().DisarmAll();
   auto rec = Database::Open(Opts(crashed.get(), 64));
   ASSERT_TRUE(rec.ok()) << rec.status();
   EXPECT_EQ(PrefixOf(refs, DumpState(**rec)),
@@ -709,7 +709,7 @@ TEST(WalRecovery, FsyncFailurePoisonsLogAndRollsBack) {
   ASSERT_TRUE(db.ok()) << db.status();
   ApplyWorkload(**db, 3);
 
-  vfs.SetFaultPlan({.fail_sync_at = 1});
+  vfs.faults().ArmNthHit("memvfs.sync", 1);
   auto r = (*db)->Execute(kDml[3]);
   EXPECT_FALSE(r.ok());  // commit must not report success without durability
   EXPECT_TRUE((*db)->wal()->broken());
@@ -740,11 +740,13 @@ TEST(WalRecovery, ShortWritePoisonsLogAndRollsBack) {
 
   const std::string seg = LastSegmentPath(vfs);
   // Allow a handful more bytes, then cut the next append short mid-record.
-  vfs.SetFaultPlan({.short_write_after_bytes = 10});
+  FaultRegistry::FaultSpec short_write;
+  short_write.unit_budget = 10;
+  vfs.faults().Arm("memvfs.append", std::move(short_write));
   EXPECT_FALSE((*db)->Execute(kDml[3]).ok());
   EXPECT_TRUE((*db)->wal()->broken());
   EXPECT_EQ(StripBounds(DumpState(**db)), StripBounds(refs[3]));
-  vfs.SetFaultPlan({});
+  vfs.faults().DisarmAll();
 
   // The partial record is an ordinary torn tail for the next recovery.
   auto crashed = vfs.CloneCrashed(seg, vfs.UnsyncedBytes(seg));
