@@ -1,19 +1,23 @@
 // Snapshot reader-thread scaling: aggregate read-query throughput of
 // 1/2/4/8 reader threads running Database::QueryAt against pinned
 // snapshots of a 100k-node graph, with a concurrent single writer
-// committing a property-update workload the whole time. Correctness gate:
+// committing a property-update workload the whole time. Each point also
+// reports the writer's commits/s, which falls when opening and releasing
+// snapshots contends with publication. Correctness gate:
 // every reader checksums its result rows; per-epoch checksums must equal
 // the serialized (writer-thread Execute) checksum of the same query at the
 // same epoch, and a per-snapshot invariant (balance pairs summing to a
 // constant) must hold in every result.
 //
-//   $ ./build/bench_snapshot_readers [output.json] [--smoke]
+//   $ ./build/bench_snapshot_readers [output.json] [--smoke] [--commit SHA]
 //
 // Acceptance goal: >= 4x aggregate throughput at 8 reader threads vs. the
 // single-reader baseline — on a machine with >= 8 hardware threads.
 // Single-core containers cannot scale by definition; the report records
 // hardware_concurrency so the number can be judged in context.
 // --smoke shrinks the graph and duration (CI: correctness gate only).
+// --commit records the source revision in the report, next to the build
+// type and hardware_concurrency.
 
 #include <atomic>
 #include <cstdio>
@@ -91,8 +95,10 @@ void BuildGraph(Database& db, const Config& cfg) {
 struct Point {
   int readers = 0;
   long queries = 0;
+  long commits = 0;  // writer statements' commits (churn counts too)
   double seconds = 0;
   double qps = 0;
+  double commits_per_s = 0;
   long checksum_mismatches = 0;
   long invariant_breaks = 0;
 };
@@ -134,18 +140,20 @@ Point RunPoint(Database& db, const Config& cfg, int reader_count) {
   // The writer keeps committing: one balance rewrite per commit plus
   // periodic node churn (creates + detach deletes).
   Stopwatch sw;
-  long commits = 0;
+  long rounds = 0;
   while (sw.ElapsedMicros() < cfg.seconds_per_point * 1e6) {
-    const int pid = static_cast<int>(commits * 131) % 100;  // hot subset
-    const int s = static_cast<int>((commits * 37) % 101);
+    const int pid = static_cast<int>(rounds * 131) % 100;  // hot subset
+    const int s = static_cast<int>((rounds * 37) % 101);
     MustExec(db, "MATCH (p:Person {pid: " + std::to_string(pid) +
                      "}) SET p.score = " + std::to_string(s) +
                      ", p.anti = " + std::to_string(100 - s));
-    if (commits % 16 == 0) {
-      MustExec(db, "CREATE (:Scratch {r: " + std::to_string(commits) + "})");
+    ++pt.commits;
+    if (rounds % 16 == 0) {
+      MustExec(db, "CREATE (:Scratch {r: " + std::to_string(rounds) + "})");
       MustExec(db, "MATCH (s:Scratch) DETACH DELETE s");
+      pt.commits += 2;
     }
-    ++commits;
+    ++rounds;
   }
   stop.store(true, std::memory_order_release);
   for (std::thread& t : readers) t.join();
@@ -153,6 +161,7 @@ Point RunPoint(Database& db, const Config& cfg, int reader_count) {
   pt.seconds = sw.ElapsedMicros() / 1e6;
   pt.queries = total_queries.load();
   pt.qps = pt.queries / pt.seconds;
+  pt.commits_per_s = pt.commits / pt.seconds;
   pt.invariant_breaks = invariant_breaks.load();
 
   // Serialized ground truth: the same query at the final epoch must
@@ -170,10 +179,13 @@ Point RunPoint(Database& db, const Config& cfg, int reader_count) {
 
 int Main(int argc, char** argv) {
   std::string out_path = "BENCH_snapshot.json";
+  std::string commit = "unknown";
   bool smoke = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
+    } else if (std::strcmp(argv[i], "--commit") == 0 && i + 1 < argc) {
+      commit = argv[++i];
     } else {
       out_path = argv[i];
     }
@@ -202,9 +214,9 @@ int Main(int argc, char** argv) {
     points.push_back(RunPoint(db, cfg, rc));
     const Point& p = points.back();
     std::printf(
-        "  readers=%d   queries=%ld   qps=%9.1f   mismatches=%ld   "
-        "invariant_breaks=%ld\n",
-        p.readers, p.queries, p.qps, p.checksum_mismatches,
+        "  readers=%d   queries=%ld   qps=%9.1f   writer_commits/s=%9.1f   "
+        "mismatches=%ld   invariant_breaks=%ld\n",
+        p.readers, p.queries, p.qps, p.commits_per_s, p.checksum_mismatches,
         p.invariant_breaks);
   }
 
@@ -233,11 +245,13 @@ int Main(int argc, char** argv) {
         "  \"description\": \"bench_snapshot_readers: aggregate QueryAt "
         "throughput of N reader threads over pinned snapshots of a %d-node "
         "graph while the single writer commits a balance-rewrite + churn "
-        "workload. Readers verify per-snapshot checksum stability; the "
-        "final epoch is checksum-compared against serialized Execute. "
-        "Scaling requires real cores: hardware_concurrency is recorded "
-        "alongside.\",\n",
+        "workload, and the writer's commits/s beside them. Readers verify "
+        "per-snapshot checksum stability; the final epoch is "
+        "checksum-compared against serialized Execute. Scaling requires "
+        "real cores: hardware_concurrency is recorded alongside.\",\n",
         cfg.nodes);
+    std::fprintf(f, "  \"commit\": \"%s\",\n", commit.c_str());
+    std::fprintf(f, "  \"build_type\": \"%s\",\n", PGT_BUILD_TYPE);
     std::fprintf(f, "  \"hardware_concurrency\": %u,\n", hw);
     std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
     std::fprintf(f, "  \"points\": [\n");
@@ -245,10 +259,12 @@ int Main(int argc, char** argv) {
       const Point& p = points[i];
       std::fprintf(f,
                    "    {\"readers\": %d, \"queries\": %ld, \"qps\": %.1f, "
+                   "\"writer_commits\": %ld, \"writer_commits_per_s\": %.1f, "
                    "\"checksum_mismatches\": %ld, \"invariant_breaks\": "
                    "%ld}%s\n",
-                   p.readers, p.queries, p.qps, p.checksum_mismatches,
-                   p.invariant_breaks, i + 1 < points.size() ? "," : "");
+                   p.readers, p.queries, p.qps, p.commits, p.commits_per_s,
+                   p.checksum_mismatches, p.invariant_breaks,
+                   i + 1 < points.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n");
     std::fprintf(f, "  \"scaling_vs_single_reader\": %.2f,\n", scaling);

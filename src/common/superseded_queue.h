@@ -25,9 +25,12 @@ namespace pgt {
 /// exactly one version: `size()` is the number of banked superseded
 /// versions, and reclamation costs O(versions freed).
 ///
-/// Writer-side only (callers hold the SnapshotManager mutex). Readers
-/// never load `prev` of a version at or below their pinned epoch, so
-/// cutting it races with nothing.
+/// Writer-side only: the writer pushes at publish and reclaims right after
+/// (SnapshotManager::PublishCommit / Reclaim), without the manager mutex;
+/// releasing a snapshot never touches the queue. Readers never load `prev`
+/// of a version at or below their pinned epoch, so cutting it races with
+/// nothing. `size()` alone may be read from any thread (introspection
+/// while the writer, possibly a pool thread, keeps publishing).
 template <typename V>
 class SupersededQueue {
  public:
@@ -36,7 +39,10 @@ class SupersededQueue {
   SupersededQueue& operator=(const SupersededQueue&) = delete;
 
   /// `v` was just published on top of an older version.
-  void Push(V* v) { queue_.push_back(v); }
+  void Push(V* v) {
+    queue_.push_back(v);
+    size_.store(queue_.size(), std::memory_order_relaxed);
+  }
 
   /// Frees every version that no snapshot pinned at `min_keep` or newer
   /// can observe.
@@ -52,12 +58,14 @@ class SupersededQueue {
         dead = older;
       }
     }
+    size_.store(queue_.size(), std::memory_order_relaxed);
   }
 
-  size_t size() const { return queue_.size(); }
+  size_t size() const { return size_.load(std::memory_order_relaxed); }
 
  private:
   std::deque<V*> queue_;
+  std::atomic<size_t> size_{0};  // queue_.size(), readable off the writer
 };
 
 }  // namespace pgt

@@ -56,7 +56,7 @@ void VersionedPostings::InsertSlot(Table& t, Band* band) {
   slots_.push_back(std::move(slot));
 }
 
-void VersionedPostings::GrowLocked() {
+void VersionedPostings::Grow() {
   const Table* old = table_.load(std::memory_order_relaxed);
   auto bigger = std::make_unique<Table>();
   bigger->mask = (old->mask + 1) * 2 - 1;
@@ -75,7 +75,7 @@ VersionedPostings::Band* VersionedPostings::EnsureBand(const Value& key) {
   if (existing != nullptr) return existing;
   if (bands_.size() + 1 >
       table_.load(std::memory_order_relaxed)->mask + 1) {
-    GrowLocked();
+    Grow();
   }
   auto band = std::make_unique<Band>();
   band->key = key;

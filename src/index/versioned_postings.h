@@ -36,7 +36,7 @@ namespace pgt::index {
 ///
 /// Thread contract (mirrors the record sidecar):
 ///  * all mutation — `Baseline`, `Stage`, `PublishStaged`, `Truncate` —
-///    runs on the writer thread under the SnapshotManager mutex;
+///    runs on the writer thread, without any lock;
 ///  * `LookupAt` / `Find` are lock-free and safe from any thread
 ///    concurrently with the writer. The band hash table grows by
 ///    publishing a rebuilt bucket directory; superseded directories are
@@ -57,7 +57,7 @@ class VersionedPostings {
   const IndexSpec& spec() const { return spec_; }
   bool unique() const { return spec_.unique; }
 
-  // --- Writer side (under the SnapshotManager mutex) ------------------------
+  // --- Writer side ----------------------------------------------------------
 
   /// Materializes one version per band of `live` at `epoch`. Called when
   /// the sidecar is created: at Arm() for pre-existing indexes, at CREATE
@@ -82,7 +82,8 @@ class VersionedPostings {
   /// Frees versions no snapshot pinned at `min_keep` or newer can observe.
   void Truncate(uint64_t min_keep) { superseded_.Reclaim(min_keep); }
 
-  /// Number of superseded (non-head) versions currently banked.
+  /// Number of superseded (non-head) versions currently banked. Any
+  /// thread (SupersededQueue::size).
   size_t SupersededVersions() const { return superseded_.size(); }
   size_t BandCount() const { return bands_.size(); }
 
@@ -141,7 +142,7 @@ class VersionedPostings {
   Band* FindBand(const Value& key) const;  // lock-free
   Band* EnsureBand(const Value& key);      // writer side
   void InsertSlot(Table& t, Band* band);   // writer side
-  void GrowLocked();                       // writer side
+  void Grow();                             // writer side
 
   IndexSpec spec_;
   std::atomic<Table*> table_{nullptr};

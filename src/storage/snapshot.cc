@@ -19,43 +19,42 @@ void SortUnique(std::vector<uint64_t>& v) {
 
 // --- GraphSnapshot -----------------------------------------------------------
 
-GraphSnapshot::~GraphSnapshot() {
-  if (mgr_ != nullptr) mgr_->Unpin(epoch_);
-}
+GraphSnapshot::~GraphSnapshot() { mgr_->Unpin(pin_); }
 
 const NodeVersion* GraphSnapshot::Node(NodeId id) const {
-  if (id.value >= node_bound_) return nullptr;
+  if (id.value >= image_->node_bound) return nullptr;
+  const uint64_t epoch = image_->epoch;
   const NodeVersion* v = mgr_->nodes_.Head(id.value);
-  while (v != nullptr && v->epoch > epoch_) {
+  while (v != nullptr && v->epoch > epoch) {
     v = v->prev.load(std::memory_order_acquire);
   }
   return v;
 }
 
 const RelVersion* GraphSnapshot::Rel(RelId id) const {
-  if (id.value >= rel_bound_) return nullptr;
+  if (id.value >= image_->rel_bound) return nullptr;
+  const uint64_t epoch = image_->epoch;
   const RelVersion* v = mgr_->rels_.Head(id.value);
-  while (v != nullptr && v->epoch > epoch_) {
+  while (v != nullptr && v->epoch > epoch) {
     v = v->prev.load(std::memory_order_acquire);
   }
   return v;
 }
 
 std::vector<NodeId> GraphSnapshot::NodesByLabel(LabelId label) const {
-  auto it = buckets_.find(label);
-  if (it == buckets_.end()) return {};
-  return *it->second;
+  const std::vector<NodeId>* bucket = Bucket(label);
+  return bucket == nullptr ? std::vector<NodeId>{} : *bucket;
 }
 
 size_t GraphSnapshot::LabelCardinality(LabelId label) const {
-  auto it = buckets_.find(label);
-  return it == buckets_.end() ? 0 : it->second->size();
+  const std::vector<NodeId>* bucket = Bucket(label);
+  return bucket == nullptr ? 0 : bucket->size();
 }
 
 std::vector<NodeId> GraphSnapshot::AllNodes() const {
   std::vector<NodeId> out;
-  out.reserve(node_count_);
-  for (uint64_t id = 0; id < node_bound_; ++id) {
+  out.reserve(image_->node_count);
+  for (uint64_t id = 0; id < image_->node_bound; ++id) {
     const NodeVersion* v = Node(NodeId{id});
     if (v != nullptr && v->alive) out.push_back(NodeId{id});
   }
@@ -64,8 +63,8 @@ std::vector<NodeId> GraphSnapshot::AllNodes() const {
 
 std::vector<RelId> GraphSnapshot::AllRels() const {
   std::vector<RelId> out;
-  out.reserve(rel_count_);
-  for (uint64_t id = 0; id < rel_bound_; ++id) {
+  out.reserve(image_->rel_count);
+  for (uint64_t id = 0; id < image_->rel_bound; ++id) {
     const RelVersion* v = Rel(RelId{id});
     if (v != nullptr && v->alive) out.push_back(RelId{id});
   }
@@ -82,12 +81,16 @@ std::vector<RelId> GraphSnapshot::RelsOf(NodeId node, Direction dir,
 
 // --- SnapshotManager ---------------------------------------------------------
 
-void SnapshotManager::RefreshDictsLocked(const GraphStore& store) {
-  if (dicts_ != nullptr &&
-      dicts_->label_names.size() == store.LabelDictSize() &&
-      dicts_->rel_type_names.size() == store.RelTypeDictSize() &&
-      dicts_->prop_key_names.size() == store.PropKeyDictSize()) {
-    return;  // no new names since the last committed image
+namespace {
+
+/// `prev` when no names were interned since it was built, else a fresh
+/// copy of the store's dictionaries.
+std::shared_ptr<const SnapshotDicts> CommittedDicts(
+    const GraphStore& store, std::shared_ptr<const SnapshotDicts> prev) {
+  if (prev != nullptr && prev->label_names.size() == store.LabelDictSize() &&
+      prev->rel_type_names.size() == store.RelTypeDictSize() &&
+      prev->prop_key_names.size() == store.PropKeyDictSize()) {
+    return prev;
   }
   auto d = std::make_shared<SnapshotDicts>();
   d->label_names.reserve(store.LabelDictSize());
@@ -105,14 +108,27 @@ void SnapshotManager::RefreshDictsLocked(const GraphStore& store) {
     d->prop_key_names.push_back(store.PropKeyName(i));
     d->prop_key_ids.emplace(d->prop_key_names.back(), i);
   }
-  dicts_ = std::move(d);
+  return d;
 }
 
-void SnapshotManager::RebuildBucketLocked(const GraphStore& store,
-                                          LabelId label) {
-  buckets_[label] =
+/// Copies the committed carriers of `label` into `img`. O(|label|): see
+/// the granularity note in docs/snapshots.md.
+void RebuildBucket(CommittedImage& img, const GraphStore& store,
+                   LabelId label) {
+  img.buckets[label] =
       std::make_shared<const std::vector<NodeId>>(store.NodesByLabel(label));
 }
+
+/// The dictionaries, bounds and counts of `img`, refreshed from the store.
+void RefreshFromStore(CommittedImage& img, const GraphStore& store) {
+  img.dicts = CommittedDicts(store, std::move(img.dicts));
+  img.node_bound = store.NodeIdBound();
+  img.rel_bound = store.RelIdBound();
+  img.node_count = store.NodeCount();
+  img.rel_count = store.RelCount();
+}
+
+}  // namespace
 
 void SnapshotManager::Arm(const GraphStore& store) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -149,31 +165,31 @@ void SnapshotManager::Arm(const GraphStore& store) {
     v->props = rec->props;
     rels_.Publish(id, v);
   }
-  RefreshDictsLocked(store);
+  auto image = std::make_shared<CommittedImage>();
+  image->epoch = epoch;
+  image->buckets.resize(store.LabelDictSize());
   for (uint32_t l = 0; l < store.LabelDictSize(); ++l) {
-    RebuildBucketLocked(store, l);
+    RebuildBucket(*image, store, l);
   }
   // Baseline a versioned posting sidecar per existing property index, so
   // snapshot probes work from the first pinned epoch on.
-  auto image = std::make_shared<SnapshotIndexImage>();
+  auto indexes = std::make_shared<SnapshotIndexImage>();
   store.indexes().ForEach([&](const index::PropertyIndex& idx) {
     auto sidecar = std::make_shared<index::VersionedPostings>(idx.spec());
     sidecar->Baseline(idx, epoch);
-    (*image)[{idx.spec().label, idx.spec().prop}] = std::move(sidecar);
+    (*indexes)[{idx.spec().label, idx.spec().prop}] = std::move(sidecar);
   });
-  index_image_ = std::move(image);
-  node_bound_ = store.NodeIdBound();
-  rel_bound_ = store.RelIdBound();
-  node_count_ = store.NodeCount();
-  rel_count_ = store.RelCount();
+  image->indexes = std::move(indexes);
+  RefreshFromStore(*image, store);
+  image_ = std::move(image);
   armed_.store(true, std::memory_order_release);
 }
 
-void SnapshotManager::PublishIndexBandsLocked(const GraphStore& store,
-                                              const GraphDelta& delta,
-                                              uint64_t new_epoch) {
-  if (index_image_ == nullptr || index_image_->empty()) return;
-  for (const auto& [key, sidecar] : *index_image_) {
+void SnapshotManager::PublishIndexBands(const SnapshotIndexImage& indexes,
+                                        const GraphStore& store,
+                                        const GraphDelta& delta,
+                                        uint64_t new_epoch) {
+  for (const auto& [key, sidecar] : indexes) {
     const LabelId label = key.first;
     const PropKeyId prop = key.second;
     // Committed value of a member (alive, labelled; the sidecar drops
@@ -223,12 +239,13 @@ Status SnapshotManager::PublishCommit(const GraphStore& store,
     return Status::OK();
   }
 
-  std::lock_guard<std::mutex> lock(mu_);
-  // The new epoch is published (store below) only after every version,
-  // bucket, and count update lands, all under mu_ — an Open() racing this
-  // commit either pins the previous epoch or observes the complete new
-  // one, never a half-published state.
-  const uint64_t new_epoch = commit_epoch_.load(std::memory_order_relaxed) + 1;
+  // Everything up to Install runs without the lock. Versions tagged
+  // `new_epoch` are invisible to every open snapshot (all pin older
+  // epochs) and snapshots opened meanwhile still get the previous image,
+  // so readers see either the previous commit or, after the swap, the
+  // complete new one.
+  const CommittedImage& cur = *image_;
+  const uint64_t new_epoch = cur.epoch + 1;
 
   // Records the commit touched, each re-versioned once from its (now
   // committed) live image. Endpoints of created relationships count as
@@ -315,21 +332,47 @@ Status SnapshotManager::PublishCommit(const GraphStore& store,
   touched_labels.erase(
       std::unique(touched_labels.begin(), touched_labels.end()),
       touched_labels.end());
-  for (LabelId l : touched_labels) RebuildBucketLocked(store, l);
 
-  PublishIndexBandsLocked(store, delta, new_epoch);
+  PublishIndexBands(*cur.indexes, store, delta, new_epoch);
 
-  RefreshDictsLocked(store);
-  node_bound_ = store.NodeIdBound();
-  rel_bound_ = store.RelIdBound();
-  node_count_ = store.NodeCount();
-  rel_count_ = store.RelCount();
+  auto next = std::make_shared<CommittedImage>(cur);  // shares every bucket
+  next->epoch = new_epoch;
+  next->buckets.resize(store.LabelDictSize());
+  for (LabelId l : touched_labels) RebuildBucket(*next, store, l);
+  RefreshFromStore(*next, store);
 
-  // Epoch publication: the one synchronization point readers observe.
-  commit_epoch_.store(new_epoch, std::memory_order_release);
-
-  CollectGarbageLocked();
+  ReclaimBelow(Install(std::move(next)));
   return Status::OK();
+}
+
+uint64_t SnapshotManager::Install(std::shared_ptr<const CommittedImage> next) {
+  std::lock_guard<std::mutex> lock(mu_);
+  image_.swap(next);  // the replaced image is released after the unlock
+  // Epoch publication: the one synchronization point readers observe.
+  commit_epoch_.store(image_->epoch, std::memory_order_release);
+  return MinKeepLocked();
+}
+
+uint64_t SnapshotManager::MinKeepLocked() const {
+  return pins_.empty() ? image_->epoch : pins_.front().epoch;
+}
+
+void SnapshotManager::ReclaimBelow(uint64_t min_keep) {
+  superseded_nodes_.Reclaim(min_keep);
+  superseded_rels_.Reclaim(min_keep);
+  for (const auto& [key, sidecar] : *image_->indexes) {
+    sidecar->Truncate(min_keep);
+  }
+}
+
+void SnapshotManager::Reclaim() {
+  if (!armed_.load(std::memory_order_acquire)) return;
+  uint64_t min_keep;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    min_keep = MinKeepLocked();
+  }
+  ReclaimBelow(min_keep);
 }
 
 std::shared_ptr<const GraphSnapshot> SnapshotManager::Open(
@@ -339,89 +382,76 @@ std::shared_ptr<const GraphSnapshot> SnapshotManager::Open(
   // its destructor unpins, which takes mu_.
   std::shared_ptr<const GraphSnapshot> cached;
   std::lock_guard<std::mutex> lock(mu_);
-  if (!armed_.load(std::memory_order_relaxed)) return nullptr;
-  const uint64_t epoch = commit_epoch_.load(std::memory_order_relaxed);
+  if (image_ == nullptr) return nullptr;  // not armed
   cached = cache_.lock();
-  if (cached != nullptr && cached->epoch() == epoch) return cached;
-  auto snap = std::shared_ptr<GraphSnapshot>(new GraphSnapshot());
-  snap->mgr_ = std::move(self);
-  snap->epoch_ = epoch;
-  snap->dicts_ = dicts_;
-  snap->buckets_ = buckets_;
-  snap->indexes_ = index_image_;
-  snap->node_bound_ = node_bound_;
-  snap->rel_bound_ = rel_bound_;
-  snap->node_count_ = node_count_;
-  snap->rel_count_ = rel_count_;
-  pins_.insert(epoch);
+  if (cached != nullptr && cached->image_ == image_) return cached;
+  if (pins_.empty() || pins_.back().epoch != image_->epoch) {
+    pins_.push_back({image_->epoch, 0});
+  }
+  EpochPin* pin = &pins_.back();
+  ++pin->holders;
+  auto snap = std::shared_ptr<const GraphSnapshot>(
+      new GraphSnapshot(std::move(self), image_, pin));
   cache_ = snap;
   return snap;
 }
 
-void SnapshotManager::Unpin(uint64_t epoch) {
+void SnapshotManager::Unpin(EpochPin* pin) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = pins_.find(epoch);
-  if (it != pins_.end()) pins_.erase(it);
-  CollectGarbageLocked();
-}
-
-void SnapshotManager::CollectGarbageLocked() {
-  const uint64_t min_keep = pins_.empty()
-                                ? commit_epoch_.load(std::memory_order_relaxed)
-                                : *pins_.begin();
-  superseded_nodes_.Reclaim(min_keep);
-  superseded_rels_.Reclaim(min_keep);
-  if (index_image_ != nullptr) {
-    for (const auto& [key, sidecar] : *index_image_) {
-      sidecar->Truncate(min_keep);
-    }
-  }
+  --pin->holders;
+  while (!pins_.empty() && pins_.front().holders == 0) pins_.pop_front();
+  while (!pins_.empty() && pins_.back().holders == 0) pins_.pop_back();
 }
 
 void SnapshotManager::OnIndexCreated(const index::PropertyIndex& live) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!armed_.load(std::memory_order_relaxed)) return;
-  auto image = index_image_ == nullptr
-                   ? std::make_shared<SnapshotIndexImage>()
-                   : std::make_shared<SnapshotIndexImage>(*index_image_);
+  if (!armed_.load(std::memory_order_acquire)) return;
+  const CommittedImage& cur = *image_;
   auto sidecar = std::make_shared<index::VersionedPostings>(live.spec());
-  sidecar->Baseline(live, commit_epoch_.load(std::memory_order_relaxed));
-  (*image)[{live.spec().label, live.spec().prop}] = std::move(sidecar);
-  index_image_ = std::move(image);
-  // Same-epoch re-opens must capture the new image; already-open snapshots
-  // keep the old one and simply lack this index (planner label-scans).
-  cache_.reset();
+  sidecar->Baseline(live, cur.epoch);
+  auto indexes = std::make_shared<SnapshotIndexImage>(*cur.indexes);
+  (*indexes)[{live.spec().label, live.spec().prop}] = std::move(sidecar);
+  auto next = std::make_shared<CommittedImage>(cur);
+  next->indexes = std::move(indexes);
+  // Same-epoch re-opens miss the cache (it holds the old image) and pick
+  // up the index; already-open snapshots keep the old image.
+  (void)Install(std::move(next));
 }
 
 void SnapshotManager::OnIndexDropped(LabelId label, PropKeyId prop) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!armed_.load(std::memory_order_relaxed)) return;
-  if (index_image_ == nullptr) return;
-  auto image = std::make_shared<SnapshotIndexImage>(*index_image_);
-  image->erase({label, prop});
-  index_image_ = std::move(image);
-  cache_.reset();
+  if (!armed_.load(std::memory_order_acquire)) return;
+  const CommittedImage& cur = *image_;
+  auto indexes = std::make_shared<SnapshotIndexImage>(*cur.indexes);
+  indexes->erase({label, prop});
+  auto next = std::make_shared<CommittedImage>(cur);
+  next->indexes = std::move(indexes);
+  (void)Install(std::move(next));
 }
 
 size_t SnapshotManager::SidecarVersions() const {
-  std::lock_guard<std::mutex> lock(mu_);
   return superseded_nodes_.size() + superseded_rels_.size();
 }
 
 size_t SnapshotManager::IndexSidecarVersions() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  // Copied under the lock: off the writer thread, image_ may be swapped
+  // and the old image released at any moment.
+  std::shared_ptr<const CommittedImage> image;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    image = image_;
+  }
+  if (image == nullptr) return 0;  // not armed
   size_t total = 0;
-  if (index_image_ != nullptr) {
-    for (const auto& [key, sidecar] : *index_image_) {
-      total += sidecar->SupersededVersions();
-    }
+  for (const auto& [key, sidecar] : *image->indexes) {
+    total += sidecar->SupersededVersions();
   }
   return total;
 }
 
 size_t SnapshotManager::PinnedSnapshots() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return pins_.size();
+  size_t total = 0;
+  for (const EpochPin& pin : pins_) total += pin.holders;
+  return total;
 }
 
 }  // namespace pgt

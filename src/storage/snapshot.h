@@ -5,13 +5,15 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <deque>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/common/ids.h"
@@ -49,9 +51,12 @@ struct GraphDelta;
 ///
 /// The sidecar is reclaimed when the oldest pinned snapshot advances:
 /// superseded versions are queued in epoch order (SupersededQueue) and
-/// freed, once no live snapshot can observe them, under the manager mutex
-/// — O(versions freed) per commit or release. Open/close and commit
-/// publication take that mutex; snapshot *reads* never do.
+/// freed by the writer, once no live snapshot can observe them, right
+/// after each publish — O(versions freed) per commit. The manager mutex
+/// guards only the pin list, the committed-image pointer and the
+/// same-epoch snapshot cache: opening and releasing a snapshot are
+/// amortized O(1) under it, and neither builds nor frees anything.
+/// Snapshot *reads* never take it.
 ///
 /// Uncommitted changes are never published, so a snapshot can be opened at
 /// any time between or during transactions and always observes the last
@@ -205,39 +210,63 @@ using SnapshotIndexImage =
     std::map<std::pair<uint32_t, uint32_t>,
              std::shared_ptr<index::VersionedPostings>>;
 
+/// Everything a snapshot reads besides the version chains, as of one
+/// commit epoch. The writer builds a fresh image per publish (and per
+/// index DDL) outside the manager mutex, then swaps the manager's image
+/// pointer under it; an image is immutable once published and shared by
+/// every snapshot opened while it is current.
+struct CommittedImage {
+  uint64_t epoch = 0;
+  std::shared_ptr<const SnapshotDicts> dicts;
+  // Alive carriers per label id, in id order (shared between consecutive
+  // images; a commit replaces only the buckets of labels it touched).
+  // Null, or past the end for labels interned since, means no carriers.
+  std::vector<std::shared_ptr<const std::vector<NodeId>>> buckets;
+  // Versioned index sidecars; never null once armed.
+  std::shared_ptr<const SnapshotIndexImage> indexes;
+  uint64_t node_bound = 0, rel_bound = 0;
+  size_t node_count = 0, rel_count = 0;
+};
+
+/// Live snapshots pinned at one epoch (SnapshotManager::pins_).
+struct EpochPin {
+  uint64_t epoch = 0;
+  size_t holders = 0;
+};
+
 /// A pinned point-in-time view of the graph: everything committed up to
 /// (and including) `epoch()`, nothing after, nothing uncommitted. Safe to
 /// read from any number of threads concurrently with the single writer;
 /// reads take no locks. Obtained from GraphStore::OpenSnapshot() /
-/// Database::OpenSnapshot(); releasing the last reference unpins the epoch
-/// and lets the manager reclaim sidecar versions.
+/// Database::OpenSnapshot(); releasing the last reference unpins the epoch,
+/// and the writer's next reclamation frees what only it still observed.
 class GraphSnapshot {
  public:
   ~GraphSnapshot();
   GraphSnapshot(const GraphSnapshot&) = delete;
   GraphSnapshot& operator=(const GraphSnapshot&) = delete;
 
-  uint64_t epoch() const { return epoch_; }
+  uint64_t epoch() const { return image_->epoch; }
 
   // --- Dictionaries (as of the pinned epoch) ------------------------------
 
   std::optional<LabelId> LookupLabel(std::string_view name) const {
-    return SnapshotDicts::Find(dicts_->label_ids, name);
+    return SnapshotDicts::Find(image_->dicts->label_ids, name);
   }
   std::optional<RelTypeId> LookupRelType(std::string_view name) const {
-    return SnapshotDicts::Find(dicts_->rel_type_ids, name);
+    return SnapshotDicts::Find(image_->dicts->rel_type_ids, name);
   }
   std::optional<PropKeyId> LookupPropKey(std::string_view name) const {
-    return SnapshotDicts::Find(dicts_->prop_key_ids, name);
+    return SnapshotDicts::Find(image_->dicts->prop_key_ids, name);
   }
   const std::string& LabelName(LabelId id) const {
-    return dicts_->label_names[id];
+    return image_->dicts->label_names[id];
   }
   const std::string& RelTypeName(RelTypeId id) const {
-    return dicts_->rel_type_names[id];
+    return image_->dicts->rel_type_names[id];
   }
   const std::string& PropKeyName(PropKeyId id) const {
-    return dicts_->prop_key_names[id];
+    return image_->dicts->prop_key_names[id];
   }
 
   // --- Record resolution ---------------------------------------------------
@@ -303,36 +332,34 @@ class GraphSnapshot {
   /// `LookupAt(value, epoch(), out)`.
   const index::VersionedPostings* FindIndex(LabelId label,
                                             PropKeyId prop) const {
-    if (indexes_ == nullptr) return nullptr;
-    auto it = indexes_->find({label, prop});
-    return it == indexes_->end() ? nullptr : it->second.get();
+    const SnapshotIndexImage& indexes = *image_->indexes;
+    auto it = indexes.find({label, prop});
+    return it == indexes.end() ? nullptr : it->second.get();
   }
 
-  bool HasIndexes() const {
-    return indexes_ != nullptr && !indexes_->empty();
-  }
+  bool HasIndexes() const { return !image_->indexes->empty(); }
 
-  size_t NodeCount() const { return node_count_; }
-  size_t RelCount() const { return rel_count_; }
-  uint64_t NodeIdBound() const { return node_bound_; }
-  uint64_t RelIdBound() const { return rel_bound_; }
+  size_t NodeCount() const { return image_->node_count; }
+  size_t RelCount() const { return image_->rel_count; }
+  uint64_t NodeIdBound() const { return image_->node_bound; }
+  uint64_t RelIdBound() const { return image_->rel_bound; }
 
  private:
   friend class SnapshotManager;
-  GraphSnapshot() = default;
+  GraphSnapshot(std::shared_ptr<SnapshotManager> mgr,
+                std::shared_ptr<const CommittedImage> image, EpochPin* pin)
+      : mgr_(std::move(mgr)), image_(std::move(image)), pin_(pin) {}
+
+  const std::vector<NodeId>* Bucket(LabelId label) const {
+    const auto& buckets = image_->buckets;
+    return label < buckets.size() ? buckets[label].get() : nullptr;
+  }
 
   std::shared_ptr<SnapshotManager> mgr_;  // keeps version tables alive
-  uint64_t epoch_ = 0;
-  std::shared_ptr<const SnapshotDicts> dicts_;
-  // label -> alive carriers at this epoch (shared with the manager's
-  // committed bucket; replaced-not-mutated on later commits).
-  std::unordered_map<LabelId, std::shared_ptr<const std::vector<NodeId>>>
-      buckets_;
-  // Versioned index sidecars as of this snapshot's open (shared with the
-  // manager; keeps dropped indexes' chains alive for the pinned epoch).
-  std::shared_ptr<const SnapshotIndexImage> indexes_;
-  uint64_t node_bound_ = 0, rel_bound_ = 0;
-  size_t node_count_ = 0, rel_count_ = 0;
+  // The image current when this snapshot was opened (keeps dropped
+  // indexes' chains alive for the pinned epoch).
+  std::shared_ptr<const CommittedImage> image_;
+  EpochPin* pin_;  // owned by mgr_->pins_; released by the destructor
 };
 
 /// Owns the committed-version sidecar and the snapshot lifecycle. One per
@@ -340,10 +367,19 @@ class GraphSnapshot {
 /// even past store teardown).
 ///
 /// Thread contract:
-///  * Arm() and PublishCommit() run on the writer thread (Arm additionally
-///    requires the writer to be idle — it baselines every live record);
-///  * Open() / snapshot release are safe from any thread (they lock mu_);
-///  * snapshot reads (Node/Rel resolution, scans) are lock-free.
+///  * PublishCommit(), Reclaim() and the index DDL hooks run on the writer
+///    thread, which alone builds, publishes and frees versions and images;
+///  * Arm() requires the writer to be idle (it baselines every live
+///    record); it may run on any thread and holds mu_ throughout;
+///  * Open() / snapshot release are safe from any thread: each holds mu_
+///    for amortized O(1) work — read the image pointer and count a pin, or
+///    uncount one — and frees nothing;
+///  * snapshot reads (Node/Rel resolution, scans) are lock-free;
+///  * the introspection counters are safe from any thread.
+///
+/// "The writer thread" is whichever thread holds the database's writer
+/// lock: the async pool applies DETACHED actions, and so publishes, on
+/// its own threads.
 class SnapshotManager {
  public:
   SnapshotManager() = default;
@@ -355,17 +391,24 @@ class SnapshotManager {
 
   /// Builds the baseline: one version per live record at the current
   /// epoch, committed dictionary / label-bucket / count images. Idempotent.
-  /// Must run on the writer thread with no transaction in flight.
+  /// Must run with the writer idle (no transaction in flight).
   void Arm(const GraphStore& store);
 
   /// Publishes the commit that produced `delta`: bumps the epoch and (when
   /// armed) re-versions every record the delta touched, from the
   /// now-committed live images, and every index band whose membership the
-  /// delta changed, from the band's head version. Writer thread only.
+  /// delta changed, from the band's head version; then installs the new
+  /// committed image and reclaims (see Reclaim). Writer thread only.
   /// Fails only by fault injection ("snapshot.publish",
   /// docs/robustness.md), and then before any state changes — the caller
   /// can still roll the transaction back.
   Status PublishCommit(const GraphStore& store, const GraphDelta& delta);
+
+  /// Frees every superseded record and posting version that no pinned
+  /// snapshot can observe. Runs after every armed publish; an idle writer
+  /// calls it to free what snapshots released since its last commit.
+  /// Writer thread only; a no-op until armed.
+  void Reclaim();
 
   uint64_t commit_epoch() const {
     return commit_epoch_.load(std::memory_order_acquire);
@@ -379,10 +422,9 @@ class SnapshotManager {
   // --- Index DDL hooks (writer thread; invoked by GraphStore) ---------------
 
   /// A property index was created while armed: baseline a versioned
-  /// sidecar for it at the current epoch and publish a new index image.
-  /// Snapshots already open (including the cached current-epoch one) keep
-  /// the old image and fall back to label scans for this index — correct,
-  /// just unaccelerated.
+  /// sidecar for it at the current epoch and publish a new committed
+  /// image with it. Snapshots already open keep the old image and fall
+  /// back to label scans for this index — correct, just unaccelerated.
   void OnIndexCreated(const index::PropertyIndex& live);
 
   /// A property index was dropped while armed: publish an image without
@@ -391,46 +433,52 @@ class SnapshotManager {
 
   // --- Introspection (tests / docs) ----------------------------------------
 
-  /// Number of superseded (non-head) versions currently banked.
+  /// Number of superseded (non-head) versions currently banked. Any
+  /// thread; off the writer thread the count may be one publish stale.
   size_t SidecarVersions() const;
-  /// Number of superseded posting versions banked across index sidecars.
+  /// Number of superseded posting versions banked across the current
+  /// image's index sidecars. Any thread, like SidecarVersions().
   size_t IndexSidecarVersions() const;
-  /// Number of epochs currently pinned by live snapshots.
+  /// Number of live snapshots (each pins its epoch). Any thread.
   size_t PinnedSnapshots() const;
 
  private:
   friend class GraphSnapshot;
 
-  void Unpin(uint64_t epoch);
-  void CollectGarbageLocked();
-  void RefreshDictsLocked(const GraphStore& store);
-  void RebuildBucketLocked(const GraphStore& store, LabelId label);
-  void PublishIndexBandsLocked(const GraphStore& store,
-                               const GraphDelta& delta, uint64_t new_epoch);
+  void Unpin(EpochPin* pin);
+  /// Swaps in `next` and returns the oldest epoch a snapshot can still
+  /// observe, read under the same lock as the swap: an Open either has its
+  /// pin counted or pins `next`'s epoch.
+  uint64_t Install(std::shared_ptr<const CommittedImage> next);
+  uint64_t MinKeepLocked() const;
+  void ReclaimBelow(uint64_t min_keep);
+  void PublishIndexBands(const SnapshotIndexImage& indexes,
+                         const GraphStore& store, const GraphDelta& delta,
+                         uint64_t new_epoch);
 
   std::atomic<uint64_t> commit_epoch_{0};
   std::atomic<bool> armed_{false};
 
-  mutable std::mutex mu_;  // pins, committed images, publish, GC
+  // Writer-owned: readers only load chain heads and links (lock-free).
   VersionTable<NodeVersion> nodes_;
   VersionTable<RelVersion> rels_;
   // Versions that superseded an older one, in epoch order (GC queue).
   SupersededQueue<NodeVersion> superseded_nodes_;
   SupersededQueue<RelVersion> superseded_rels_;
-  std::multiset<uint64_t> pins_;
-  std::weak_ptr<const GraphSnapshot> cache_;  // latest-epoch snapshot reuse
 
-  // Committed images captured into every snapshot opened at the current
-  // epoch (shared, replaced-not-mutated).
-  std::shared_ptr<const SnapshotDicts> dicts_;
-  std::unordered_map<LabelId, std::shared_ptr<const std::vector<NodeId>>>
-      buckets_;
-  // Versioned index sidecars (docs/async.md). The image map is COW'd only
-  // on index DDL; commits publish posting versions into the shared
-  // sidecars in place.
-  std::shared_ptr<const SnapshotIndexImage> index_image_;
-  uint64_t node_bound_ = 0, rel_bound_ = 0;
-  size_t node_count_ = 0, rel_count_ = 0;
+  mutable std::mutex mu_;  // guards the three members below, nothing else
+  // The current committed image. Only the writer replaces it (under mu_),
+  // so the writer reads it without the lock; everyone else locks.
+  std::shared_ptr<const CommittedImage> image_;
+  // One entry per pinned epoch, ascending (pins are only ever taken at the
+  // current epoch). Entries are popped from either end once their holders
+  // reach zero, so the front is the oldest pinned epoch; deque growth at
+  // the ends keeps every live snapshot's EpochPin* valid. An emptied
+  // middle entry stays until the entries before it are popped, so the
+  // deque holds up to one entry per epoch opened while the oldest pin is
+  // held; each entry is popped once, so Unpin is amortized O(1).
+  std::deque<EpochPin> pins_;
+  std::weak_ptr<const GraphSnapshot> cache_;  // current-image snapshot reuse
 };
 
 }  // namespace pgt

@@ -222,6 +222,9 @@ void Database::DrainAsync() {
   std::lock_guard<std::mutex> lock(writer_mu_);
   if (async_ != nullptr) async_->QuiesceHoldingWriterMu();
   (void)JoinCheckpoint();
+  // The pool's and the checkpoint's pins are gone: free what they held
+  // instead of waiting for the next commit.
+  store_.snapshots().Reclaim();
 }
 
 // --- Durability -------------------------------------------------------------
@@ -271,6 +274,7 @@ Status Database::Close() {
   // drain it (and stop the workers) before the CLEAN marker is written.
   ShutdownAsync();
   (void)JoinCheckpoint();
+  store_.snapshots().Reclaim();
   if (wal_ == nullptr) return Status::OK();
   return wal_->CloseClean();
 }
@@ -465,7 +469,9 @@ Status Database::CheckpointNow() {
   // An earlier automatic checkpoint's outcome is moot: this one covers more.
   (void)JoinCheckpoint();
   PGT_RETURN_IF_ERROR(StartCheckpointLocked());
-  return JoinCheckpoint();
+  Status st = JoinCheckpoint();
+  store_.snapshots().Reclaim();  // the checkpoint's pin is released
+  return st;
 }
 
 Status Database::StartCheckpointLocked() {
@@ -495,7 +501,10 @@ Status Database::StartCheckpointLocked() {
     Status st = wal_->WriteSnapshot(meta, [&pin](wal::SnapshotWriter& w) {
       return StreamRecords(*pin, w);
     });
-    pin.reset();  // unpin before reporting, so the writer reclaims promptly
+    // Unpin before reporting: once joined, the writer's next reclamation
+    // (the next commit, or CheckpointNow / DrainAsync / Close when idle)
+    // frees the versions the pin held.
+    pin.reset();
     checkpoint_status_ = std::move(st);
     checkpoint_done_.store(true, std::memory_order_release);
   });

@@ -116,7 +116,7 @@ class Database {
   /// Drain barrier: blocks until every queued DETACHED activation has been
   /// applied and the in-flight checkpoint, if any, has finished (tests,
   /// benches, and anything needing serial-equivalent state or a settled
-  /// WAL directory).
+  /// WAL directory), then frees the snapshot versions no pin still holds.
   void DrainAsync();
 
   // --- Snapshot reads (docs/snapshots.md) -----------------------------------
@@ -125,8 +125,10 @@ class Database {
   /// snapshot substrate and must not race an in-flight transaction (call
   /// it from the writer thread, or once up front); afterwards OpenSnapshot
   /// is safe from any thread while the writer commits. Snapshots opened at
-  /// the same epoch share one pinned object; releasing the last reference
-  /// unpins the epoch and frees superseded sidecar versions.
+  /// the same epoch share one pinned object. Releasing the last reference
+  /// unpins the epoch and frees nothing itself: the writer frees the
+  /// superseded sidecar versions only that pin held at its next commit,
+  /// or at CheckpointNow / DrainAsync / Close when idle.
   Result<std::shared_ptr<const GraphSnapshot>> OpenSnapshot();
 
   /// Runs a read-only statement against a pinned snapshot. Safe to call

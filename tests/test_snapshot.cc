@@ -5,7 +5,8 @@
 //  * epoch pinning — a snapshot opened before a mutation keeps reading the
 //    prior image while the live store (and newer snapshots) move on;
 //  * sidecar lifetime — superseded versions are banked only while an older
-//    snapshot can still observe them and are freed on release;
+//    snapshot can still observe them, and the writer frees them at its
+//    first commit after the release (a release by itself frees nothing);
 //  * read-only routing — QueryAt rejects writes/CALL/clock functions, and
 //    Database::Execute runs read-only statements without a transaction;
 //  * versioned index postings — after every commit of a randomized
@@ -27,6 +28,7 @@
 #include "src/storage/snapshot.h"
 #include "src/storage/store_view.h"
 #include "src/trigger/database.h"
+#include "tests/snapshot_checks.h"
 
 namespace pgt {
 namespace {
@@ -219,9 +221,12 @@ TEST_F(SnapshotTest, SidecarVersionsFreedWhenSnapshotReleases) {
                 .at(0, 0)
                 .int_value(),
             0);
-  snap.reset();  // unpin: release GC truncates every chain to its head
-  EXPECT_EQ(mgr.SidecarVersions(), 0u);
+  snap.reset();  // unpin: the release itself frees nothing...
   EXPECT_EQ(mgr.PinnedSnapshots(), 0u);
+  EXPECT_GT(mgr.SidecarVersions(), 0u);
+  // ...the writer's next step truncates every chain to its head.
+  Run("MATCH (i:Item {k: 1}) SET i.v = 6");
+  EXPECT_EQ(mgr.SidecarVersions(), 0u);
 }
 
 TEST_F(SnapshotTest, SidecarStaysEmptyWithoutPinnedSnapshots) {
@@ -399,32 +404,6 @@ class PostingVersionTest : public SnapshotTest {
     }
   }
 
-  // The head of every sidecar band equals the live index's posting for
-  // that band, and band sizes sum to the live entry count (so no live
-  // entry is missing from the sidecar).
-  void ExpectHeadsMatchLive(const std::string& context) {
-    std::shared_ptr<const GraphSnapshot> now = Snap();
-    ASSERT_EQ(now->epoch(), db_.store().snapshots().commit_epoch());
-    for (PropKeyId prop : {h_, r_}) {
-      const index::PropertyIndex* live =
-          db_.store().indexes().Find(item_, prop);
-      const index::VersionedPostings* sidecar = now->FindIndex(item_, prop);
-      ASSERT_NE(live, nullptr);
-      ASSERT_NE(sidecar, nullptr);
-      size_t total = 0;
-      sidecar->ForEachBandAt(
-          now->epoch(),
-          [&](const Value& key, const std::vector<uint64_t>& ids) {
-            std::vector<uint64_t> expected;
-            live->Lookup(key, &expected);
-            EXPECT_EQ(ids, expected)
-                << context << " band " << key.ToString();
-            total += ids.size();
-          });
-      EXPECT_EQ(total, live->EntryCount()) << context;
-    }
-  }
-
   LabelId item_ = 0;
   PropKeyId h_ = 0, r_ = 0;
 };
@@ -503,8 +482,8 @@ TEST_F(PostingVersionTest, DeltaBuiltBandsMatchLiveIndexAfterEveryCommit) {
     } else {
       ++commits;
     }
-    ExpectHeadsMatchLive("round " + std::to_string(round) + " (" +
-                         stmts.front() + ")");
+    ExpectHeadsMatchLive(db_, "round " + std::to_string(round) + " (" +
+                                  stmts.front() + ")");
     if (round % 25 == 0) pins.push_back(Pin());
     if (pins.size() > 4) {  // release a pin chosen at random
       pins.erase(pins.begin() + static_cast<ptrdiff_t>(
@@ -557,12 +536,16 @@ TEST_F(PostingVersionTest, ReclaimsWhenPinsReleaseOutOfOrder) {
   EXPECT_GE(mgr.SidecarVersions(), 1000u);
   EXPECT_GT(mgr.IndexSidecarVersions(), 0u);
   ExpectStillReads(held);
-  // ...and releasing it reclaims all of them.
+  // ...releasing it frees nothing by itself...
   held = Pinned{};
   EXPECT_EQ(mgr.PinnedSnapshots(), 0u);
+  EXPECT_GE(mgr.SidecarVersions(), 1000u);
+  EXPECT_GT(mgr.IndexSidecarVersions(), 0u);
+  // ...and one writer commit reclaims all of them.
+  bump(1000);
   EXPECT_EQ(mgr.SidecarVersions(), 0u);
   EXPECT_EQ(mgr.IndexSidecarVersions(), 0u);
-  ExpectHeadsMatchLive("after reclaiming");
+  ExpectHeadsMatchLive(db_, "after reclaiming");
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 
 #include "src/common/fault.h"
 #include "src/schema/pg_schema.h"
+#include "src/storage/snapshot.h"
 #include "src/trigger/database.h"
 #include "src/wal/fault_fs.h"
 #include "src/wal/snapshot_file.h"
@@ -449,6 +450,43 @@ TEST(WalRecovery, CheckpointCoversPrefixAndPurgesSegments) {
   ASSERT_TRUE((*rec)->CheckpointNow().ok());
   ASSERT_TRUE((*rec)->Execute("CREATE (:Owner {oid: 9})").ok());
   ASSERT_TRUE((*rec)->Close().ok());
+}
+
+// Releasing a snapshot frees nothing; the writer reclaims. An idle writer
+// does so in CheckpointNow, DrainAsync and Close, so versions a finished
+// checkpoint or a released snapshot held do not wait for the next commit.
+TEST(WalRecovery, IdleWriterStepsReclaimReleasedSnapshotVersions) {
+  wal::MemVfs vfs;
+  auto db = Database::Open(Opts(&vfs, /*group_size=*/1));
+  ASSERT_TRUE(db.ok()) << db.status();
+  Database& d = **db;
+  ASSERT_TRUE(d.Execute("CREATE (:Item {k: 1, v: 0})").ok());
+  const SnapshotManager& mgr = d.store().snapshots();
+  int v = 0;
+  auto bank_then_release = [&] {
+    auto snap = d.OpenSnapshot();
+    ASSERT_TRUE(snap.ok()) << snap.status();
+    for (int i = 0; i < 5; ++i) {
+      ASSERT_TRUE(
+          d.Execute("MATCH (i:Item) SET i.v = " + std::to_string(++v)).ok());
+    }
+    snap->reset();
+    EXPECT_EQ(mgr.PinnedSnapshots(), 0u);
+    EXPECT_GT(mgr.SidecarVersions(), 0u);  // the release alone frees nothing
+  };
+
+  bank_then_release();
+  ASSERT_TRUE(d.CheckpointNow().ok());
+  d.DrainAsync();
+  EXPECT_EQ(mgr.SidecarVersions(), 0u);
+
+  bank_then_release();
+  d.DrainAsync();
+  EXPECT_EQ(mgr.SidecarVersions(), 0u);
+
+  bank_then_release();
+  ASSERT_TRUE(d.Close().ok());
+  EXPECT_EQ(mgr.SidecarVersions(), 0u);
 }
 
 TEST(WalRecovery, AutoCheckpointEveryIntervalCommits) {
