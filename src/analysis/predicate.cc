@@ -9,35 +9,6 @@ namespace {
 using cypher::BinOp;
 using cypher::Expr;
 
-BinOp Flip(BinOp op) {
-  switch (op) {
-    case BinOp::kLt:
-      return BinOp::kGt;
-    case BinOp::kLe:
-      return BinOp::kGe;
-    case BinOp::kGt:
-      return BinOp::kLt;
-    case BinOp::kGe:
-      return BinOp::kLe;
-    default:
-      return op;  // kEq / kNe are symmetric
-  }
-}
-
-bool IsComparison(BinOp op) {
-  switch (op) {
-    case BinOp::kEq:
-    case BinOp::kNe:
-    case BinOp::kLt:
-    case BinOp::kLe:
-    case BinOp::kGt:
-    case BinOp::kGe:
-      return true;
-    default:
-      return false;
-  }
-}
-
 /// Is `e` the monitored property access `NEW.p` (canonical NEW or the
 /// trigger's REFERENCING alias)?
 bool IsMonitoredProp(const Expr* e, const TriggerDef& def) {
@@ -55,7 +26,7 @@ void ScanConjunct(const Expr* e, const TriggerDef& def, PropGuard* out) {
     ScanConjunct(e->b.get(), def, out);
     return;
   }
-  if (!IsComparison(e->bin_op)) return;
+  if (!cypher::IsComparison(e->bin_op)) return;
   BinOp op = e->bin_op;
   const Expr* lit = nullptr;
   if (IsMonitoredProp(e->a.get(), def) &&
@@ -64,7 +35,7 @@ void ScanConjunct(const Expr* e, const TriggerDef& def, PropGuard* out) {
   } else if (IsMonitoredProp(e->b.get(), def) &&
              e->a != nullptr && e->a->kind == Expr::Kind::kLiteral) {
     lit = e->a.get();
-    op = Flip(op);  // normalize to NEW.p <op> literal
+    op = cypher::MirrorOp(op);  // normalize to NEW.p <op> literal
   }
   if (lit == nullptr || lit->value.is_null()) return;
   out->constraints.push_back({op, lit->value});

@@ -87,11 +87,6 @@ class FaultRegistry {
     return HitSlow(point, units, accepted_units);
   }
 
-  /// True when any point is armed (cheap; used to skip per-hit setup).
-  bool AnyArmed() const {
-    return armed_points_.load(std::memory_order_relaxed) != 0;
-  }
-
   /// Arms `point` with `spec`, replacing any previous arming and resetting
   /// the point's hit/unit counters.
   void Arm(std::string_view point, FaultSpec spec);

@@ -134,6 +134,35 @@ std::string RemoveItemToString(const RemoveItem& r, const RenameMap* renames) {
 
 }  // namespace
 
+bool IsComparison(BinOp op) {
+  switch (op) {
+    case BinOp::kEq:
+    case BinOp::kNe:
+    case BinOp::kLt:
+    case BinOp::kLe:
+    case BinOp::kGt:
+    case BinOp::kGe:
+      return true;
+    default:
+      return false;
+  }
+}
+
+BinOp MirrorOp(BinOp op) {
+  switch (op) {
+    case BinOp::kLt:
+      return BinOp::kGt;
+    case BinOp::kLe:
+      return BinOp::kGe;
+    case BinOp::kGt:
+      return BinOp::kLt;
+    case BinOp::kGe:
+      return BinOp::kLe;
+    default:
+      return op;
+  }
+}
+
 std::string PatternPartToString(const PatternPart& p,
                                 const RenameMap* renames) {
   std::string out = NodePatternToString(p.first, renames);

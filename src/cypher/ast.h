@@ -38,6 +38,16 @@ enum class BinOp {
   kContains,
 };
 
+/// True for the six comparisons: = <> < <= > >=.
+bool IsComparison(BinOp op);
+
+/// The operator `m` for which `b m a` means `a op b`: < and > trade
+/// places, as do <= and >=; every other operator (= and <> included) is
+/// returned unchanged. Used to rewrite `lit op x.k` as `x.k m lit`:
+/// comparisons go through TotalCompare (antisymmetric) or yield NULL in
+/// both orientations, so the mirror preserves semantics.
+BinOp MirrorOp(BinOp op);
+
 /// Unary operators.
 enum class UnOp { kNot, kNeg, kIsNull, kIsNotNull };
 

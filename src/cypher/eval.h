@@ -41,7 +41,6 @@ struct Row {
   std::vector<std::pair<std::string, Value>> cols;
 
   const Value* Get(std::string_view name) const;
-  bool Has(std::string_view name) const { return Get(name) != nullptr; }
   /// Sets (overwriting an existing binding of the same name).
   void Set(std::string_view name, Value v);
 };

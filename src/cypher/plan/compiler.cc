@@ -21,21 +21,6 @@ bool IsVarProp(const Expr& e, const std::string& var, std::string* key) {
   return true;
 }
 
-BinOp MirrorOp(BinOp op) {
-  switch (op) {
-    case BinOp::kLt:
-      return BinOp::kGt;
-    case BinOp::kLe:
-      return BinOp::kGe;
-    case BinOp::kGt:
-      return BinOp::kLt;
-    case BinOp::kGe:
-      return BinOp::kLe;
-    default:
-      return op;  // kEq is symmetric
-  }
-}
-
 /// One sargable WHERE conjunct found at compile time.
 struct SargTemplate {
   std::string key;

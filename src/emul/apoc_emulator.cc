@@ -1,7 +1,5 @@
 #include "src/emul/apoc_emulator.h"
 
-#include <algorithm>
-
 #include "src/common/macros.h"
 #include "src/cypher/parser.h"
 #include "src/cypher/plan/plan_executor.h"
@@ -22,9 +20,10 @@ void SeedFromMap(const Value& map, Params* params, cypher::Row* row) {
 
 }  // namespace
 
-ApocEmulator::ApocEmulator(Database* db) : db_(db) {
+ApocEmulator::ApocEmulator(Database* db)
+    : TxScopedRuntime(db, "APOC", Order::kAlphabetical) {
   // apoc.do.when(condition, thenQuery, elseQuery, params) YIELD value.
-  db_->procedures().Register(
+  db->procedures().Register(
       "apoc.do.when", {"value"},
       [db](cypher::EvalContext& ctx, const std::vector<Value>& args,
            const cypher::Row& row) -> Result<std::vector<cypher::Row>> {
@@ -60,66 +59,36 @@ ApocEmulator::ApocEmulator(Database* db) : db_(db) {
 Status ApocEmulator::Install(const std::string& name,
                              const std::string& statement,
                              const std::string& phase) {
-  if (phase != "before" && phase != "rollback" && phase != "after" &&
-      phase != "afterAsync") {
+  Phase p;
+  if (phase == "before") {
+    p = Phase::kBeforeCommit;
+  } else if (phase == "after" || phase == "afterAsync") {
+    p = Phase::kAfterCommit;
+  } else if (phase == "rollback") {
+    p = Phase::kNever;
+  } else {
     return Status::InvalidArgument("unknown APOC phase '" + phase + "'");
   }
-  for (const InstalledTrigger& t : triggers_) {
-    if (t.name == name) {
-      return Status::AlreadyExists("APOC trigger '" + name +
-                                   "' already installed");
-    }
-  }
-  InstalledTrigger trigger;
-  trigger.name = name;
-  trigger.phase = phase;
-  trigger.source = statement;
-  PGT_ASSIGN_OR_RETURN(trigger.query, cypher::Parser::ParseQuery(statement));
-  triggers_.push_back(std::move(trigger));
-  return Status::OK();
+  return Add(name, p, translate::MgEventClass::kAny, statement);
 }
 
 Status ApocEmulator::Install(const translate::ApocTrigger& trigger) {
   return Install(trigger.name, trigger.statement, trigger.phase);
 }
 
-Status ApocEmulator::Drop(const std::string& name) {
-  for (auto it = triggers_.begin(); it != triggers_.end(); ++it) {
-    if (it->name == name) {
-      triggers_.erase(it);
-      return Status::OK();
-    }
-  }
-  return Status::NotFound("APOC trigger '" + name + "' not installed");
-}
-
-void ApocEmulator::DropAll() { triggers_.clear(); }
-
 Status ApocEmulator::Stop(const std::string& name) {
-  for (InstalledTrigger& t : triggers_) {
-    if (t.name == name) {
-      t.paused = true;
-      return Status::OK();
-    }
-  }
-  return Status::NotFound("APOC trigger '" + name + "' not installed");
+  return SetPaused(name, true);
 }
 
 Status ApocEmulator::Start(const std::string& name) {
-  for (InstalledTrigger& t : triggers_) {
-    if (t.name == name) {
-      t.paused = false;
-      return Status::OK();
-    }
-  }
-  return Status::NotFound("APOC trigger '" + name + "' not installed");
+  return SetPaused(name, false);
 }
 
-uint64_t ApocEmulator::fired(const std::string& name) const {
-  for (const InstalledTrigger& t : triggers_) {
-    if (t.name == name) return t.fired;
-  }
-  return 0;
+Status ApocEmulator::SetPaused(const std::string& name, bool paused) {
+  Trigger* t = Find(name);
+  if (t == nullptr) return NotInstalled(name);
+  t->paused = paused;
+  return Status::OK();
 }
 
 void ApocEmulator::QueueInterleaved(const std::string& statement) {
@@ -216,65 +185,11 @@ Params ApocEmulator::BuildUtilityParams(const GraphDelta& delta,
   return params;
 }
 
-std::vector<ApocEmulator::InstalledTrigger*> ApocEmulator::ByPhaseAlphabetical(
-    const std::vector<std::string>& phases) {
-  std::vector<InstalledTrigger*> out;
-  for (InstalledTrigger& t : triggers_) {
-    if (t.paused) continue;
-    for (const std::string& p : phases) {
-      if (t.phase == p) {
-        out.push_back(&t);
-        break;
-      }
-    }
-  }
-  std::sort(out.begin(), out.end(),
-            [](const InstalledTrigger* a, const InstalledTrigger* b) {
-              return a->name < b->name;
-            });
-  return out;
+TxScopedRuntime::Bindings ApocEmulator::Bind(const GraphDelta& delta) const {
+  return {BuildUtilityParams(delta, StoreView::Live(db_->store())), {}};
 }
 
-Status ApocEmulator::RunTriggerQuery(Transaction& tx,
-                                     InstalledTrigger& trigger,
-                                     const Params& params) {
-  ++trigger.fired;
-  return cypher::plan::RunSeeded(db_->MakeEvalContext(&tx, &params, nullptr),
-                                 trigger.query, cypher::Row{},
-                                 &db_->frame_pool());
-}
-
-Status ApocEmulator::OnStatement(Transaction& tx, const GraphDelta& delta) {
-  // APOC triggers are transaction-scoped; nothing happens per statement.
-  (void)tx;
-  (void)delta;
-  return Status::OK();
-}
-
-Status ApocEmulator::OnCommitPoint(Transaction& tx) {
-  if (in_trigger_context_) return Status::OK();  // no cascading (§5.1)
-  // The 'before' phase: every installed before-trigger runs exactly once,
-  // in alphabetical order, on the whole transaction delta — regardless of
-  // what the transaction actually touched.
-  const GraphDelta delta = tx.AccumulatedDelta();
-  if (delta.Empty()) return Status::OK();
-  Params params = BuildUtilityParams(delta, StoreView::Live(db_->store()));
-  for (InstalledTrigger* t : ByPhaseAlphabetical({"before"})) {
-    tx.PushDeltaScope();
-    Status st = RunTriggerQuery(tx, *t, params);
-    tx.PopDeltaScope();  // effects merge; they never re-activate triggers
-    if (!st.ok()) return st;
-  }
-  return Status::OK();
-}
-
-Status ApocEmulator::AfterCommit(const GraphDelta& tx_delta) {
-  if (in_trigger_context_) return Status::OK();  // cascade blocked (§5.1)
-  if (tx_delta.Empty()) return Status::OK();
-  std::vector<InstalledTrigger*> to_run =
-      ByPhaseAlphabetical({"after", "afterAsync"});
-  if (to_run.empty()) return Status::OK();
-
+Status ApocEmulator::BeforeAutonomousTx() {
   // afterAsync race: other transactions may commit between the activating
   // commit and the trigger execution (deterministically injected here).
   std::vector<std::string> interleaved = std::move(interleaved_);
@@ -282,37 +197,9 @@ Status ApocEmulator::AfterCommit(const GraphDelta& tx_delta) {
   for (const std::string& stmt : interleaved) {
     // Nested entry: this runs inside CommitWithTriggers, on the writer
     // thread, under the caller's writer-interlock hold.
-    auto r = db_->ExecuteNested(stmt);
-    PGT_RETURN_IF_ERROR(r.status());
+    PGT_RETURN_IF_ERROR(db_->ExecuteNested(stmt).status());
   }
-
-  in_trigger_context_ = true;
-  Params params = BuildUtilityParams(tx_delta, StoreView::Live(db_->store()));
-  auto tx_or = db_->BeginTx();
-  if (!tx_or.ok()) {
-    in_trigger_context_ = false;
-    return tx_or.status();
-  }
-  std::unique_ptr<Transaction> tx = std::move(tx_or).value();
-  // Keep deleted items readable inside the trigger transaction.
-  for (const DeletedNodeImage& img : tx_delta.deleted_nodes) {
-    tx->InjectGhostNode(img);
-  }
-  for (const DeletedRelImage& img : tx_delta.deleted_rels) {
-    tx->InjectGhostRel(img);
-  }
-  Status st = Status::OK();
-  for (InstalledTrigger* t : to_run) {
-    st = RunTriggerQuery(*tx, *t, params);
-    if (!st.ok()) break;
-  }
-  if (st.ok()) {
-    st = db_->CommitWithTriggers(std::move(tx));
-  } else {
-    db_->RollbackAndRelease(std::move(tx));
-  }
-  in_trigger_context_ = false;
-  return st;
+  return Status::OK();
 }
 
 }  // namespace pgt::emul

@@ -1,11 +1,10 @@
 #ifndef PGTRIGGERS_EMUL_APOC_EMULATOR_H_
 #define PGTRIGGERS_EMUL_APOC_EMULATOR_H_
 
-#include <map>
 #include <string>
 #include <vector>
 
-#include "src/trigger/database.h"
+#include "src/emul/tx_scoped_runtime.h"
 #include "src/translate/apoc_translator.h"
 
 namespace pgt::emul {
@@ -23,6 +22,7 @@ namespace pgt::emul {
 ///    single new transaction; cascading is explicitly blocked — changes
 ///    produced by a trigger transaction never activate triggers
 ///    (APOC tags such data via metadata; we flag the trigger transaction).
+///  * `rollback` phase: accepted at install, never runs.
 ///  * `afterAsync` visibility race: other committed transactions can
 ///    interleave between the activating commit and the trigger run; the
 ///    emulator models this deterministically via QueueInterleaved(), so
@@ -33,17 +33,8 @@ namespace pgt::emul {
 /// parameters ($createdNodes, $assignedNodeProperties, ...); the
 /// apoc.do.when procedure is registered into the Database's procedure
 /// registry on construction.
-class ApocEmulator : public TriggerRuntime {
+class ApocEmulator : public TxScopedRuntime {
  public:
-  struct InstalledTrigger {
-    std::string name;
-    std::string phase;  // before | rollback | after | afterAsync
-    cypher::Query query;
-    bool paused = false;
-    std::string source;
-    uint64_t fired = 0;
-  };
-
   explicit ApocEmulator(Database* db);
 
   /// apoc.trigger.install(databaseName is implicit, name, statement,
@@ -52,23 +43,14 @@ class ApocEmulator : public TriggerRuntime {
                  const std::string& phase);
   /// Installs a translator output directly.
   Status Install(const translate::ApocTrigger& trigger);
-  /// apoc.trigger.drop / dropAll / stop / start.
-  Status Drop(const std::string& name);
-  void DropAll();
+  /// apoc.trigger.stop / start (drop / dropAll are Drop / DropAll).
   Status Stop(const std::string& name);
   Status Start(const std::string& name);
-
-  const std::vector<InstalledTrigger>& triggers() const { return triggers_; }
-  uint64_t fired(const std::string& name) const;
 
   /// Queues a statement to commit between the activating transaction's
   /// commit and the afterAsync trigger execution (the race of Section 5.1).
   void QueueInterleaved(const std::string& statement);
 
-  // --- TriggerRuntime -------------------------------------------------------
-  Status OnStatement(Transaction& tx, const GraphDelta& delta) override;
-  Status OnCommitPoint(Transaction& tx) override;
-  Status AfterCommit(const GraphDelta& tx_delta) override;
   const char* name() const override { return "apoc-emulation"; }
 
   /// Builds the Table 2 utility parameter map from a delta (exposed for
@@ -77,15 +59,12 @@ class ApocEmulator : public TriggerRuntime {
                                    const StoreView& store);
 
  private:
-  std::vector<InstalledTrigger*> ByPhaseAlphabetical(
-      const std::vector<std::string>& phases);
-  Status RunTriggerQuery(Transaction& tx, InstalledTrigger& trigger,
-                         const Params& params);
+  Bindings Bind(const GraphDelta& delta) const override;
+  /// Commits the queued interleaved statements.
+  Status BeforeAutonomousTx() override;
+  Status SetPaused(const std::string& name, bool paused);
 
-  Database* db_;
-  std::vector<InstalledTrigger> triggers_;
   std::vector<std::string> interleaved_;
-  bool in_trigger_context_ = false;
 };
 
 }  // namespace pgt::emul

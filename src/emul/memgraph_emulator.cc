@@ -1,9 +1,5 @@
 #include "src/emul/memgraph_emulator.h"
 
-#include "src/common/macros.h"
-#include "src/cypher/parser.h"
-#include "src/cypher/plan/plan_executor.h"
-
 namespace pgt::emul {
 
 using translate::MgEventClass;
@@ -11,69 +7,13 @@ using translate::MgEventClass;
 Status MemgraphEmulator::Install(const std::string& name,
                                  MgEventClass event_class, bool before_commit,
                                  const std::string& statement) {
-  for (const InstalledTrigger& t : triggers_) {
-    if (t.name == name) {
-      return Status::AlreadyExists("Memgraph trigger '" + name +
-                                   "' already exists");
-    }
-  }
-  InstalledTrigger trigger;
-  trigger.name = name;
-  trigger.event_class = event_class;
-  trigger.before_commit = before_commit;
-  trigger.source = statement;
-  PGT_ASSIGN_OR_RETURN(trigger.query, cypher::Parser::ParseQuery(statement));
-  triggers_.push_back(std::move(trigger));
-  return Status::OK();
+  return Add(name, before_commit ? Phase::kBeforeCommit : Phase::kAfterCommit,
+             event_class, statement);
 }
 
 Status MemgraphEmulator::Install(const translate::MemgraphTrigger& trigger) {
   return Install(trigger.name, trigger.event_class, trigger.before_commit,
                  trigger.statement);
-}
-
-Status MemgraphEmulator::Drop(const std::string& name) {
-  for (auto it = triggers_.begin(); it != triggers_.end(); ++it) {
-    if (it->name == name) {
-      triggers_.erase(it);
-      return Status::OK();
-    }
-  }
-  return Status::NotFound("Memgraph trigger '" + name + "' not installed");
-}
-
-void MemgraphEmulator::DropAll() { triggers_.clear(); }
-
-uint64_t MemgraphEmulator::fired(const std::string& name) const {
-  for (const InstalledTrigger& t : triggers_) {
-    if (t.name == name) return t.fired;
-  }
-  return 0;
-}
-
-bool MemgraphEmulator::EventClassMatches(MgEventClass e,
-                                         const GraphDelta& delta) {
-  switch (e) {
-    case MgEventClass::kAny:
-      return !delta.Empty();
-    case MgEventClass::kVertexCreate:
-      return !delta.created_nodes.empty();
-    case MgEventClass::kEdgeCreate:
-      return !delta.created_rels.empty();
-    case MgEventClass::kVertexDelete:
-      return !delta.deleted_nodes.empty();
-    case MgEventClass::kEdgeDelete:
-      return !delta.deleted_rels.empty();
-    case MgEventClass::kVertexUpdate:
-      return !delta.assigned_labels.empty() ||
-             !delta.removed_labels.empty() ||
-             !delta.assigned_node_props.empty() ||
-             !delta.removed_node_props.empty();
-    case MgEventClass::kEdgeUpdate:
-      return !delta.assigned_rel_props.empty() ||
-             !delta.removed_rel_props.empty();
-  }
-  return false;
 }
 
 cypher::Row MemgraphEmulator::BuildPredefinedVars(const GraphDelta& delta,
@@ -180,76 +120,9 @@ cypher::Row MemgraphEmulator::BuildPredefinedVars(const GraphDelta& delta,
   return row;
 }
 
-Status MemgraphEmulator::RunTrigger(Transaction& tx,
-                                    InstalledTrigger& trigger,
-                                    const cypher::Row& vars) {
-  ++trigger.fired;
-  return cypher::plan::RunSeeded(db_->MakeEvalContext(&tx, nullptr, nullptr),
-                                 trigger.query, vars, &db_->frame_pool());
-}
-
-Status MemgraphEmulator::OnStatement(Transaction& tx,
-                                     const GraphDelta& delta) {
-  (void)tx;
-  (void)delta;
-  return Status::OK();  // Memgraph triggers are transaction-scoped.
-}
-
-Status MemgraphEmulator::OnCommitPoint(Transaction& tx) {
-  if (in_trigger_context_) return Status::OK();  // no cascading (§5.2)
-  const GraphDelta delta = tx.AccumulatedDelta();
-  if (delta.Empty()) return Status::OK();
-  cypher::Row vars = BuildPredefinedVars(delta, StoreView::Live(db_->store()));
-  for (InstalledTrigger& t : triggers_) {  // creation order
-    if (!t.before_commit) continue;
-    if (!EventClassMatches(t.event_class, delta)) continue;
-    tx.PushDeltaScope();
-    Status st = RunTrigger(tx, t, vars);
-    tx.PopDeltaScope();  // effects merge but never re-activate triggers
-    if (!st.ok()) return st;
-  }
-  return Status::OK();
-}
-
-Status MemgraphEmulator::AfterCommit(const GraphDelta& tx_delta) {
-  if (in_trigger_context_) return Status::OK();  // cascade blocked (§5.2)
-  if (tx_delta.Empty()) return Status::OK();
-  bool any = false;
-  for (InstalledTrigger& t : triggers_) {
-    if (!t.before_commit && EventClassMatches(t.event_class, tx_delta)) {
-      any = true;
-    }
-  }
-  if (!any) return Status::OK();
-
-  in_trigger_context_ = true;
-  cypher::Row vars = BuildPredefinedVars(tx_delta, StoreView::Live(db_->store()));
-  auto tx_or = db_->BeginTx();
-  if (!tx_or.ok()) {
-    in_trigger_context_ = false;
-    return tx_or.status();
-  }
-  std::unique_ptr<Transaction> tx = std::move(tx_or).value();
-  for (const DeletedNodeImage& img : tx_delta.deleted_nodes) {
-    tx->InjectGhostNode(img);
-  }
-  for (const DeletedRelImage& img : tx_delta.deleted_rels) {
-    tx->InjectGhostRel(img);
-  }
-  Status st = Status::OK();
-  for (InstalledTrigger& t : triggers_) {
-    if (t.before_commit) continue;
-    if (!EventClassMatches(t.event_class, tx_delta)) continue;
-    st = RunTrigger(*tx, t, vars);
-    if (!st.ok()) break;
-  }
-  if (st.ok()) {
-    st = db_->CommitWithTriggers(std::move(tx));
-  } else {
-    db_->RollbackAndRelease(std::move(tx));
-  }
-  in_trigger_context_ = false;
-  return st;
+TxScopedRuntime::Bindings MemgraphEmulator::Bind(
+    const GraphDelta& delta) const {
+  return {{}, BuildPredefinedVars(delta, StoreView::Live(db_->store()))};
 }
 
 }  // namespace pgt::emul

@@ -2,9 +2,8 @@
 #define PGTRIGGERS_EMUL_MEMGRAPH_EMULATOR_H_
 
 #include <string>
-#include <vector>
 
-#include "src/trigger/database.h"
+#include "src/emul/tx_scoped_runtime.h"
 #include "src/translate/memgraph_translator.h"
 
 namespace pgt::emul {
@@ -24,33 +23,16 @@ namespace pgt::emul {
 ///    implementations ... are identical to those of Neo4j APOC procedures,
 ///    therefore also in Memgraph triggers do not correctly cascade");
 ///  * triggers run in creation order (no alphabetic reordering).
-class MemgraphEmulator : public TriggerRuntime {
+class MemgraphEmulator : public TxScopedRuntime {
  public:
-  struct InstalledTrigger {
-    std::string name;
-    translate::MgEventClass event_class = translate::MgEventClass::kAny;
-    bool before_commit = false;
-    cypher::Query query;
-    std::string source;
-    uint64_t fired = 0;
-  };
-
-  explicit MemgraphEmulator(Database* db) : db_(db) {}
+  explicit MemgraphEmulator(Database* db)
+      : TxScopedRuntime(db, "Memgraph", Order::kCreation) {}
 
   Status Install(const std::string& name,
                  translate::MgEventClass event_class, bool before_commit,
                  const std::string& statement);
   Status Install(const translate::MemgraphTrigger& trigger);
-  Status Drop(const std::string& name);
-  void DropAll();
 
-  const std::vector<InstalledTrigger>& triggers() const { return triggers_; }
-  uint64_t fired(const std::string& name) const;
-
-  // --- TriggerRuntime -------------------------------------------------------
-  Status OnStatement(Transaction& tx, const GraphDelta& delta) override;
-  Status OnCommitPoint(Transaction& tx) override;
-  Status AfterCommit(const GraphDelta& tx_delta) override;
   const char* name() const override { return "memgraph-emulation"; }
 
   /// Builds the Table 4 predefined-variable bindings from a delta
@@ -58,17 +40,8 @@ class MemgraphEmulator : public TriggerRuntime {
   static cypher::Row BuildPredefinedVars(const GraphDelta& delta,
                                          const StoreView& store);
 
-  /// Does the event class fire for this delta?
-  static bool EventClassMatches(translate::MgEventClass e,
-                                const GraphDelta& delta);
-
  private:
-  Status RunTrigger(Transaction& tx, InstalledTrigger& trigger,
-                    const cypher::Row& vars);
-
-  Database* db_;
-  std::vector<InstalledTrigger> triggers_;
-  bool in_trigger_context_ = false;
+  Bindings Bind(const GraphDelta& delta) const override;
 };
 
 }  // namespace pgt::emul

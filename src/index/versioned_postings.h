@@ -85,7 +85,6 @@ class VersionedPostings {
   /// Number of superseded (non-head) versions currently banked. Any
   /// thread (SupersededQueue::size).
   size_t SupersededVersions() const { return superseded_.size(); }
-  size_t BandCount() const { return bands_.size(); }
 
   // --- Reader side (lock-free) ----------------------------------------------
 

@@ -12,38 +12,6 @@ namespace {
 using cypher::BinOp;
 using cypher::plan::PExpr;
 
-bool IsCmpOp(BinOp op) {
-  switch (op) {
-    case BinOp::kEq:
-    case BinOp::kNe:
-    case BinOp::kLt:
-    case BinOp::kLe:
-    case BinOp::kGt:
-    case BinOp::kGe:
-      return true;
-    default:
-      return false;
-  }
-}
-
-/// `lit op x.k` rewritten as `x.k op' lit`. Comparisons go through
-/// TotalCompare (antisymmetric) or return NULL for both orientations, so
-/// the mirror is semantics-preserving.
-BinOp MirrorOp(BinOp op) {
-  switch (op) {
-    case BinOp::kLt:
-      return BinOp::kGt;
-    case BinOp::kLe:
-      return BinOp::kGe;
-    case BinOp::kGt:
-      return BinOp::kLt;
-    case BinOp::kGe:
-      return BinOp::kLe;
-    default:
-      return op;  // kEq / kNe are symmetric
-  }
-}
-
 /// `x.<key>` — a property of the pattern node, read from the live store
 /// (never through an OLD overlay; the pattern node is not a transition
 /// variable).
@@ -173,8 +141,9 @@ IvmLowering LowerForIvm(const TriggerDef& def,
     std::vector<const PExpr*> conj;
     Conjuncts(s.where.get(), &conj);
     for (const PExpr* c : conj) {
-      if (c->kind == cypher::Expr::Kind::kBinary && IsCmpOp(c->bin_op) &&
-          c->a != nullptr && c->b != nullptr) {
+      if (c->kind == cypher::Expr::Kind::kBinary &&
+          cypher::IsComparison(c->bin_op) && c->a != nullptr &&
+          c->b != nullptr) {
         const PExpr& l = *c->a;
         const PExpr& r = *c->b;
         const bool lx = IsXProp(l, np.slot);
@@ -189,7 +158,7 @@ IvmLowering LowerForIvm(const TriggerDef& def,
         }
         if (rx && l.kind == cypher::Expr::Kind::kLiteral) {
           IvmPred p;
-          p.op = MirrorOp(c->bin_op);
+          p.op = cypher::MirrorOp(c->bin_op);
           p.key = r.prop.name;
           p.literal = l.value;
           shape.preds.push_back(std::move(p));

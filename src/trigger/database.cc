@@ -690,6 +690,18 @@ Result<std::unique_ptr<Transaction>> Database::BeginTx() {
   return tx_manager_.Begin();
 }
 
+Result<std::unique_ptr<Transaction>> Database::BeginAutonomousTx(
+    const GraphDelta& activating) {
+  PGT_ASSIGN_OR_RETURN(std::unique_ptr<Transaction> tx, BeginTx());
+  for (const DeletedNodeImage& img : activating.deleted_nodes) {
+    tx->InjectGhostNode(img);
+  }
+  for (const DeletedRelImage& img : activating.deleted_rels) {
+    tx->InjectGhostRel(img);
+  }
+  return tx;
+}
+
 Status Database::CompileInto(cypher::plan::PreparedStatement* stmt,
                              uint64_t epoch) {
   PGT_ASSIGN_OR_RETURN(

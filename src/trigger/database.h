@@ -295,9 +295,18 @@ class Database {
   /// execution and the trigger engine's activation runs (docs/values.md).
   cypher::plan::FramePool& frame_pool() { return frame_pool_; }
 
-  /// Begins an autonomous transaction (DETACHED triggers). The caller must
-  /// finish it via CommitWithTriggers or RollbackAndRelease.
+  /// Begins a transaction. The caller must finish it via
+  /// CommitWithTriggers or RollbackAndRelease.
   Result<std::unique_ptr<Transaction>> BeginTx();
+
+  /// Begins the autonomous transaction of triggers that run after
+  /// `activating` committed: DETACHED activations and the emulators'
+  /// after-commit phase. The activating transaction's deleted items are
+  /// re-injected as ghosts, so OLD transition variables and deleted-item
+  /// lists stay readable. The caller must finish it via CommitWithTriggers
+  /// or RollbackAndRelease.
+  Result<std::unique_ptr<Transaction>> BeginAutonomousTx(
+      const GraphDelta& activating);
 
   /// Drives OnCommitPoint, the physical commit, and AfterCommit.
   Status CommitWithTriggers(std::unique_ptr<Transaction> tx);

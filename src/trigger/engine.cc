@@ -791,15 +791,8 @@ Status PgTriggerEngine::RunDetachedActivation(const Activation& act,
   // activation must not be starved by whatever the activating statement
   // already spent (and its overrun must not abort an unrelated successor).
   Database::BudgetScope budget(db_, /*fresh=*/true);
-  PGT_ASSIGN_OR_RETURN(std::unique_ptr<Transaction> tx, db_->BeginTx());
-  // Keep OLD transition variables readable: the activating transaction is
-  // committed, so its deleted-item images are re-injected as ghosts.
-  for (const DeletedNodeImage& img : source_delta.deleted_nodes) {
-    tx->InjectGhostNode(img);
-  }
-  for (const DeletedRelImage& img : source_delta.deleted_rels) {
-    tx->InjectGhostRel(img);
-  }
+  PGT_ASSIGN_OR_RETURN(std::unique_ptr<Transaction> tx,
+                       db_->BeginAutonomousTx(source_delta));
   ++stats_.detached_runs;
   tx->PushDeltaScope();
   Status st = RunActivation(*tx, act);

@@ -76,9 +76,6 @@ class Transaction {
   /// into the parent scope.
   GraphDelta PopDeltaScope();
 
-  /// Depth of the scope stack (1 = transaction-level scope only).
-  size_t DeltaScopeDepth() const { return delta_stack_.size(); }
-
   /// The accumulated transaction-level delta (everything since Begin).
   const GraphDelta& AccumulatedDelta() const { return delta_stack_.front(); }
 
@@ -130,10 +127,10 @@ class Transaction {
   const DeletedNodeImage* GhostNode(NodeId id) const;
   const DeletedRelImage* GhostRel(RelId id) const;
 
-  /// Pre-seeds ghost images into this transaction. Used by the trigger
-  /// engine for DETACHED triggers: the activating transaction is already
+  /// Pre-seeds ghost images into this transaction
+  /// (Database::BeginAutonomousTx): the activating transaction is already
   /// committed, so images of the items it deleted are injected into the
-  /// autonomous transaction to keep OLD transition variables readable.
+  /// autonomous transaction to keep them readable.
   void InjectGhostNode(const DeletedNodeImage& image) {
     ghost_nodes_[image.id] = image;
   }

@@ -92,63 +92,6 @@ void Encoder::PutPropMap(const PropMap& m) {
   }
 }
 
-void Encoder::PutDelta(const GraphDelta& d) {
-  PutU32(static_cast<uint32_t>(d.created_nodes.size()));
-  for (NodeId id : d.created_nodes) PutU64(id.value);
-  PutU32(static_cast<uint32_t>(d.created_rels.size()));
-  for (RelId id : d.created_rels) PutU64(id.value);
-
-  PutU32(static_cast<uint32_t>(d.deleted_nodes.size()));
-  for (const DeletedNodeImage& img : d.deleted_nodes) {
-    PutU64(img.id.value);
-    PutU32(static_cast<uint32_t>(img.labels.size()));
-    for (LabelId l : img.labels) PutU32(l);
-    PutPropMap(img.props);
-  }
-  PutU32(static_cast<uint32_t>(d.deleted_rels.size()));
-  for (const DeletedRelImage& img : d.deleted_rels) {
-    PutU64(img.id.value);
-    PutU32(img.type);
-    PutU64(img.src.value);
-    PutU64(img.dst.value);
-    PutPropMap(img.props);
-  }
-
-  auto put_labels = [this](const std::vector<LabelChange>& changes) {
-    PutU32(static_cast<uint32_t>(changes.size()));
-    for (const LabelChange& c : changes) {
-      PutU64(c.node.value);
-      PutU32(c.label);
-    }
-  };
-  put_labels(d.assigned_labels);
-  put_labels(d.removed_labels);
-
-  auto put_node_props = [this](const std::vector<NodePropChange>& changes) {
-    PutU32(static_cast<uint32_t>(changes.size()));
-    for (const NodePropChange& c : changes) {
-      PutU64(c.node.value);
-      PutU32(c.key);
-      PutValue(c.old_value);
-      PutValue(c.new_value);
-    }
-  };
-  put_node_props(d.assigned_node_props);
-  put_node_props(d.removed_node_props);
-
-  auto put_rel_props = [this](const std::vector<RelPropChange>& changes) {
-    PutU32(static_cast<uint32_t>(changes.size()));
-    for (const RelPropChange& c : changes) {
-      PutU64(c.rel.value);
-      PutU32(c.key);
-      PutValue(c.old_value);
-      PutValue(c.new_value);
-    }
-  };
-  put_rel_props(d.assigned_rel_props);
-  put_rel_props(d.removed_rel_props);
-}
-
 // ---------------------------------------------------------------- Decoder
 
 template <typename T>
@@ -298,113 +241,6 @@ Status Decoder::GetPropMap(PropMap* out) {
     PGT_RETURN_IF_ERROR(GetValue(&v));
     out->Set(key, std::move(v));
   }
-  return Status::OK();
-}
-
-Status Decoder::GetDelta(GraphDelta* out) {
-  out->Clear();
-  uint32_t n;
-
-  PGT_RETURN_IF_ERROR(GetU32(&n));
-  PGT_RETURN_IF_ERROR(CheckCount(n));
-  out->created_nodes.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    uint64_t id;
-    PGT_RETURN_IF_ERROR(GetU64(&id));
-    out->created_nodes.push_back(NodeId{id});
-  }
-  PGT_RETURN_IF_ERROR(GetU32(&n));
-  PGT_RETURN_IF_ERROR(CheckCount(n));
-  out->created_rels.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    uint64_t id;
-    PGT_RETURN_IF_ERROR(GetU64(&id));
-    out->created_rels.push_back(RelId{id});
-  }
-
-  PGT_RETURN_IF_ERROR(GetU32(&n));
-  PGT_RETURN_IF_ERROR(CheckCount(n));
-  out->deleted_nodes.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    DeletedNodeImage img;
-    PGT_RETURN_IF_ERROR(GetU64(&img.id.value));
-    uint32_t nlabels;
-    PGT_RETURN_IF_ERROR(GetU32(&nlabels));
-    PGT_RETURN_IF_ERROR(CheckCount(nlabels));
-    img.labels.reserve(nlabels);
-    for (uint32_t k = 0; k < nlabels; ++k) {
-      uint32_t label;
-      PGT_RETURN_IF_ERROR(GetU32(&label));
-      img.labels.push_back(label);
-    }
-    PGT_RETURN_IF_ERROR(GetPropMap(&img.props));
-    out->deleted_nodes.push_back(std::move(img));
-  }
-  PGT_RETURN_IF_ERROR(GetU32(&n));
-  PGT_RETURN_IF_ERROR(CheckCount(n));
-  out->deleted_rels.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    DeletedRelImage img;
-    PGT_RETURN_IF_ERROR(GetU64(&img.id.value));
-    PGT_RETURN_IF_ERROR(GetU32(&img.type));
-    PGT_RETURN_IF_ERROR(GetU64(&img.src.value));
-    PGT_RETURN_IF_ERROR(GetU64(&img.dst.value));
-    PGT_RETURN_IF_ERROR(GetPropMap(&img.props));
-    out->deleted_rels.push_back(std::move(img));
-  }
-
-  auto get_labels = [this](std::vector<LabelChange>* changes) -> Status {
-    uint32_t count;
-    PGT_RETURN_IF_ERROR(GetU32(&count));
-    PGT_RETURN_IF_ERROR(CheckCount(count));
-    changes->reserve(count);
-    for (uint32_t i = 0; i < count; ++i) {
-      LabelChange c;
-      PGT_RETURN_IF_ERROR(GetU64(&c.node.value));
-      PGT_RETURN_IF_ERROR(GetU32(&c.label));
-      changes->push_back(c);
-    }
-    return Status::OK();
-  };
-  PGT_RETURN_IF_ERROR(get_labels(&out->assigned_labels));
-  PGT_RETURN_IF_ERROR(get_labels(&out->removed_labels));
-
-  auto get_node_props = [this](std::vector<NodePropChange>* changes) -> Status {
-    uint32_t count;
-    PGT_RETURN_IF_ERROR(GetU32(&count));
-    PGT_RETURN_IF_ERROR(CheckCount(count));
-    changes->reserve(count);
-    for (uint32_t i = 0; i < count; ++i) {
-      NodePropChange c;
-      PGT_RETURN_IF_ERROR(GetU64(&c.node.value));
-      PGT_RETURN_IF_ERROR(GetU32(&c.key));
-      PGT_RETURN_IF_ERROR(GetValue(&c.old_value));
-      PGT_RETURN_IF_ERROR(GetValue(&c.new_value));
-      changes->push_back(std::move(c));
-    }
-    return Status::OK();
-  };
-  PGT_RETURN_IF_ERROR(get_node_props(&out->assigned_node_props));
-  PGT_RETURN_IF_ERROR(get_node_props(&out->removed_node_props));
-
-  auto get_rel_props = [this](std::vector<RelPropChange>* changes) -> Status {
-    uint32_t count;
-    PGT_RETURN_IF_ERROR(GetU32(&count));
-    PGT_RETURN_IF_ERROR(CheckCount(count));
-    changes->reserve(count);
-    for (uint32_t i = 0; i < count; ++i) {
-      RelPropChange c;
-      PGT_RETURN_IF_ERROR(GetU64(&c.rel.value));
-      PGT_RETURN_IF_ERROR(GetU32(&c.key));
-      PGT_RETURN_IF_ERROR(GetValue(&c.old_value));
-      PGT_RETURN_IF_ERROR(GetValue(&c.new_value));
-      changes->push_back(std::move(c));
-    }
-    return Status::OK();
-  };
-  PGT_RETURN_IF_ERROR(get_rel_props(&out->assigned_rel_props));
-  PGT_RETURN_IF_ERROR(get_rel_props(&out->removed_rel_props));
-
   return Status::OK();
 }
 

@@ -8,7 +8,6 @@
 #include "src/common/prop_map.h"
 #include "src/common/status.h"
 #include "src/common/value.h"
-#include "src/tx/delta.h"
 
 namespace pgt::wal {
 
@@ -27,7 +26,6 @@ class Encoder {
   void PutString(std::string_view s);
   void PutValue(const Value& v);
   void PutPropMap(const PropMap& m);
-  void PutDelta(const GraphDelta& d);
 
   const std::string& buffer() const { return buf_; }
   std::string Take() { return std::move(buf_); }
@@ -62,7 +60,6 @@ class Decoder {
   /// Refuses (IoError) lists/maps nested deeper than kMaxValueDepth.
   Status GetValue(Value* out) { return GetValueAt(out, 0); }
   Status GetPropMap(PropMap* out);
-  Status GetDelta(GraphDelta* out);
 
   bool AtEnd() const { return pos_ == data_.size(); }
   size_t remaining() const { return data_.size() - pos_; }

@@ -135,6 +135,19 @@ TEST_F(ApocEmulatorTest, AfterAsyncVisibilityRace) {
   EXPECT_EQ(Count("MATCH (o:Observed) RETURN MAX(o.v) AS v"), 99);
 }
 
+TEST_F(ApocEmulatorTest, AfterPhaseReadsDeletedNodes) {
+  // The after phase runs in a new transaction once the deletion has
+  // committed; the deleted node's properties must stay readable there.
+  Exec("CREATE (:X {v: 7})");
+  ASSERT_TRUE(apoc_->Install("mourn",
+                             "UNWIND $deletedNodes AS n "
+                             "CREATE (:Log {v: n.v})",
+                             "after")
+                  .ok());
+  Exec("MATCH (x:X) DELETE x");
+  EXPECT_EQ(Count("MATCH (l:Log {v: 7}) RETURN COUNT(*) AS c"), 1);
+}
+
 TEST_F(ApocEmulatorTest, StopAndStartPauseTriggers) {
   ASSERT_TRUE(
       apoc_->Install("log", "CREATE (:Log)", "before").ok());
@@ -236,6 +249,17 @@ TEST_F(MemgraphEmulatorTest, AfterCommitRunsInNewTransaction) {
   Exec("CREATE (:P)");
   EXPECT_EQ(Count("MATCH (l:Log) RETURN COUNT(*) AS c"), 1);
   EXPECT_GE(db_.committed_transactions(), 2u);
+}
+
+TEST_F(MemgraphEmulatorTest, AfterCommitReadsDeletedVertices) {
+  Exec("CREATE (:X {v: 7})");
+  ASSERT_TRUE(mg_->Install("mourn", translate::MgEventClass::kVertexDelete,
+                           /*before_commit=*/false,
+                           "UNWIND deletedVertices AS n "
+                           "CREATE (:Log {v: n.v})")
+                  .ok());
+  Exec("MATCH (x:X) DELETE x");
+  EXPECT_EQ(Count("MATCH (l:Log {v: 7}) RETURN COUNT(*) AS c"), 1);
 }
 
 TEST_F(MemgraphEmulatorTest, EventClassDispatch) {

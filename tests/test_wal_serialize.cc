@@ -1,6 +1,6 @@
 // Round-trip property tests for the WAL binary codecs (src/wal/serialize,
 // src/wal/wal_format, src/wal/snapshot_file): every Value shape — SSO
-// boundary strings included — plus PropMap, GraphDelta, commit/DDL record
+// boundary strings included — plus PropMap, commit/DDL record
 // payloads, record framing with checksum verification, and the snapshot
 // file format. The round-trip property checked is byte-level:
 // encode(decode(encode(v))) == encode(v), which sidesteps Value::Equals'
@@ -15,7 +15,6 @@
 
 #include "src/common/value.h"
 #include "src/trigger/database.h"
-#include "src/tx/delta.h"
 #include "src/wal/crc32c.h"
 #include "src/wal/fault_fs.h"
 #include "src/wal/serialize.h"
@@ -200,64 +199,6 @@ TEST(WalValueCodec, PropMapRoundTrip) {
   Encoder re;
   re.PutPropMap(out);
   EXPECT_EQ(re.buffer(), bytes);
-}
-
-GraphDelta MakeBusyDelta() {
-  GraphDelta d;
-  d.created_nodes = {NodeId{3}, NodeId{4}};
-  d.created_rels = {RelId{9}};
-  DeletedNodeImage dn;
-  dn.id = NodeId{1};
-  dn.labels = {2, 5};
-  dn.props.Set(1, Value::String("ghost"));
-  d.deleted_nodes.push_back(std::move(dn));
-  DeletedRelImage dr;
-  dr.id = RelId{0};
-  dr.type = 4;
-  dr.src = NodeId{1};
-  dr.dst = NodeId{2};
-  d.deleted_rels.push_back(std::move(dr));
-  d.assigned_labels.push_back(LabelChange{NodeId{2}, 7});
-  d.removed_labels.push_back(LabelChange{NodeId{2}, 1});
-  d.assigned_node_props.push_back(
-      NodePropChange{NodeId{2}, 3, Value::Null(), Value::Int(8)});
-  d.removed_node_props.push_back(
-      NodePropChange{NodeId{2}, 4, Value::Double(1.5), Value::Null()});
-  d.assigned_rel_props.push_back(
-      RelPropChange{RelId{9}, 3, Value::Bool(false), Value::Bool(true)});
-  d.removed_rel_props.push_back(
-      RelPropChange{RelId{9}, 2, Value::String("x"), Value::Null()});
-  return d;
-}
-
-std::string EncodeDelta(const GraphDelta& d) {
-  Encoder enc;
-  enc.PutDelta(d);
-  return enc.Take();
-}
-
-TEST(WalDeltaCodec, EmptyAndBusyDeltaRoundTrip) {
-  for (const GraphDelta& d : {GraphDelta{}, MakeBusyDelta()}) {
-    const std::string bytes = EncodeDelta(d);
-    Decoder dec(bytes);
-    GraphDelta out;
-    ASSERT_TRUE(dec.GetDelta(&out).ok());
-    EXPECT_TRUE(dec.AtEnd());
-    EXPECT_EQ(EncodeDelta(out), bytes);
-  }
-}
-
-TEST(WalDeltaCodec, TruncatedInputFailsCleanly) {
-  const std::string bytes = EncodeDelta(MakeBusyDelta());
-  // Every proper prefix must fail with a Status, never read out of bounds.
-  for (size_t cut = 0; cut < bytes.size(); ++cut) {
-    Decoder dec(std::string_view(bytes).substr(0, cut));
-    GraphDelta out;
-    Status s = dec.GetDelta(&out);
-    // A prefix that happens to parse completely must at least stop in
-    // bounds; most cuts yield an explicit decode error.
-    if (s.ok()) EXPECT_LE(dec.position(), cut);
-  }
 }
 
 // --- Record payloads ---------------------------------------------------------
