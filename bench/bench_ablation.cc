@@ -1,4 +1,4 @@
-// ABL — ablation of the design decisions DESIGN.md calls out:
+// ABL — ablation of the semantic decisions in docs/semantics.md:
 //  D3: label-event semantics — kMonitoredLabel (default, matches the
 //      Table 3 translations) vs kTargetSetChange (the strict Section 4.2
 //      reading) on the same label-change workload;
@@ -22,7 +22,7 @@ using bench::MustExec;
 
 int main() {
   using namespace pgt;
-  bench::Banner("ABL", "Ablations of DESIGN.md decisions D3 / D5 / "
+  bench::Banner("ABL", "Ablations of docs/semantics.md decisions D3 / D5 / "
                        "granularity");
 
   // --- D3: label-event semantics. --------------------------------------------
@@ -137,6 +137,7 @@ int main() {
     }
   }
 
-  std::printf("\nRESULT: PASS — all ablation outcomes match DESIGN.md\n");
+  std::printf(
+      "\nRESULT: PASS — all ablation outcomes match docs/semantics.md\n");
   return 0;
 }

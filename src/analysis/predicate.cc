@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "src/cypher/eval.h"
+
 namespace pgt::analysis {
 
 namespace {
@@ -51,49 +53,6 @@ void ScanConjunct(const Expr* e, const TriggerDef& def, PropGuard* out) {
   }
 }
 
-/// Ternary comparison mirroring cypher/eval.cc: 1 = true, 0 = false,
-/// -1 = null (null operand, or range comparison across value classes).
-int EvalCompare(BinOp op, const Value& a, const Value& b) {
-  if (a.is_null() || b.is_null()) return -1;
-  if (op == BinOp::kEq) return a.Equals(b) ? 1 : 0;
-  if (op == BinOp::kNe) return a.Equals(b) ? 0 : 1;
-  const bool comparable =
-      (a.is_numeric() && b.is_numeric()) ||
-      (a.is_string() && b.is_string()) ||
-      (a.is_bool() && b.is_bool()) ||
-      (a.type() == ValueType::kDate && b.type() == ValueType::kDate) ||
-      (a.type() == ValueType::kDateTime && b.type() == ValueType::kDateTime);
-  if (!comparable) return -1;
-  const int c = a.TotalCompare(b);
-  switch (op) {
-    case BinOp::kLt:
-      return c < 0 ? 1 : 0;
-    case BinOp::kLe:
-      return c <= 0 ? 1 : 0;
-    case BinOp::kGt:
-      return c > 0 ? 1 : 0;
-    default:
-      return c >= 0 ? 1 : 0;  // kGe
-  }
-}
-
-const char* OpText(BinOp op) {
-  switch (op) {
-    case BinOp::kEq:
-      return "=";
-    case BinOp::kNe:
-      return "<>";
-    case BinOp::kLt:
-      return "<";
-    case BinOp::kLe:
-      return "<=";
-    case BinOp::kGt:
-      return ">";
-    default:
-      return ">=";
-  }
-}
-
 }  // namespace
 
 std::string PropGuard::ToString(const std::string& prop) const {
@@ -103,7 +62,8 @@ std::string PropGuard::ToString(const std::string& prop) const {
   for (const Constraint& c : constraints) {
     if (!first) os << " AND ";
     first = false;
-    os << "NEW." << prop << " " << OpText(c.op) << " " << c.literal.ToString();
+    os << "NEW." << prop << " " << cypher::BinOpText(c.op) << " "
+       << c.literal.ToString();
   }
   return os.str();
 }
@@ -120,8 +80,13 @@ PropGuard ExtractPropGuard(const TriggerDef& def) {
 
 bool RefutesGuard(const PropGuard& guard, const Value& written) {
   if (!guard.usable) return false;
+  // A constraint refutes the write unless the comparison is boolean true
+  // (false, NULL, and incomparable operands all refute).
   for (const PropGuard::Constraint& c : guard.constraints) {
-    if (EvalCompare(c.op, written, c.literal) != 1) return true;
+    auto r = cypher::EvalBinaryOp(c.op, written, c.literal, 0, 0);
+    if (!r.ok() || !r.value().is_bool() || !r.value().bool_value()) {
+      return true;
+    }
   }
   return false;
 }

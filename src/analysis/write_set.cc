@@ -502,8 +502,9 @@ WriteSet InferWriteSet(const TriggerDef& def, const GraphStore& store,
   }
 
   CollectSettableLabels(prog.action_steps, &cx.settable_labels);
-  // WHEN bindings flow into the action (shared slot universe, DESIGN.md
-  // D2); condition steps are read-only so walking them emits nothing.
+  // WHEN bindings flow into the action (shared slot universe,
+  // docs/semantics.md D2); condition steps are read-only so walking them
+  // emits nothing.
   WalkSteps(cx, prog.when_steps);
   WalkSteps(cx, prog.action_steps);
   return ws;

@@ -10,9 +10,9 @@
 
 namespace pgt::covid {
 
-/// Size and randomness knobs of the synthetic CoV2K dataset (DESIGN.md D8:
-/// the real CoV2K knowledge base is replaced by a deterministic generator
-/// with the Figure 4 schema).
+/// Size and randomness knobs of the synthetic CoV2K dataset
+/// (docs/semantics.md D8: the real CoV2K knowledge base is replaced by a
+/// deterministic generator with the Figure 4 schema).
 struct GeneratorOptions {
   uint64_t seed = 42;
   int regions = 3;            // Lombardy, Tuscany, ... (first two fixed)

@@ -13,8 +13,9 @@ namespace pgt::covid {
 //    division (which would always yield 0);
 //  * the relocation actions render the paper's `THEN BEGIN ... END`
 //    pseudo-syntax as plain Cypher with FOREACH over collected movers;
-//  * bindings established in WHEN flow into the action (DESIGN.md D2), so
-//    `l`, `h`, etc. are usable after BEGIN exactly as the paper intends.
+//  * bindings established in WHEN flow into the action
+//    (docs/semantics.md D2), so `l`, `h`, etc. are usable after BEGIN
+//    exactly as the paper intends.
 std::vector<std::string> PaperTriggerDdl() {
   return {
       // 6.2.1 — reaction to node creation.

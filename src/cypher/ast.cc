@@ -6,50 +6,6 @@ namespace pgt::cypher {
 
 namespace {
 
-const char* BinOpText(BinOp op) {
-  switch (op) {
-    case BinOp::kAdd:
-      return "+";
-    case BinOp::kSub:
-      return "-";
-    case BinOp::kMul:
-      return "*";
-    case BinOp::kDiv:
-      return "/";
-    case BinOp::kMod:
-      return "%";
-    case BinOp::kPow:
-      return "^";
-    case BinOp::kEq:
-      return "=";
-    case BinOp::kNe:
-      return "<>";
-    case BinOp::kLt:
-      return "<";
-    case BinOp::kLe:
-      return "<=";
-    case BinOp::kGt:
-      return ">";
-    case BinOp::kGe:
-      return ">=";
-    case BinOp::kAnd:
-      return "AND";
-    case BinOp::kOr:
-      return "OR";
-    case BinOp::kXor:
-      return "XOR";
-    case BinOp::kIn:
-      return "IN";
-    case BinOp::kStartsWith:
-      return "STARTS WITH";
-    case BinOp::kEndsWith:
-      return "ENDS WITH";
-    case BinOp::kContains:
-      return "CONTAINS";
-  }
-  return "?";
-}
-
 std::string RenameVar(const std::string& name, const RenameMap* renames) {
   if (renames != nullptr) {
     auto it = renames->find(name);
@@ -146,6 +102,50 @@ bool IsComparison(BinOp op) {
     default:
       return false;
   }
+}
+
+const char* BinOpText(BinOp op) {
+  switch (op) {
+    case BinOp::kAdd:
+      return "+";
+    case BinOp::kSub:
+      return "-";
+    case BinOp::kMul:
+      return "*";
+    case BinOp::kDiv:
+      return "/";
+    case BinOp::kMod:
+      return "%";
+    case BinOp::kPow:
+      return "^";
+    case BinOp::kEq:
+      return "=";
+    case BinOp::kNe:
+      return "<>";
+    case BinOp::kLt:
+      return "<";
+    case BinOp::kLe:
+      return "<=";
+    case BinOp::kGt:
+      return ">";
+    case BinOp::kGe:
+      return ">=";
+    case BinOp::kAnd:
+      return "AND";
+    case BinOp::kOr:
+      return "OR";
+    case BinOp::kXor:
+      return "XOR";
+    case BinOp::kIn:
+      return "IN";
+    case BinOp::kStartsWith:
+      return "STARTS WITH";
+    case BinOp::kEndsWith:
+      return "ENDS WITH";
+    case BinOp::kContains:
+      return "CONTAINS";
+  }
+  return "?";
 }
 
 BinOp MirrorOp(BinOp op) {

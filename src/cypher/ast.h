@@ -48,6 +48,9 @@ bool IsComparison(BinOp op);
 /// both orientations, so the mirror preserves semantics.
 BinOp MirrorOp(BinOp op);
 
+/// The operator's Cypher spelling ("=", "<>", "STARTS WITH", ...).
+const char* BinOpText(BinOp op);
+
 /// Unary operators.
 enum class UnOp { kNot, kNeg, kIsNull, kIsNotNull };
 
@@ -98,7 +101,8 @@ enum class PatternDirection { kLeftToRight, kRightToLeft, kUndirected };
 
 /// `(var:Label1:Label2 {key: expr, ...})`. Label names that match a
 /// transition-set name (NEWNODES / OLDNODES / ... or a REFERENCING alias)
-/// act as pseudo-labels filtering to the transition set (DESIGN.md D6).
+/// act as pseudo-labels filtering to the transition set
+/// (docs/semantics.md D6).
 struct NodePattern {
   std::string var;  // empty = anonymous
   std::vector<std::string> labels;

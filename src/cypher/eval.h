@@ -46,7 +46,7 @@ struct Row {
 };
 
 /// Transition-variable environment injected by the trigger engine
-/// (Section 4.2 "Transition Variables"; DESIGN.md D6).
+/// (Section 4.2 "Transition Variables"; docs/semantics.md D6).
 ///
 /// * `singles` binds item-granularity variables (OLD / NEW or their
 ///   REFERENCING aliases) to node/relationship values; they are seeded into

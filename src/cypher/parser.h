@@ -12,7 +12,7 @@
 
 namespace pgt::cypher {
 
-/// Recursive-descent parser for the Cypher subset (DESIGN.md row 4).
+/// Recursive-descent parser for the Cypher subset.
 ///
 /// The parser is also used as a component by the PG-Trigger DDL parser
 /// (src/trigger/trigger_parser.cc), which drives it over a shared token

@@ -37,8 +37,8 @@ Result<PlanProgram> CompileQuery(const Query& q, const CompileEnv& env,
 
 /// Compiles a trigger's WHEN (expression or read-only pipeline) and action
 /// into one program with a shared slot universe, so condition bindings stay
-/// in scope for the action (DESIGN.md D2). A RETURN in the action fails
-/// when the action reaches it.
+/// in scope for the action (docs/semantics.md D2). A RETURN in the action
+/// fails when the action reaches it.
 Result<TriggerProgram> CompileTrigger(const Expr* when_expr,
                                       const Query* when_query,
                                       const Query& action,

@@ -215,7 +215,7 @@ class SlotSaver {
 };
 
 /// A node pattern's labels split into real labels and transition
-/// pseudo-labels (DESIGN.md D6).
+/// pseudo-labels (docs/semantics.md D6).
 struct PLabelSplit {
   std::vector<LabelId> real;
   std::vector<const TransitionEnv::SetBinding*> trans;
@@ -597,8 +597,8 @@ NodeScanPlan PlanExecutor::SelectScan(const PScanTemplate& t,
 // never binds the same relationship twice (variable-length paths
 // included); `-[*min..max]-` binds its variable to the list of traversed
 // relationships; names that denote a transition set act as pseudo-labels
-// restricting candidates to that set (DESIGN.md D6), and deleted items in
-// OLD sets match node patterns but traverse no relationships.
+// restricting candidates to that set (docs/semantics.md D6), and deleted
+// items in OLD sets match node patterns but traverse no relationships.
 //
 // Determinism contract: candidates for a part's first node enumerate in
 // ascending id order whatever access path SelectScan picks (full scan,

@@ -508,8 +508,8 @@ struct PlanProgram {
 };
 
 /// A compiled trigger: WHEN (expression or pipeline) and action share one
-/// slot universe so condition bindings flow into the action (DESIGN.md
-/// D2).
+/// slot universe so condition bindings flow into the action
+/// (docs/semantics.md D2).
 struct TriggerProgram {
   size_t slot_count = 0;
   std::vector<std::string> slot_names;

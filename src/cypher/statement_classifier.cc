@@ -19,46 +19,23 @@ bool IsWord(const Token& t, std::string_view w) {
 
 }  // namespace
 
-const char* StatementKindName(StatementKind k) {
-  switch (k) {
-    case StatementKind::kCypher:
-      return "cypher";
-    case StatementKind::kTriggerDdl:
-      return "trigger-ddl";
-    case StatementKind::kIndexDdl:
-      return "index-ddl";
-  }
-  return "?";
-}
-
 StatementKind ClassifyStatement(std::string_view text) {
   auto toks = cypher::Lexer::Tokenize(text);
   if (!toks.ok() || toks.value().size() < 2) return StatementKind::kCypher;
   const std::vector<Token>& t = toks.value();
 
-  // Trigger DDL: CREATE / DROP / ALTER TRIGGER, SHOW TRIGGER ANALYSIS,
-  // SHOW ASYNC STATUS (async pool introspection rides the trigger-DDL
-  // route — docs/async.md).
+  // Introspection: SHOW <phrase> (README "Introspection tables").
+  if (IsWord(t[0], "SHOW")) return StatementKind::kShow;
+
+  // Trigger DDL: CREATE / DROP / ALTER TRIGGER.
   if ((IsWord(t[0], "CREATE") || IsWord(t[0], "DROP") ||
-       IsWord(t[0], "ALTER") || IsWord(t[0], "SHOW")) &&
+       IsWord(t[0], "ALTER")) &&
       IsWord(t[1], "TRIGGER")) {
     return StatementKind::kTriggerDdl;
   }
-  if (IsWord(t[0], "SHOW") && IsWord(t[1], "ASYNC")) {
-    return StatementKind::kTriggerDdl;
-  }
-  // SHOW HEALTH (degraded mode / quarantine — docs/robustness.md) rides
-  // the same route.
-  if (IsWord(t[0], "SHOW") && IsWord(t[1], "HEALTH")) {
-    return StatementKind::kTriggerDdl;
-  }
 
-  // Index DDL: DROP INDEX, SHOW INDEX(ES), CREATE [modifiers] INDEX.
+  // Index DDL: DROP INDEX, CREATE [modifiers] INDEX.
   if (IsWord(t[0], "DROP") && IsWord(t[1], "INDEX")) {
-    return StatementKind::kIndexDdl;
-  }
-  if (IsWord(t[0], "SHOW") &&
-      (IsWord(t[1], "INDEXES") || IsWord(t[1], "INDEX"))) {
     return StatementKind::kIndexDdl;
   }
   if (IsWord(t[0], "CREATE")) {

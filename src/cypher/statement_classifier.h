@@ -9,20 +9,18 @@ namespace pgt {
 enum class StatementKind {
   kCypher,      ///< plain query / update statement
   kTriggerDdl,  ///< CREATE / DROP / ALTER TRIGGER
-  kIndexDdl,    ///< CREATE [UNIQUE] [RANGE|HASH] INDEX, DROP INDEX,
-                ///< SHOW INDEX(ES)
+  kIndexDdl,    ///< CREATE [UNIQUE] [RANGE|HASH] INDEX, DROP INDEX
+  kShow,        ///< SHOW ... (a read-only introspection table)
 };
 
-const char* StatementKindName(StatementKind k);
-
-/// Classifies one statement by tokenizing its prefix once — replacing the
-/// per-statement IsTriggerDdl + IsIndexDdl double scan Database::Execute
-/// used to do. This is the single definition of the DDL-routing token
-/// grammar: TriggerDdlParser::IsTriggerDdl and IndexDdlParser::IsIndexDdl
-/// delegate here, so the grammars cannot drift. Purely lexical (it lives
-/// in the cypher layer beside the lexer): whitespace and comments are
-/// skipped by the lexer, keywords are case-insensitive, and untokenizable
-/// text classifies as kCypher so the Cypher parser surfaces the error.
+/// Classifies one statement by tokenizing it once. This is the single
+/// definition of the statement-routing token grammar used by
+/// Database::Execute and ExecuteTx. Purely lexical (it lives in the cypher
+/// layer beside the lexer): whitespace and comments are skipped by the
+/// lexer, keywords are case-insensitive, and untokenizable text classifies
+/// as kCypher so the Cypher parser surfaces the error. Every statement
+/// whose first word is SHOW is kShow; Database matches the rest of the
+/// phrase against its introspection tables.
 StatementKind ClassifyStatement(std::string_view text);
 
 }  // namespace pgt

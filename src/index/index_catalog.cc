@@ -36,11 +36,6 @@ const PropertyIndex* IndexCatalog::Find(LabelId label, PropKeyId prop) const {
   return it == by_key_.end() ? nullptr : it->second.get();
 }
 
-PropertyIndex* IndexCatalog::FindMutable(LabelId label, PropKeyId prop) {
-  auto it = by_key_.find(Key{label, prop});
-  return it == by_key_.end() ? nullptr : it->second.get();
-}
-
 void IndexCatalog::ForEach(
     const std::function<void(const PropertyIndex&)>& fn) const {
   for (const auto& [key, idx] : by_key_) fn(*idx);

@@ -49,7 +49,6 @@ class IndexCatalog {
 
   /// The index on (label, prop), or nullptr.
   const PropertyIndex* Find(LabelId label, PropKeyId prop) const;
-  PropertyIndex* FindMutable(LabelId label, PropKeyId prop);
 
   bool empty() const { return by_key_.empty(); }
   size_t size() const { return by_key_.size(); }

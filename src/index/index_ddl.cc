@@ -1,9 +1,7 @@
 #include "src/index/index_ddl.h"
 
 #include "src/common/macros.h"
-#include "src/common/str_util.h"
 #include "src/cypher/lexer.h"
-#include "src/cypher/statement_classifier.h"
 #include "src/cypher/parser.h"
 
 namespace pgt::index {
@@ -14,31 +12,12 @@ using cypher::Parser;
 using cypher::Token;
 using cypher::TokenType;
 
-bool IsWord(const Token& t, std::string_view w) {
-  return t.type == TokenType::kIdent && EqualsIgnoreCase(t.text, w);
-}
-
 }  // namespace
-
-bool IndexDdlParser::IsIndexDdl(std::string_view text) {
-  // Single source of truth for the DDL-routing token grammar.
-  return ClassifyStatement(text) == StatementKind::kIndexDdl;
-}
 
 Result<IndexDdl> IndexDdlParser::Parse(std::string_view text) {
   PGT_ASSIGN_OR_RETURN(std::vector<Token> toks, cypher::Lexer::Tokenize(text));
   Parser p(std::move(toks));
   IndexDdl ddl;
-
-  if (p.AcceptKeyword("SHOW")) {
-    if (!p.AcceptKeyword("INDEXES")) {
-      PGT_RETURN_IF_ERROR(p.ExpectKeyword("INDEX"));
-    }
-    ddl.kind = IndexDdl::Kind::kShow;
-    p.Accept(TokenType::kSemicolon);
-    if (!p.AtEnd()) return p.MakeError("unexpected input after SHOW INDEXES");
-    return ddl;
-  }
 
   if (p.AcceptKeyword("DROP")) {
     ddl.kind = IndexDdl::Kind::kDrop;

@@ -11,7 +11,7 @@ namespace pgt::index {
 
 /// A parsed index-DDL command.
 struct IndexDdl {
-  enum class Kind { kCreate, kDrop, kShow };
+  enum class Kind { kCreate, kDrop };
   Kind kind = Kind::kCreate;
   bool unique = false;                       // kCreate
   IndexKind layout = IndexKind::kHash;       // kCreate
@@ -23,7 +23,6 @@ struct IndexDdl {
 ///
 ///   CREATE [UNIQUE] [RANGE] INDEX ON :Label(prop)
 ///   DROP INDEX ON :Label(prop)
-///   SHOW INDEXES
 ///
 /// `RANGE` selects the ordered layout (equality + range scans); the default
 /// is the hash layout (equality only). Label and property may be bare
@@ -31,9 +30,6 @@ struct IndexDdl {
 /// the trigger DDL's conventions; the leading colon is optional.
 class IndexDdlParser {
  public:
-  /// Quick check used by Database::Execute for routing.
-  static bool IsIndexDdl(std::string_view text);
-
   /// Parses one DDL command (must consume the whole input).
   static Result<IndexDdl> Parse(std::string_view text);
 };

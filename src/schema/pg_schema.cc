@@ -68,14 +68,6 @@ const NodeTypeSpec* SchemaDef::FindNodeType(
   return nullptr;
 }
 
-const NodeTypeSpec* SchemaDef::FindNodeTypeByLabel(
-    const std::string& label) const {
-  for (const NodeTypeSpec& t : node_types) {
-    if (t.label == label) return &t;
-  }
-  return nullptr;
-}
-
 const EdgeTypeSpec* SchemaDef::FindEdgeType(
     const std::string& rel_type) const {
   for (const EdgeTypeSpec& t : edge_types) {

@@ -70,7 +70,6 @@ struct SchemaDef {
   std::vector<EdgeTypeSpec> edge_types;
 
   const NodeTypeSpec* FindNodeType(const std::string& type_name) const;
-  const NodeTypeSpec* FindNodeTypeByLabel(const std::string& label) const;
   const EdgeTypeSpec* FindEdgeType(const std::string& rel_type) const;
 
   /// True if `type_name` equals `ancestor` or inherits from it.

@@ -34,7 +34,7 @@ struct TriggerHealth {
   uint64_t skips_remaining = 0;   // left in the current window
   bool probe_inflight = false;    // one activation let through half-open
 
-  // Lifetime counters (SHOW TRIGGER STATUS / pgt.health()).
+  // Lifetime counters (SHOW TRIGGER STATUS).
   uint64_t total_failures = 0;
   uint64_t probes = 0;
   uint64_t quarantines = 0;

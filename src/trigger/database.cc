@@ -1,9 +1,9 @@
 #include "src/trigger/database.h"
 
-#include <functional>
-
 #include "src/common/fault.h"
 #include "src/common/macros.h"
+#include "src/common/str_util.h"
+#include "src/cypher/lexer.h"
 #include "src/cypher/parser.h"
 #include "src/cypher/plan/compiler.h"
 #include "src/cypher/plan/plan_executor.h"
@@ -49,48 +49,88 @@ Status StreamRecords(const GraphSnapshot& snap, wal::SnapshotWriter& w) {
   return Status::OK();
 }
 
-/// SHOW ASYNC STATUS / CALL pgt.asyncStats() surface: one row of pool
-/// counters (all zeros with the pool off — the surface stays queryable).
-cypher::QueryResult AsyncStatusTable(AsyncExecutor* async) {
-  AsyncPoolStats s;
-  if (async != nullptr) s = async->Stats();
-  cypher::QueryResult result;
-  result.columns = {"workers",  "queue_depth", "in_flight",
-                    "enqueued", "prefiltered", "deferred",
-                    "applied",  "spilled",     "rejected"};
-  result.rows.push_back({Value::Int(s.workers),
-                         Value::Int(static_cast<int64_t>(s.queue_depth)),
-                         Value::Int(static_cast<int64_t>(s.in_flight)),
-                         Value::Int(static_cast<int64_t>(s.enqueued)),
-                         Value::Int(static_cast<int64_t>(s.prefiltered)),
-                         Value::Int(static_cast<int64_t>(s.deferred)),
-                         Value::Int(static_cast<int64_t>(s.applied)),
-                         Value::Int(static_cast<int64_t>(s.spilled)),
-                         Value::Int(static_cast<int64_t>(s.rejected))});
-  return result;
+// --- Introspection tables (README "Introspection tables") -----------------
+
+using TableRows = std::vector<std::vector<Value>>;
+
+/// An unsigned counter as a Cypher integer.
+Value U64(uint64_t n) { return Value::Int(static_cast<int64_t>(n)); }
+
+/// Sums over every incremental-WHEN state (docs/ivm.md).
+struct IvmTotals {
+  int64_t states = 0, maintained = 0, tuples = 0, bytes = 0;
+  int64_t served = 0, fallbacks = 0;
+};
+
+IvmTotals SumIvm(const ivm::IvmManager& ivm) {
+  IvmTotals t;
+  for (const ivm::TriggerIvmState* st : ivm.States()) {
+    ++t.states;
+    if (st->mode() == ivm::IvmMode::kMaintained) ++t.maintained;
+    t.tuples += static_cast<int64_t>(st->tuples());
+    t.bytes += st->bytes();
+    t.served += static_cast<int64_t>(st->served());
+    t.fallbacks += static_cast<int64_t>(st->fallback_firings());
+  }
+  return t;
 }
 
-/// SHOW TRIGGER STATUS / part of pgt.health(): one row per installed
-/// trigger with its circuit-breaker state (docs/robustness.md) and its
-/// incremental-WHEN maintenance state (docs/ivm.md). Healthy triggers
-/// that never failed show zeros; triggers without maintained state show
-/// ivm_mode "idle" (state builds lazily at the first compiled firing) or
-/// "off" when EngineOptions::use_ivm is false.
-cypher::QueryResult TriggerStatusTable(const TriggerCatalog& catalog,
-                                       const ivm::IvmManager& ivm,
-                                       bool use_ivm) {
+/// The triggering-graph report (docs/analysis.md): one row per trigger,
+/// and the whole-catalog verdict repeated on each.
+TableRows TriggerAnalysisRows(Database& db) {
+  const analysis::AnalysisReport rep = db.AnalyzeTriggers();
+  std::string verdict;
+  if (rep.guaranteed_termination) {
+    verdict = "termination guaranteed";
+  } else {
+    size_t unguarded = 0;
+    for (const auto& [path, guarded] : rep.cycles) {
+      unguarded += guarded ? 0 : 1;
+    }
+    verdict = "cycles: " + std::to_string(rep.cycles.size()) +
+              " (unguarded: " + std::to_string(unguarded) + ")";
+  }
+  TableRows rows;
+  for (const analysis::AnalysisReport::Row& r : rep.rows) {
+    rows.push_back({Value::String(r.name), Value::Bool(r.enabled),
+                    Value::Bool(r.guarded), Value::String(r.monitor),
+                    Value::String(r.guard), Value::String(r.writes),
+                    Value::String(Join(r.wakes, ",")),
+                    Value::String(Join(r.pruned, ",")),
+                    Value::String(verdict)});
+  }
+  return rows;
+}
+
+/// The same report as text, one row per line.
+TableRows AnalysisReportLines(Database& db) {
+  const std::string text = db.AnalyzeTriggers().ToString();
+  TableRows rows;
+  size_t start = 0;
+  while (start < text.size()) {
+    size_t end = text.find('\n', start);
+    if (end == std::string::npos) end = text.size();
+    rows.push_back({Value::String(text.substr(start, end - start))});
+    start = end + 1;
+  }
+  return rows;
+}
+
+/// One row per installed trigger: its circuit-breaker state
+/// (docs/robustness.md) and its incremental-WHEN maintenance state
+/// (docs/ivm.md). Healthy triggers that never failed show zeros; triggers
+/// without maintained state show ivm_mode "idle" (state builds lazily at
+/// the first compiled firing) or "off" when EngineOptions::use_ivm is
+/// false.
+TableRows TriggerStatusRows(Database& db) {
   static const TriggerHealth kHealthy;
-  cypher::QueryResult result;
-  result.columns = {"name",           "time",    "enabled",
-                    "quarantined",    "failures", "total_failures",
-                    "probes",         "skipped", "reason",
-                    "since_micros",   "ivm_mode", "ivm_tuples",
-                    "ivm_bytes",      "ivm_served", "ivm_fallbacks"};
+  const TriggerCatalog& catalog = db.catalog();
+  TableRows rows;
   for (const TriggerDef* t : catalog.All()) {
     const TriggerHealth* h = catalog.Health(t->name);
     if (h == nullptr) h = &kHealthy;
-    const ivm::TriggerIvmState* st = ivm.Find(t->name);
-    const char* mode = use_ivm ? "idle" : "off";
+    const ivm::TriggerIvmState* st = db.ivm().Find(t->name);
+    const char* mode = db.options().use_ivm ? "idle" : "off";
     int64_t tuples = 0, bytes = 0, served = 0, fallbacks = 0;
     if (st != nullptr) {
       mode = ivm::IvmModeName(st->mode());
@@ -99,39 +139,144 @@ cypher::QueryResult TriggerStatusTable(const TriggerCatalog& catalog,
       served = static_cast<int64_t>(st->served());
       fallbacks = static_cast<int64_t>(st->fallback_firings());
     }
-    result.rows.push_back(
+    rows.push_back(
         {Value::String(t->name), Value::String(ActionTimeName(t->time)),
          Value::Bool(t->enabled), Value::Bool(h->quarantined),
-         Value::Int(static_cast<int64_t>(h->consecutive_failures)),
-         Value::Int(static_cast<int64_t>(h->total_failures)),
-         Value::Int(static_cast<int64_t>(h->probes)),
-         Value::Int(static_cast<int64_t>(h->skipped)),
-         Value::String(h->reason), Value::Int(h->quarantined_at_micros),
-         Value::String(mode), Value::Int(tuples), Value::Int(bytes),
-         Value::Int(served), Value::Int(fallbacks)});
+         U64(h->consecutive_failures), U64(h->total_failures),
+         U64(h->probes), U64(h->skipped), Value::String(h->reason),
+         Value::Int(h->quarantined_at_micros), Value::String(mode),
+         Value::Int(tuples), Value::Int(bytes), Value::Int(served),
+         Value::Int(fallbacks)});
   }
-  return result;
+  return rows;
 }
 
-/// Registers `name` as a zero-argument procedure yielding the one row of
-/// `table()`; its output columns are the table's own columns.
-void RegisterOneRowProcedure(cypher::ProcedureRegistry& procedures,
-                             const std::string& name,
-                             std::function<cypher::QueryResult()> table) {
-  std::vector<std::string> columns = table().columns;
-  procedures.Register(
-      name, std::move(columns),
-      [table = std::move(table)](cypher::EvalContext&,
-                                 const std::vector<Value>&,
-                                 const cypher::Row&)
-          -> Result<std::vector<cypher::Row>> {
-        const cypher::QueryResult t = table();
-        cypher::Row r;
-        for (size_t i = 0; i < t.columns.size(); ++i) {
-          r.Set(t.columns[i], t.rows.front()[i]);
-        }
-        return std::vector<cypher::Row>{std::move(r)};
-      });
+/// One row per property index (README "Property indexes").
+TableRows IndexRows(Database& db) {
+  TableRows rows;
+  db.store().indexes().ForEach([&](const index::PropertyIndex& idx) {
+    rows.push_back({Value::String(idx.spec().name),
+                    Value::String(index::IndexKindName(idx.spec().kind)),
+                    Value::Bool(idx.spec().unique), U64(idx.EntryCount())});
+  });
+  return rows;
+}
+
+/// The async pool's counters (docs/async.md); all zeros with the pool
+/// off, so the table stays queryable.
+TableRows AsyncStatusRows(Database& db) {
+  AsyncPoolStats s;
+  if (db.async() != nullptr) s = db.async()->Stats();
+  return {{Value::Int(s.workers), U64(s.queue_depth), U64(s.in_flight),
+           U64(s.enqueued), U64(s.prefiltered), U64(s.deferred),
+           U64(s.applied), U64(s.spilled), U64(s.rejected)}};
+}
+
+/// Degraded mode, quarantine, async shedding, armed fault points and IVM
+/// degradations in one row (docs/robustness.md).
+TableRows HealthRows(Database& db) {
+  const std::vector<std::string> quarantined = db.catalog().Quarantined();
+  AsyncPoolStats s;
+  if (db.async() != nullptr) s = db.async()->Stats();
+  const IvmTotals ivm = SumIvm(db.ivm());
+  return {{Value::String(db.degraded() ? "degraded-read-only" : "ok"),
+           Value::String(db.wal() != nullptr ? db.wal()->poison_cause() : ""),
+           U64(quarantined.size()), Value::String(Join(quarantined, ",")),
+           U64(s.shed), U64(s.worker_deaths),
+           U64(FaultRegistry::Global().ArmedPoints().size()),
+           Value::Int(ivm.maintained), Value::Int(ivm.bytes),
+           U64(db.ivm().counters().degradations)}};
+}
+
+/// Plan-churn counters plus the summed IVM maintenance state
+/// (docs/ivm.md).
+TableRows IvmStatsRows(Database& db) {
+  const IvmTotals t = SumIvm(db.ivm());
+  const ivm::IvmManager::Counters& c = db.ivm().counters();
+  return {{U64(db.plan_compile_counters().trigger_compiles),
+           U64(db.plan_compile_counters().trigger_recompiles),
+           U64(db.adhoc_plan_recompiles()), Value::Int(t.states),
+           Value::Int(t.maintained), Value::Int(t.tuples),
+           Value::Int(t.bytes), Value::Int(t.served), Value::Int(t.fallbacks),
+           U64(c.maintain_ops), U64(c.seeds), U64(c.degradations),
+           U64(c.resolutions)}};
+}
+
+/// One read-only status table. `show` holds the words that follow SHOW
+/// (null when unused), `procedure` the CALL name (null for none).
+struct IntrospectionTable {
+  const char* show[2];
+  const char* procedure;
+  std::vector<std::string> columns;
+  TableRows (*rows)(Database& db);
+};
+
+/// Every SHOW and CALL pgt.* table. A new status table is one entry here.
+const IntrospectionTable kIntrospectionTables[] = {
+    {{"TRIGGER ANALYSIS", nullptr},
+     nullptr,
+     {"name", "enabled", "guarded", "monitor", "guard", "writes", "wakes",
+      "pruned", "verdict"},
+     TriggerAnalysisRows},
+    {{"TRIGGER STATUS", nullptr},
+     nullptr,
+     {"name", "time", "enabled", "quarantined", "failures", "total_failures",
+      "probes", "skipped", "reason", "since_micros", "ivm_mode", "ivm_tuples",
+      "ivm_bytes", "ivm_served", "ivm_fallbacks"},
+     TriggerStatusRows},
+    {{"INDEXES", "INDEX"},
+     nullptr,
+     {"name", "kind", "unique", "entries"},
+     IndexRows},
+    {{"ASYNC STATUS", nullptr},
+     "pgt.asyncStats",
+     {"workers", "queue_depth", "in_flight", "enqueued", "prefiltered",
+      "deferred", "applied", "spilled", "rejected"},
+     AsyncStatusRows},
+    {{"HEALTH", nullptr},
+     "pgt.health",
+     {"mode", "wal_poison_cause", "quarantined_count", "quarantined",
+      "async_shed", "async_worker_deaths", "armed_fault_points",
+      "ivm_maintained", "ivm_bytes", "ivm_degradations"},
+     HealthRows},
+    {{nullptr, nullptr},
+     "pgt.ivmStats",
+     {"trigger_plan_compiles", "trigger_plan_recompiles",
+      "adhoc_plan_recompiles", "states", "maintained", "tuples", "bytes",
+      "served", "fallbacks", "maintain_ops", "seeds", "degradations",
+      "resolutions"},
+     IvmStatsRows},
+    {{nullptr, nullptr}, "pgt.analyzeTriggers", {"line"}, AnalysisReportLines},
+};
+
+/// Answers `SHOW <phrase>`: the phrase's words (any case, an optional
+/// trailing ';') must equal one of a table's SHOW phrases.
+Result<cypher::QueryResult> ExecuteShow(Database& db, std::string_view text) {
+  PGT_ASSIGN_OR_RETURN(std::vector<cypher::Token> toks,
+                       cypher::Lexer::Tokenize(text));
+  toks.pop_back();  // kEnd
+  if (!toks.empty() && toks.back().type == cypher::TokenType::kSemicolon) {
+    toks.pop_back();
+  }
+  // Only bare words form a phrase: any other token ("?") matches no table.
+  std::string phrase;
+  for (size_t i = 1; i < toks.size(); ++i) {
+    if (i > 1) phrase += ' ';
+    phrase += toks[i].type == cypher::TokenType::kIdent ? toks[i].text : "?";
+  }
+  std::string known;
+  for (const IntrospectionTable& t : kIntrospectionTables) {
+    for (const char* show : t.show) {
+      if (show == nullptr) continue;
+      if (EqualsIgnoreCase(phrase, show)) {
+        return cypher::QueryResult{t.columns, t.rows(db)};
+      }
+      known += known.empty() ? "SHOW " : ", SHOW ";
+      known += show;
+    }
+  }
+  return Status::SyntaxError("unknown SHOW statement; expected one of: " +
+                             known);
 }
 
 /// Parameters nest at most kMaxValueDepth lists/maps, like stored property
@@ -162,34 +307,24 @@ Database::Database(EngineOptions options)
   // quarantine. States build lazily at the first compiled firing.
   store_.SetIvmManager(&ivm_);
   catalog_.SetIvmSink(&ivm_);
-  // Analysis surface twin of SHOW TRIGGER ANALYSIS: the report as rows of
-  // text lines, deterministic (name-sorted rows, sorted edge lists).
-  procedures_.Register(
-      "pgt.analyzeTriggers", {"line"},
-      [this](cypher::EvalContext&, const std::vector<Value>&,
-             const cypher::Row&) -> Result<std::vector<cypher::Row>> {
-        const std::string text = AnalyzeTriggers().ToString();
-        std::vector<cypher::Row> rows;
-        size_t start = 0;
-        while (start < text.size()) {
-          size_t end = text.find('\n', start);
-          if (end == std::string::npos) end = text.size();
-          cypher::Row r;
-          r.Set("line", Value::String(text.substr(start, end - start)));
-          rows.push_back(std::move(r));
-          start = end + 1;
-        }
-        return rows;
-      });
-  // One-row twins of the SHOW surfaces: async pool introspection (SHOW
-  // ASYNC STATUS, docs/async.md), plan-churn and incremental-WHEN counters
-  // (docs/ivm.md), and health (SHOW HEALTH, docs/robustness.md).
-  RegisterOneRowProcedure(procedures_, "pgt.asyncStats",
-                          [this] { return AsyncStatusTable(async_.get()); });
-  RegisterOneRowProcedure(procedures_, "pgt.ivmStats",
-                          [this] { return IvmStatsTable(); });
-  RegisterOneRowProcedure(procedures_, "pgt.health",
-                          [this] { return HealthTable(); });
+  // The CALL pgt.* procedures of the introspection tables.
+  for (const IntrospectionTable& t : kIntrospectionTables) {
+    if (t.procedure == nullptr) continue;
+    procedures_.Register(
+        t.procedure, t.columns,
+        [this, &t](cypher::EvalContext&, const std::vector<Value>&,
+                   const cypher::Row&) -> Result<std::vector<cypher::Row>> {
+          std::vector<cypher::Row> out;
+          for (std::vector<Value>& values : t.rows(*this)) {
+            cypher::Row r;
+            for (size_t i = 0; i < t.columns.size(); ++i) {
+              r.Set(t.columns[i], std::move(values[i]));
+            }
+            out.push_back(std::move(r));
+          }
+          return out;
+        });
+  }
   if (options_.async_pool_size > 0) {
     async_ = std::make_unique<AsyncExecutor>(
         this, options_.async_pool_size, options_.async_queue_capacity);
@@ -569,71 +704,6 @@ Status Database::DegradedError() const {
       "reopen the database to recover to the last durable state");
 }
 
-cypher::QueryResult Database::HealthTable() {
-  cypher::QueryResult result;
-  result.columns = {"mode",        "wal_poison_cause", "quarantined_count",
-                    "quarantined", "async_shed",       "async_worker_deaths",
-                    "armed_fault_points", "ivm_maintained", "ivm_bytes",
-                    "ivm_degradations"};
-  const std::vector<std::string> quarantined = catalog_.Quarantined();
-  std::string joined;
-  for (const std::string& name : quarantined) {
-    if (!joined.empty()) joined += ",";
-    joined += name;
-  }
-  AsyncPoolStats s;
-  if (async_ != nullptr) s = async_->Stats();
-  int64_t ivm_maintained = 0;
-  int64_t ivm_bytes = 0;
-  for (const ivm::TriggerIvmState* st : ivm_.States()) {
-    if (st->mode() == ivm::IvmMode::kMaintained) ++ivm_maintained;
-    ivm_bytes += st->bytes();
-  }
-  result.rows.push_back(
-      {Value::String(degraded() ? "degraded-read-only" : "ok"),
-       Value::String(wal_ != nullptr ? wal_->poison_cause() : ""),
-       Value::Int(static_cast<int64_t>(quarantined.size())),
-       Value::String(joined), Value::Int(static_cast<int64_t>(s.shed)),
-       Value::Int(static_cast<int64_t>(s.worker_deaths)),
-       Value::Int(static_cast<int64_t>(
-           FaultRegistry::Global().ArmedPoints().size())),
-       Value::Int(ivm_maintained), Value::Int(ivm_bytes),
-       Value::Int(static_cast<int64_t>(ivm_.counters().degradations))});
-  return result;
-}
-
-cypher::QueryResult Database::IvmStatsTable() {
-  cypher::QueryResult result;
-  result.columns = {"trigger_plan_compiles", "trigger_plan_recompiles",
-                    "adhoc_plan_recompiles", "states", "maintained",
-                    "tuples", "bytes", "served", "fallbacks",
-                    "maintain_ops", "seeds", "degradations", "resolutions"};
-  int64_t states = 0, maintained = 0, tuples = 0, bytes = 0;
-  int64_t served = 0, fallbacks = 0;
-  for (const ivm::TriggerIvmState* st : ivm_.States()) {
-    ++states;
-    if (st->mode() == ivm::IvmMode::kMaintained) ++maintained;
-    tuples += static_cast<int64_t>(st->tuples());
-    bytes += st->bytes();
-    served += static_cast<int64_t>(st->served());
-    fallbacks += static_cast<int64_t>(st->fallback_firings());
-  }
-  const ivm::IvmManager::Counters& c = ivm_.counters();
-  result.rows.push_back(
-      {Value::Int(static_cast<int64_t>(
-           plan_compile_counters_.trigger_compiles)),
-       Value::Int(static_cast<int64_t>(
-           plan_compile_counters_.trigger_recompiles)),
-       Value::Int(static_cast<int64_t>(adhoc_plan_recompiles_)),
-       Value::Int(states), Value::Int(maintained), Value::Int(tuples),
-       Value::Int(bytes), Value::Int(served), Value::Int(fallbacks),
-       Value::Int(static_cast<int64_t>(c.maintain_ops)),
-       Value::Int(static_cast<int64_t>(c.seeds)),
-       Value::Int(static_cast<int64_t>(c.degradations)),
-       Value::Int(static_cast<int64_t>(c.resolutions))});
-  return result;
-}
-
 Result<std::shared_ptr<const GraphSnapshot>> Database::OpenSnapshot() {
   if (!store_.snapshots().armed() && tx_manager_.HasActive()) {
     return Status::FailedPrecondition(
@@ -942,18 +1012,12 @@ Result<cypher::QueryResult> Database::ExecuteDdl(std::string_view text) {
   // Catalog mutation fence: drain the async pool first, so DROP/DISABLE
   // never races a queued activation — queued work runs to completion under
   // the pre-DDL catalog, exactly as the serial drain would have ordered it
-  // (docs/async.md). Introspection kinds skip the barrier. During WAL
-  // recovery the pool is empty and this is a no-op.
-  const bool introspection = ddl.kind == TriggerDdl::Kind::kShowAnalysis ||
-                             ddl.kind == TriggerDdl::Kind::kShowAsyncStatus ||
-                             ddl.kind == TriggerDdl::Kind::kShowStatus ||
-                             ddl.kind == TriggerDdl::Kind::kShowHealth;
-  if (async_ != nullptr && !introspection) {
-    async_->QuiesceHoldingWriterMu();
-  }
+  // (docs/async.md). During WAL recovery the pool is empty and this is a
+  // no-op.
+  if (async_ != nullptr) async_->QuiesceHoldingWriterMu();
   // Degraded mode refuses catalog mutations too: LogDdl would fail after
   // the catalog changed, diverging memory from the durable history.
-  if (!introspection && degraded()) return DegradedError();
+  if (degraded()) return DegradedError();
   switch (ddl.kind) {
     case TriggerDdl::Kind::kCreate: {
       const std::string name = ddl.def.name;
@@ -969,14 +1033,10 @@ Result<cypher::QueryResult> Database::ExecuteDdl(std::string_view text) {
         if (!cycle.empty()) {
           (void)catalog_.Drop(name);
           analyzer_.NoteDrop(name);
-          std::string path;
-          for (size_t i = 0; i < cycle.size(); ++i) {
-            if (i > 0) path += " -> ";
-            path += cycle[i];
-          }
           return Status::InvalidArgument(
               "CREATE TRIGGER '" + name +
-              "' rejected: introduces unguarded triggering cycle " + path +
+              "' rejected: introduces unguarded triggering cycle " +
+              Join(cycle, " -> ") +
               " (termination_policy = reject; a cycle member lacks a "
               "WHEN guard — see SHOW TRIGGER ANALYSIS)");
         }
@@ -995,49 +1055,6 @@ Result<cypher::QueryResult> Database::ExecuteDdl(std::string_view text) {
       PGT_RETURN_IF_ERROR(catalog_.SetEnabled(ddl.name, false));
       analyzer_.NoteSetEnabled(ddl.name, PlanEpoch());
       break;
-    case TriggerDdl::Kind::kShowAnalysis: {
-      // Introspection: no catalog mutation, nothing to log.
-      const analysis::AnalysisReport rep = AnalyzeTriggers();
-      cypher::QueryResult result;
-      result.columns = {"name",   "enabled", "guarded", "monitor",
-                        "guard",  "writes",  "wakes",   "pruned",
-                        "verdict"};
-      std::string verdict;
-      if (rep.guaranteed_termination) {
-        verdict = "termination guaranteed";
-      } else {
-        size_t unguarded = 0;
-        for (const auto& [path, guarded] : rep.cycles) {
-          unguarded += guarded ? 0 : 1;
-        }
-        verdict = "cycles: " + std::to_string(rep.cycles.size()) +
-                  " (unguarded: " + std::to_string(unguarded) + ")";
-      }
-      auto join = [](const std::vector<std::string>& v) {
-        std::string out;
-        for (size_t i = 0; i < v.size(); ++i) {
-          if (i > 0) out += ",";
-          out += v[i];
-        }
-        return out;
-      };
-      for (const analysis::AnalysisReport::Row& r : rep.rows) {
-        result.rows.push_back(
-            {Value::String(r.name), Value::Bool(r.enabled),
-             Value::Bool(r.guarded), Value::String(r.monitor),
-             Value::String(r.guard), Value::String(r.writes),
-             Value::String(join(r.wakes)), Value::String(join(r.pruned)),
-             Value::String(verdict)});
-      }
-      return result;
-    }
-    case TriggerDdl::Kind::kShowAsyncStatus:
-      // Introspection: no catalog mutation, nothing to log.
-      return AsyncStatusTable(async_.get());
-    case TriggerDdl::Kind::kShowStatus:
-      return TriggerStatusTable(catalog_, ivm_, options_.use_ivm);
-    case TriggerDdl::Kind::kShowHealth:
-      return HealthTable();
   }
   PGT_RETURN_IF_ERROR(LogDdl(wal::WalDdlKind::kTriggerDdl, text));
   return cypher::QueryResult{};
@@ -1048,13 +1065,9 @@ Result<cypher::QueryResult> Database::ExecuteIndexDdl(std::string_view text) {
                        index::IndexDdlParser::Parse(text));
   // Same fence as trigger DDL: index create/drop invalidates compiled
   // trigger plans and frees live index structures a queued apply could
-  // touch. SHOW stays barrier-free.
-  if (async_ != nullptr && ddl.kind != index::IndexDdl::Kind::kShow) {
-    async_->QuiesceHoldingWriterMu();
-  }
-  if (ddl.kind != index::IndexDdl::Kind::kShow && degraded()) {
-    return DegradedError();
-  }
+  // touch.
+  if (async_ != nullptr) async_->QuiesceHoldingWriterMu();
+  if (degraded()) return DegradedError();
   switch (ddl.kind) {
     case index::IndexDdl::Kind::kCreate: {
       index::IndexSpec spec;
@@ -1078,18 +1091,6 @@ Result<cypher::QueryResult> Database::ExecuteIndexDdl(std::string_view text) {
       PGT_RETURN_IF_ERROR(LogDdl(wal::WalDdlKind::kIndexDdl, text));
       return cypher::QueryResult{};
     }
-    case index::IndexDdl::Kind::kShow: {
-      cypher::QueryResult result;
-      result.columns = {"name", "kind", "unique", "entries"};
-      store_.indexes().ForEach([&](const index::PropertyIndex& idx) {
-        result.rows.push_back(
-            {Value::String(idx.spec().name),
-             Value::String(index::IndexKindName(idx.spec().kind)),
-             Value::Bool(idx.spec().unique),
-             Value::Int(static_cast<int64_t>(idx.EntryCount()))});
-      });
-      return result;
-    }
   }
   return Status::Internal("unhandled index DDL kind");
 }
@@ -1109,10 +1110,10 @@ Result<cypher::QueryResult> Database::Execute(std::string_view text,
 
 Result<cypher::QueryResult> Database::ExecuteNested(std::string_view text,
                                                     const Params& params) {
-  // A plan-cache hit proves the text is plain Cypher (DDL never enters the
-  // cache), so repeated statements skip even the single classification
-  // pass. Misses classify once (replacing the old IsTriggerDdl +
-  // IsIndexDdl double re-scan) and route.
+  // A plan-cache hit proves the text is plain Cypher (DDL and SHOW never
+  // enter the cache), so repeated statements skip even the single
+  // classification pass. Misses classify once and route; SHOW takes no
+  // async fence and answers in degraded mode.
   std::shared_ptr<cypher::plan::PreparedStatement> stmt = CachedPlan(text);
   if (stmt == nullptr) {
     switch (ClassifyStatement(text)) {
@@ -1120,6 +1121,8 @@ Result<cypher::QueryResult> Database::ExecuteNested(std::string_view text,
         return ExecuteDdl(text);
       case StatementKind::kIndexDdl:
         return ExecuteIndexDdl(text);
+      case StatementKind::kShow:
+        return ExecuteShow(*this, text);
       case StatementKind::kCypher:
         break;
     }
@@ -1169,6 +1172,9 @@ Result<std::vector<cypher::QueryResult>> Database::ExecuteTxLocked(
       case StatementKind::kIndexDdl:
         return Status::InvalidArgument(
             "index DDL is not allowed inside a multi-statement transaction");
+      case StatementKind::kShow:
+        return Status::InvalidArgument(
+            "SHOW is not allowed inside a multi-statement transaction");
       case StatementKind::kCypher:
         break;
     }

@@ -324,11 +324,6 @@ class Database {
   Result<cypher::QueryResult> ExecuteDdl(std::string_view text);
   /// The FailedPrecondition returned for writes while degraded().
   Status DegradedError() const;
-  /// The one-row SHOW HEALTH / CALL pgt.health() table.
-  cypher::QueryResult HealthTable();
-  /// One-row CALL pgt.ivmStats() table: plan-churn counters plus
-  /// aggregated IVM maintenance state (docs/ivm.md).
-  cypher::QueryResult IvmStatsTable();
   Result<cypher::QueryResult> ExecuteIndexDdl(std::string_view text);
   /// ExecuteTx body; caller holds writer_mu_.
   Result<std::vector<cypher::QueryResult>> ExecuteTxLocked(

@@ -42,11 +42,12 @@ class ResolvedIdCache {
 /// Section 4.2 "Action Time").
 enum class ActionTime {
   kBefore,    ///< before the statement's effects become definitive; may only
-              ///< condition NEW states (DESIGN.md D1)
+              ///< condition NEW states (docs/semantics.md D1)
   kAfter,     ///< after the statement, inside the same transaction; actions
               ///< cascade with SQL3 stack semantics
   kOnCommit,  ///< at the commit point, still inside the transaction; side
-              ///< effects are folded in before the commit (DESIGN.md D4)
+              ///< effects are folded in before the commit
+              ///< (docs/semantics.md D4)
   kDetached,  ///< after a successful commit, in an autonomous transaction
 };
 
@@ -104,7 +105,7 @@ struct TriggerDef {
   cypher::ExprPtr when_expr;
   /// WHEN as a read-only Cypher pipeline (MATCH/UNWIND/WITH...); the
   /// condition holds iff it yields at least one row, and the action runs
-  /// once per result row with its bindings in scope (DESIGN.md D2).
+  /// once per result row with its bindings in scope (docs/semantics.md D2).
   cypher::Query when_query;
   /// BEGIN ... END action.
   cypher::Query statement;

@@ -1,11 +1,7 @@
 #include "src/trigger/trigger_parser.h"
 
-#include <set>
-
 #include "src/common/macros.h"
-#include "src/common/str_util.h"
 #include "src/cypher/lexer.h"
-#include "src/cypher/statement_classifier.h"
 #include "src/cypher/parser.h"
 
 namespace pgt {
@@ -15,15 +11,6 @@ namespace {
 using cypher::Parser;
 using cypher::Token;
 using cypher::TokenType;
-
-bool StartsWithWords(std::string_view text, std::string_view w1,
-                     std::string_view w2) {
-  auto toks = cypher::Lexer::Tokenize(text);
-  if (!toks.ok() || toks.value().size() < 2) return false;
-  const std::vector<Token>& t = toks.value();
-  return t[0].type == TokenType::kIdent && EqualsIgnoreCase(t[0].text, w1) &&
-         t[1].type == TokenType::kIdent && EqualsIgnoreCase(t[1].text, w2);
-}
 
 Result<ActionTime> ParseActionTime(Parser& p) {
   if (p.AcceptKeyword("BEFORE")) return ActionTime::kBefore;
@@ -56,49 +43,11 @@ Result<TransitionVar> ParseTransitionVar(Parser& p) {
 
 }  // namespace
 
-bool TriggerDdlParser::IsTriggerDdl(std::string_view text) {
-  // Single source of truth for the DDL-routing token grammar.
-  return ClassifyStatement(text) == StatementKind::kTriggerDdl;
-}
-
 Result<TriggerDdl> TriggerDdlParser::Parse(std::string_view text) {
   PGT_ASSIGN_OR_RETURN(std::vector<Token> toks, cypher::Lexer::Tokenize(text));
   Parser p(std::move(toks));
 
   TriggerDdl ddl;
-  if (p.AcceptKeyword("SHOW")) {
-    if (p.AcceptKeyword("ASYNC")) {
-      PGT_RETURN_IF_ERROR(p.ExpectKeyword("STATUS"));
-      ddl.kind = TriggerDdl::Kind::kShowAsyncStatus;
-      p.Accept(TokenType::kSemicolon);
-      if (!p.AtEnd()) {
-        return p.MakeError("unexpected input after SHOW ASYNC STATUS");
-      }
-      return ddl;
-    }
-    if (p.AcceptKeyword("HEALTH")) {
-      ddl.kind = TriggerDdl::Kind::kShowHealth;
-      p.Accept(TokenType::kSemicolon);
-      if (!p.AtEnd()) return p.MakeError("unexpected input after SHOW HEALTH");
-      return ddl;
-    }
-    PGT_RETURN_IF_ERROR(p.ExpectKeyword("TRIGGER"));
-    if (p.AcceptKeyword("STATUS")) {
-      ddl.kind = TriggerDdl::Kind::kShowStatus;
-      p.Accept(TokenType::kSemicolon);
-      if (!p.AtEnd()) {
-        return p.MakeError("unexpected input after SHOW TRIGGER STATUS");
-      }
-      return ddl;
-    }
-    PGT_RETURN_IF_ERROR(p.ExpectKeyword("ANALYSIS"));
-    ddl.kind = TriggerDdl::Kind::kShowAnalysis;
-    p.Accept(TokenType::kSemicolon);
-    if (!p.AtEnd()) {
-      return p.MakeError("unexpected input after SHOW TRIGGER ANALYSIS");
-    }
-    return ddl;
-  }
   if (p.AcceptKeyword("DROP")) {
     PGT_RETURN_IF_ERROR(p.ExpectKeyword("TRIGGER"));
     PGT_ASSIGN_OR_RETURN(ddl.name, p.ParseNameOrString("trigger name"));

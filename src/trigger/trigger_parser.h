@@ -16,10 +16,6 @@ struct TriggerDdl {
     kDrop,
     kEnable,
     kDisable,
-    kShowAnalysis,
-    kShowAsyncStatus,  // SHOW ASYNC STATUS (async pool counters)
-    kShowStatus,       // SHOW TRIGGER STATUS (per-trigger breaker state)
-    kShowHealth,       // SHOW HEALTH (degraded mode / quarantine / faults)
   };
   Kind kind = Kind::kCreate;
   TriggerDef def;    // kCreate
@@ -37,8 +33,9 @@ struct TriggerDdl {
 ///
 /// plus the management commands `DROP TRIGGER <name>` and
 /// `ALTER TRIGGER <name> ENABLE|DISABLE` (paper Section 5.1 maps these to
-/// apoc.trigger.drop / stop / start), and the introspection command
-/// `SHOW TRIGGER ANALYSIS` (triggering-graph report, docs/analysis.md).
+/// apoc.trigger.drop / stop / start). Every command changes the catalog;
+/// the read-only SHOW tables are routed elsewhere (README "Introspection
+/// tables").
 ///
 /// The WHEN condition is either a boolean expression (`OLD.x <> NEW.x`,
 /// `EXISTS (NEW)-[:Risk]-(:CriticalEffect)`) or a read-only Cypher pipeline
@@ -47,10 +44,6 @@ struct TriggerDdl {
 /// identifiers.
 class TriggerDdlParser {
  public:
-  /// Quick check: does this text start with trigger DDL (CREATE TRIGGER /
-  /// DROP TRIGGER / ALTER TRIGGER)? Used by Database::Execute to route.
-  static bool IsTriggerDdl(std::string_view text);
-
   /// Parses one DDL command (must consume the whole input).
   static Result<TriggerDdl> Parse(std::string_view text);
 

@@ -200,8 +200,9 @@ class Transaction {
   std::unordered_map<RelId, DeletedRelImage> ghost_rels_;
 };
 
-/// Hands out transactions one at a time (single-writer engine, DESIGN.md
-/// D7) and tracks commit counts for the visibility experiments.
+/// Hands out transactions one at a time (single-writer engine,
+/// docs/semantics.md D7) and tracks commit counts for the visibility
+/// experiments.
 class TransactionManager {
  public:
   explicit TransactionManager(GraphStore* store) : store_(store) {}

@@ -1,7 +1,7 @@
 // Event-matching tests: MatchActivations over the ten Section 4.2 event
 // kinds ({node, relationship} x {create, delete} + {label, node-property,
 // relationship-property} x {set, remove}), both granularities, and the two
-// label-event semantics (DESIGN.md D3).
+// label-event semantics (docs/semantics.md D3).
 
 #include <gtest/gtest.h>
 

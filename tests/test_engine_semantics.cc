@@ -56,7 +56,8 @@ TEST_F(EngineSemanticsTest, WhenExpressionGates) {
 }
 
 TEST_F(EngineSemanticsTest, WhenPipelineBindingsFlowToAction) {
-  // DESIGN.md D2: the action runs once per condition row, with bindings.
+  // docs/semantics.md D2: the action runs once per condition row, with
+  // bindings.
   Exec("CREATE (:H {name: 'x'}), (:H {name: 'y'})");
   Exec("CREATE TRIGGER T AFTER CREATE ON 'P' FOR EACH NODE "
        "WHEN MATCH (h:H) BEGIN CREATE (:Link {to: h.name}) END");

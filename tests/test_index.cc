@@ -12,6 +12,7 @@
 #include "src/cypher/parser.h"
 #include "src/cypher/plan/compiler.h"
 #include "src/cypher/plan/plan_executor.h"
+#include "src/cypher/statement_classifier.h"
 #include "src/index/index_catalog.h"
 #include "src/index/index_ddl.h"
 #include "src/index/property_index.h"
@@ -346,22 +347,19 @@ TEST(IndexDdlTest, ParseCreateVariants) {
   d = IndexDdlParser::Parse("DROP INDEX ON :Person(ssn)");
   ASSERT_TRUE(d.ok()) << d.status();
   EXPECT_EQ(d->kind, IndexDdl::Kind::kDrop);
-
-  d = IndexDdlParser::Parse("SHOW INDEXES");
-  ASSERT_TRUE(d.ok()) << d.status();
-  EXPECT_EQ(d->kind, IndexDdl::Kind::kShow);
 }
 
 TEST(IndexDdlTest, RoutingPredicate) {
-  EXPECT_TRUE(IndexDdlParser::IsIndexDdl("CREATE INDEX ON :A(b)"));
-  EXPECT_TRUE(IndexDdlParser::IsIndexDdl("CREATE UNIQUE INDEX ON :A(b)"));
-  EXPECT_TRUE(IndexDdlParser::IsIndexDdl("DROP INDEX ON :A(b)"));
-  EXPECT_TRUE(IndexDdlParser::IsIndexDdl("SHOW INDEXES"));
-  EXPECT_FALSE(IndexDdlParser::IsIndexDdl("CREATE (:A {b: 1})"));
-  EXPECT_FALSE(IndexDdlParser::IsIndexDdl(
-      "CREATE TRIGGER T AFTER CREATE ON 'A' FOR EACH NODE BEGIN "
-      "CREATE (:B) END"));
-  EXPECT_FALSE(IndexDdlParser::IsIndexDdl("MATCH (n) RETURN n"));
+  auto kind = [](const char* s) { return ClassifyStatement(s); };
+  EXPECT_EQ(kind("CREATE INDEX ON :A(b)"), StatementKind::kIndexDdl);
+  EXPECT_EQ(kind("CREATE UNIQUE INDEX ON :A(b)"), StatementKind::kIndexDdl);
+  EXPECT_EQ(kind("DROP INDEX ON :A(b)"), StatementKind::kIndexDdl);
+  EXPECT_EQ(kind("SHOW INDEXES"), StatementKind::kShow);
+  EXPECT_NE(kind("CREATE (:A {b: 1})"), StatementKind::kIndexDdl);
+  EXPECT_NE(kind("CREATE TRIGGER T AFTER CREATE ON 'A' FOR EACH NODE BEGIN "
+                 "CREATE (:B) END"),
+            StatementKind::kIndexDdl);
+  EXPECT_NE(kind("MATCH (n) RETURN n"), StatementKind::kIndexDdl);
 }
 
 TEST(IndexDdlTest, ParseErrors) {

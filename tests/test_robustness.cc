@@ -429,6 +429,126 @@ TEST_F(RobustnessTest, HealthSurfacesViaShowAndProcedure) {
   EXPECT_TRUE(status->rows.empty());  // no triggers installed
 }
 
+// Pins every introspection route: the SHOW phrases and the CALL pgt.*
+// procedures, their exact columns, and their row counts on a fixed state
+// (two triggers, one index, an async pool of one worker).
+TEST_F(RobustnessTest, EveryIntrospectionRouteAnswersWithItsColumns) {
+  EngineOptions o;
+  o.async_pool_size = 1;
+  Database db(o);
+  Exec(db, "CREATE TRIGGER A AFTER CREATE ON 'P' FOR EACH NODE "
+           "BEGIN CREATE (:Log) END");
+  Exec(db, "CREATE TRIGGER B DETACHED SET ON 'P'.'v' FOR EACH NODE "
+           "WHEN NEW.v > 1 BEGIN CREATE (:Audit) END");
+  Exec(db, "CREATE INDEX ON :P(v)");
+  Exec(db, "CREATE (:P {v: 1})");
+  db.DrainAsync();
+
+  using Columns = std::vector<std::string>;
+  const Columns analysis = {"name",  "enabled", "guarded", "monitor", "guard",
+                            "writes", "wakes",  "pruned",  "verdict"};
+  const Columns status = {"name",         "time",       "enabled",
+                          "quarantined",  "failures",   "total_failures",
+                          "probes",       "skipped",    "reason",
+                          "since_micros", "ivm_mode",   "ivm_tuples",
+                          "ivm_bytes",    "ivm_served", "ivm_fallbacks"};
+  const Columns indexes = {"name", "kind", "unique", "entries"};
+  const Columns async = {"workers",  "queue_depth", "in_flight",
+                         "enqueued", "prefiltered", "deferred",
+                         "applied",  "spilled",     "rejected"};
+  const Columns health = {"mode",        "wal_poison_cause",
+                          "quarantined_count",
+                          "quarantined", "async_shed",
+                          "async_worker_deaths",
+                          "armed_fault_points",
+                          "ivm_maintained", "ivm_bytes",
+                          "ivm_degradations"};
+  const Columns ivm_stats = {"trigger_plan_compiles",
+                             "trigger_plan_recompiles",
+                             "adhoc_plan_recompiles",
+                             "states", "maintained", "tuples", "bytes",
+                             "served", "fallbacks", "maintain_ops", "seeds",
+                             "degradations", "resolutions"};
+
+  struct ShowRoute {
+    std::string text;
+    Columns columns;
+    size_t rows;
+  };
+  const std::vector<ShowRoute> shows = {
+      {"SHOW TRIGGER ANALYSIS", analysis, 2},
+      {"SHOW TRIGGER STATUS", status, 2},
+      {"SHOW INDEXES", indexes, 1},
+      {"SHOW INDEX", indexes, 1},
+      {"SHOW ASYNC STATUS", async, 1},
+      {"SHOW HEALTH", health, 1},
+      {"show health", health, 1},
+      {"SHOW TRIGGER STATUS;", status, 2},
+  };
+  for (const ShowRoute& s : shows) {
+    auto r = db.Execute(s.text);
+    ASSERT_TRUE(r.ok()) << s.text << " -> " << r.status();
+    EXPECT_EQ(r->columns, s.columns) << s.text;
+    EXPECT_EQ(r->rows.size(), s.rows) << s.text;
+  }
+
+  // Each procedure declares its columns, and yielding all of them returns
+  // them in order.
+  struct CallRoute {
+    std::string name;
+    Columns columns;
+    size_t rows;
+  };
+  const std::vector<CallRoute> calls = {
+      {"pgt.asyncStats", async, 1},
+      {"pgt.health", health, 1},
+      {"pgt.ivmStats", ivm_stats, 1},
+      {"pgt.analyzeTriggers", {"line"}, 0},
+  };
+  for (const CallRoute& c : calls) {
+    const cypher::ProcedureRegistry::Entry* e = db.procedures().Lookup(c.name);
+    ASSERT_NE(e, nullptr) << c.name;
+    EXPECT_EQ(e->outputs, c.columns) << c.name;
+    std::string list;
+    for (const std::string& col : c.columns) {
+      if (!list.empty()) list += ", ";
+      list += col;
+    }
+    const std::string q =
+        "CALL " + c.name + "() YIELD " + list + " RETURN " + list;
+    auto r = db.Execute(q);
+    ASSERT_TRUE(r.ok()) << q << " -> " << r.status();
+    EXPECT_EQ(r->columns, c.columns) << q;
+    if (c.rows > 0) EXPECT_EQ(r->rows.size(), c.rows) << q;
+  }
+  // One line per report line.
+  auto lines = db.Execute("CALL pgt.analyzeTriggers() YIELD line RETURN line");
+  ASSERT_TRUE(lines.ok()) << lines.status();
+  const std::string report = db.AnalyzeTriggers().ToString();
+  size_t expected_lines = 0;
+  for (size_t start = 0; start < report.size(); ++expected_lines) {
+    const size_t end = report.find('\n', start);
+    start = end == std::string::npos ? report.size() : end + 1;
+  }
+  EXPECT_GT(expected_lines, 2u);
+  EXPECT_EQ(lines->rows.size(), expected_lines);
+
+  // The SHOW twin of a procedure answers the same row.
+  auto show_async = db.Execute("SHOW ASYNC STATUS");
+  auto call_async = db.Execute(
+      "CALL pgt.asyncStats() YIELD workers, applied RETURN workers, applied");
+  ASSERT_TRUE(show_async.ok() && call_async.ok());
+  EXPECT_EQ(call_async->rows[0][0].int_value(), 1);
+  EXPECT_EQ(show_async->rows[0][0].int_value(), 1);
+  EXPECT_EQ(call_async->rows[0][1].int_value(),
+            show_async->rows[0][6].int_value());
+
+  // SHOW is refused inside a multi-statement transaction, and an unknown
+  // SHOW phrase is an error.
+  EXPECT_FALSE(db.ExecuteTx({"SHOW HEALTH"}).ok());
+  EXPECT_FALSE(db.Execute("SHOW NOTHING").ok());
+}
+
 // --- Fault registry semantics ------------------------------------------------
 
 TEST_F(RobustnessTest, RegistryNthHitAndCounters) {

@@ -1,7 +1,5 @@
 // Unit tests for the single-pass statement classifier that routes
-// Database::Execute / ExecuteTx (replacing the legacy IsTriggerDdl +
-// IsIndexDdl double scan). Classification must agree with the two legacy
-// predicates on every input, including leading whitespace and comments.
+// Database::Execute / ExecuteTx, including leading whitespace and comments.
 
 #include <gtest/gtest.h>
 
@@ -9,8 +7,6 @@
 #include <vector>
 
 #include "src/cypher/statement_classifier.h"
-#include "src/index/index_ddl.h"
-#include "src/trigger/trigger_parser.h"
 
 namespace pgt {
 namespace {
@@ -43,13 +39,28 @@ TEST(StatementClassifier, IndexDdl) {
       "CREATE UNIQUE RANGE INDEX ON :Person(ssn)",
       "create hash index on :Person(ssn)",
       "DROP INDEX ON :Person(ssn)",
-      "SHOW INDEXES",
-      "show index",
       "  /* comment */ CREATE INDEX ON :L(p)",
       "// note\nDROP INDEX ON :L(p)",
   };
   for (const std::string& s : ddls) {
     EXPECT_EQ(ClassifyStatement(s), StatementKind::kIndexDdl) << s;
+  }
+}
+
+TEST(StatementClassifier, Show) {
+  const std::vector<std::string> shows = {
+      "SHOW INDEXES",
+      "show index",
+      "SHOW TRIGGER ANALYSIS",
+      "SHOW TRIGGER STATUS;",
+      "SHOW ASYNC STATUS",
+      "show health",
+      "SHOW NOTHING",  // unknown phrases are refused by the Database
+      "SHOW",
+      "/* c */ SHOW HEALTH",
+  };
+  for (const std::string& s : shows) {
+    EXPECT_EQ(ClassifyStatement(s), StatementKind::kShow) << s;
   }
 }
 
@@ -70,41 +81,6 @@ TEST(StatementClassifier, PlainCypher) {
   };
   for (const std::string& s : stmts) {
     EXPECT_EQ(ClassifyStatement(s), StatementKind::kCypher) << s;
-  }
-}
-
-// The classifier must agree with the legacy predicates (and their routing
-// precedence: trigger DDL first) on a mixed corpus.
-TEST(StatementClassifier, AgreesWithLegacyPredicates) {
-  const std::vector<std::string> corpus = {
-      "CREATE TRIGGER T AFTER CREATE ON 'L' FOR EACH NODE BEGIN CREATE (:X) "
-      "END",
-      "DROP TRIGGER T",
-      "ALTER TRIGGER T ENABLE",
-      "CREATE INDEX ON :L(p)",
-      "CREATE UNIQUE RANGE INDEX ON :L(p)",
-      // Within the legacy 3-token modifier window, even a repeated modifier
-      // classifies as index DDL (the index parser rejects it afterwards).
-      "CREATE UNIQUE UNIQUE INDEX ON :L(p)",
-      "DROP INDEX ON :L(p)",
-      "SHOW INDEXES",
-      "CREATE (:L {p: 1})",
-      "MATCH (n) RETURN n",
-      "MERGE (n:L) RETURN n",
-      "RETURN 1 AS x",
-      "",
-      "ALTER",
-      "/* c */ CREATE TRIGGER X AFTER CREATE ON 'L' FOR EACH NODE BEGIN "
-      "CREATE (:Y) END",
-  };
-  for (const std::string& s : corpus) {
-    StatementKind expected = StatementKind::kCypher;
-    if (TriggerDdlParser::IsTriggerDdl(s)) {
-      expected = StatementKind::kTriggerDdl;
-    } else if (index::IndexDdlParser::IsIndexDdl(s)) {
-      expected = StatementKind::kIndexDdl;
-    }
-    EXPECT_EQ(ClassifyStatement(s), expected) << s;
   }
 }
 

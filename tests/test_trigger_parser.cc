@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/str_util.h"
+#include "src/cypher/statement_classifier.h"
 
 namespace pgt {
 namespace {
@@ -32,12 +33,13 @@ TEST(TriggerParserTest, MinimalTrigger) {
 }
 
 TEST(TriggerParserTest, IsTriggerDdlDetection) {
-  EXPECT_TRUE(TriggerDdlParser::IsTriggerDdl("CREATE TRIGGER x ..."));
-  EXPECT_TRUE(TriggerDdlParser::IsTriggerDdl("  create trigger x"));
-  EXPECT_TRUE(TriggerDdlParser::IsTriggerDdl("DROP TRIGGER x"));
-  EXPECT_TRUE(TriggerDdlParser::IsTriggerDdl("ALTER TRIGGER x DISABLE"));
-  EXPECT_FALSE(TriggerDdlParser::IsTriggerDdl("CREATE (n:Trigger)"));
-  EXPECT_FALSE(TriggerDdlParser::IsTriggerDdl("MATCH (n) RETURN n"));
+  auto kind = [](const char* s) { return ClassifyStatement(s); };
+  EXPECT_EQ(kind("CREATE TRIGGER x ..."), StatementKind::kTriggerDdl);
+  EXPECT_EQ(kind("  create trigger x"), StatementKind::kTriggerDdl);
+  EXPECT_EQ(kind("DROP TRIGGER x"), StatementKind::kTriggerDdl);
+  EXPECT_EQ(kind("ALTER TRIGGER x DISABLE"), StatementKind::kTriggerDdl);
+  EXPECT_NE(kind("CREATE (n:Trigger)"), StatementKind::kTriggerDdl);
+  EXPECT_NE(kind("MATCH (n) RETURN n"), StatementKind::kTriggerDdl);
 }
 
 TEST(TriggerParserTest, PropertyMonitor) {
