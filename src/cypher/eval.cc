@@ -1,6 +1,7 @@
 #include "src/cypher/eval.h"
 
 #include <cmath>
+#include <cstdint>
 
 #include "src/common/str_util.h"
 
@@ -166,7 +167,11 @@ Result<Value> EvalBinaryOp(BinOp op, const Value& a, const Value& b, int line,
         return Value::MakeList(std::move(out));
       }
       if (a.is_int() && b.is_int()) {
-        return Value::Int(a.int_value() + b.int_value());
+        int64_t sum;
+        if (__builtin_add_overflow(a.int_value(), b.int_value(), &sum)) {
+          return TypeErr("integer overflow in '+'");
+        }
+        return Value::Int(sum);
       }
       if (a.is_numeric() && b.is_numeric()) {
         return Value::Double(a.as_double() + b.as_double());
@@ -177,7 +182,11 @@ Result<Value> EvalBinaryOp(BinOp op, const Value& a, const Value& b, int line,
     case BinOp::kSub: {
       if (a.is_null() || b.is_null()) return Value::Null();
       if (a.is_int() && b.is_int()) {
-        return Value::Int(a.int_value() - b.int_value());
+        int64_t diff;
+        if (__builtin_sub_overflow(a.int_value(), b.int_value(), &diff)) {
+          return TypeErr("integer overflow in '-'");
+        }
+        return Value::Int(diff);
       }
       if (a.is_numeric() && b.is_numeric()) {
         return Value::Double(a.as_double() - b.as_double());
@@ -187,7 +196,11 @@ Result<Value> EvalBinaryOp(BinOp op, const Value& a, const Value& b, int line,
     case BinOp::kMul: {
       if (a.is_null() || b.is_null()) return Value::Null();
       if (a.is_int() && b.is_int()) {
-        return Value::Int(a.int_value() * b.int_value());
+        int64_t product;
+        if (__builtin_mul_overflow(a.int_value(), b.int_value(), &product)) {
+          return TypeErr("integer overflow in '*'");
+        }
+        return Value::Int(product);
       }
       if (a.is_numeric() && b.is_numeric()) {
         return Value::Double(a.as_double() * b.as_double());
@@ -198,6 +211,10 @@ Result<Value> EvalBinaryOp(BinOp op, const Value& a, const Value& b, int line,
       if (a.is_null() || b.is_null()) return Value::Null();
       if (a.is_int() && b.is_int()) {
         if (b.int_value() == 0) return TypeErr("division by zero");
+        // The one quotient that does not fit (and traps on x86).
+        if (a.int_value() == INT64_MIN && b.int_value() == -1) {
+          return TypeErr("integer overflow in '/'");
+        }
         return Value::Int(a.int_value() / b.int_value());
       }
       if (a.is_numeric() && b.is_numeric()) {
@@ -210,6 +227,9 @@ Result<Value> EvalBinaryOp(BinOp op, const Value& a, const Value& b, int line,
       if (a.is_null() || b.is_null()) return Value::Null();
       if (a.is_int() && b.is_int()) {
         if (b.int_value() == 0) return TypeErr("modulo by zero");
+        // Every remainder of division by -1 is 0, but INT64_MIN % -1 traps
+        // on x86.
+        if (b.int_value() == -1) return Value::Int(0);
         return Value::Int(a.int_value() % b.int_value());
       }
       if (a.is_numeric() && b.is_numeric()) {
@@ -276,7 +296,12 @@ Result<Value> EvalUnaryOp(UnOp op, const Value& a, int line, int col) {
     }
     case UnOp::kNeg:
       if (a.is_null()) return Value::Null();
-      if (a.is_int()) return Value::Int(-a.int_value());
+      if (a.is_int()) {
+        if (a.int_value() == INT64_MIN) {
+          return TypeErr("integer overflow in unary '-'");
+        }
+        return Value::Int(-a.int_value());
+      }
       if (a.is_double()) return Value::Double(-a.double_value());
       return TypeErr("negation requires a number");
     case UnOp::kIsNull:

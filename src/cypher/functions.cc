@@ -1,6 +1,7 @@
 #include "src/cypher/functions.h"
 
 #include <cmath>
+#include <cstdint>
 
 #include "src/common/str_util.h"
 
@@ -21,6 +22,10 @@ Status FnTypeError(const std::string& name, const std::string& msg, int line,
   return Status::TypeError(name + ": " + msg + " at " + std::to_string(line) +
                            ":" + std::to_string(col));
 }
+
+/// The longest list range() builds. Its elements are materialized at
+/// once, so an unbounded count would exhaust memory instead of failing.
+constexpr uint64_t kMaxRangeLength = uint64_t{1} << 24;
 
 std::string RawString(const Value& v) {
   return v.is_string() ? std::string(v.string_value()) : v.ToString();
@@ -186,11 +191,32 @@ Result<Value> CallBuiltin(const std::string& name,
     const int64_t step = n == 3 ? args[2].int_value() : 1;
     if (step == 0) return FnTypeError(name, "step must be non-zero", line,
                                       col);
+    // The element count comes first, in unsigned arithmetic: the distance
+    // between two int64 values and the magnitude of any step fit in
+    // uint64, and no element is ever computed past `hi`.
     Value::List out;
-    if (step > 0) {
-      for (int64_t i = lo; i <= hi; i += step) out.push_back(Value::Int(i));
-    } else {
-      for (int64_t i = lo; i >= hi; i += step) out.push_back(Value::Int(i));
+    if (step > 0 ? lo > hi : lo < hi) return Value::MakeList(std::move(out));
+    const uint64_t distance = step > 0
+                                  ? static_cast<uint64_t>(hi) -
+                                        static_cast<uint64_t>(lo)
+                                  : static_cast<uint64_t>(lo) -
+                                        static_cast<uint64_t>(hi);
+    const uint64_t magnitude =
+        step > 0 ? static_cast<uint64_t>(step)
+                 : static_cast<uint64_t>(-(step + 1)) + 1;
+    const uint64_t last = distance / magnitude;  // count - 1
+    if (last >= kMaxRangeLength) {
+      return FnTypeError(name,
+                         "would produce more than " +
+                             std::to_string(kMaxRangeLength) + " elements",
+                         line, col);
+    }
+    out.reserve(last + 1);
+    for (uint64_t k = 0; k <= last; ++k) {
+      const uint64_t offset = k * magnitude;
+      const uint64_t lo_bits = static_cast<uint64_t>(lo);
+      out.push_back(Value::Int(static_cast<int64_t>(
+          step > 0 ? lo_bits + offset : lo_bits - offset)));
     }
     return Value::MakeList(std::move(out));
   }
@@ -202,7 +228,12 @@ Result<Value> CallBuiltin(const std::string& name,
       return FnTypeError(name, "requires a number", line, col);
     }
     if (fn == "abs") {
-      if (args[0].is_int()) return Value::Int(std::abs(args[0].int_value()));
+      if (args[0].is_int()) {
+        if (args[0].int_value() == INT64_MIN) {
+          return FnTypeError(name, "integer overflow", line, col);
+        }
+        return Value::Int(std::abs(args[0].int_value()));
+      }
       return Value::Double(std::fabs(args[0].double_value()));
     }
     const double d = args[0].as_double();

@@ -973,7 +973,8 @@ Result<bool> PlanExecutor::PatternExists(const PPattern& pattern,
 // ============================================================================
 
 Result<std::vector<Frame>> PlanExecutor::ApplyStep(const PStep& s,
-                                                   std::vector<Frame> frames) {
+                                                   std::vector<Frame> frames,
+                                                   QueryResult* table) {
   if (!s.error.empty()) return ExecErrAt(s, s.error);
   if (ctx_.budget != nullptr) {
     PGT_RETURN_IF_ERROR(ctx_.budget->Tick());
@@ -999,7 +1000,7 @@ Result<std::vector<Frame>> PlanExecutor::ApplyStep(const PStep& s,
     case Clause::Kind::kForeach:
       return ApplyForeach(s, std::move(frames));
     case Clause::Kind::kCall:
-      return ApplyCall(s, std::move(frames));
+      return ApplyCall(s, std::move(frames), table);
   }
   return Status::Internal("unhandled step kind");
 }
@@ -1505,7 +1506,8 @@ Result<std::vector<Frame>> PlanExecutor::ApplyForeach(
 }
 
 Result<std::vector<Frame>> PlanExecutor::ApplyCall(const PStep& s,
-                                                   std::vector<Frame> frames) {
+                                                   std::vector<Frame> frames,
+                                                   QueryResult* table) {
   if (ctx_.procedures == nullptr) {
     return ExecErrAt(s, "no procedures registered (CALL " + s.call_proc + ")");
   }
@@ -1536,7 +1538,21 @@ Result<std::vector<Frame>> PlanExecutor::ApplyCall(const PStep& s,
     PGT_ASSIGN_OR_RETURN(std::vector<Row> produced,
                          proc->fn(ctx_, args, row));
     if (s.call_yield.empty()) {
-      // Side-effect call: the row passes through.
+      // Side-effect call: the row passes through. As the whole statement,
+      // the call answers with every declared output, as
+      // `YIELD <all> RETURN <all>` would (an empty result has no columns).
+      if (table != nullptr && !proc->outputs.empty()) {
+        for (const Row& prow : produced) {
+          std::vector<Value> line;
+          line.reserve(proc->outputs.size());
+          for (const std::string& col : proc->outputs) {
+            const Value* v = prow.Get(col);
+            line.push_back(v == nullptr ? Value::Null() : *v);
+          }
+          table->rows.push_back(std::move(line));
+        }
+        if (!table->rows.empty()) table->columns = proc->outputs;
+      }
       out.push_back(std::move(f));
       continue;
     }
@@ -1562,8 +1578,9 @@ Result<QueryResult> PlanExecutor::Run(const std::vector<PStep>& steps,
   std::vector<Frame> frames = NewFrameVec();
   frames.push_back(std::move(seed));
   QueryResult result;
+  QueryResult* table = steps.size() == 1 ? &result : nullptr;
   for (const PStep& s : steps) {
-    PGT_ASSIGN_OR_RETURN(frames, ApplyStep(s, std::move(frames)));
+    PGT_ASSIGN_OR_RETURN(frames, ApplyStep(s, std::move(frames), table));
     if (s.is_return) {
       // Columns come from the rows actually produced, so an empty result
       // has no columns.

@@ -84,7 +84,9 @@ class PlanExecutor {
   }
 
   /// Executes a full statement, shaping the result table from the final
-  /// RETURN step. `seed` provides the initial bindings.
+  /// RETURN step; a statement that is one CALL without YIELD returns the
+  /// procedure's rows under its declared outputs. `seed` provides the
+  /// initial bindings.
   Result<QueryResult> Run(const std::vector<PStep>& steps, Frame seed);
 
   /// Applies steps to explicit frames and returns the resulting frames
@@ -127,8 +129,11 @@ class PlanExecutor {
                           int* satisfied_prop_idx);
 
  private:
+  /// `table` is the statement's result when `s` is its only step (a
+  /// standalone CALL fills it), else null.
   Result<std::vector<Frame>> ApplyStep(const PStep& s,
-                                       std::vector<Frame> frames);
+                                       std::vector<Frame> frames,
+                                       QueryResult* table = nullptr);
   Result<std::vector<Frame>> ApplyMatch(const PStep& s,
                                         std::vector<Frame> frames);
   Result<std::vector<Frame>> ApplyUnwind(const PStep& s,
@@ -148,7 +153,8 @@ class PlanExecutor {
   Result<std::vector<Frame>> ApplyForeach(const PStep& s,
                                           std::vector<Frame> frames);
   Result<std::vector<Frame>> ApplyCall(const PStep& s,
-                                       std::vector<Frame> frames);
+                                       std::vector<Frame> frames,
+                                       QueryResult* table);
 
   /// `row` is mutable scratch: Eval binds list-comprehension slots in
   /// place (restored by SlotSaver).

@@ -174,7 +174,8 @@ class IvmManager {
   bool active() const { return !states_.empty(); }
 
   /// Node created / deleted / revived; `labels` is the record's label set
-  /// (for a delete: the tombstone's labels, still intact).
+  /// (for a delete: the labels the node had, read before they leave the
+  /// tombstone).
   void OnNodeEvent(NodeId id, const std::vector<LabelId>& labels);
   /// Label added or removed; `labels` is the post-mutation label set and
   /// `changed` the label that flipped (dispatch must see both: a removed

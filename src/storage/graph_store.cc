@@ -94,7 +94,8 @@ bool GraphStore::NodeAlive(NodeId id) const {
   return n != nullptr && n->alive;
 }
 
-Status GraphStore::DeleteNode(NodeId id) {
+Status GraphStore::DeleteNode(NodeId id, std::vector<LabelId>* labels,
+                              PropMap* props) {
   NodeRecord* n = MutableNode(id);
   if (n == nullptr || !n->alive) {
     return Status::NotFound("node " + std::to_string(id.value));
@@ -118,12 +119,24 @@ Status GraphStore::DeleteNode(NodeId id) {
   n->alive = false;
   --alive_nodes_;
   // After the alive flip: IVM recomputes membership from the record, so it
-  // must see the tombstoned state (labels stay intact on the tombstone).
+  // must see the tombstoned state; it reads the labels before they leave.
   IvmNodeEvent(id, n->labels);
+  // Move-constructing empties the record's containers.
+  std::vector<LabelId> gone_labels = std::move(n->labels);
+  PropMap gone_props = std::move(n->props);
+  if (labels != nullptr) *labels = std::move(gone_labels);
+  if (props != nullptr) *props = std::move(gone_props);
   return Status::OK();
 }
 
-Status GraphStore::ReviveNode(NodeId id, const std::vector<LabelId>& labels,
+void GraphStore::ReleaseAdjacency(NodeId id) {
+  NodeRecord* n = MutableNode(id);
+  if (n == nullptr || n->alive) return;
+  std::vector<RelId>().swap(n->out_rels);
+  std::vector<RelId>().swap(n->in_rels);
+}
+
+Status GraphStore::ReviveNode(NodeId id, std::vector<LabelId> labels,
                               PropMap props) {
   NodeRecord* n = MutableNode(id);
   if (n == nullptr) {
@@ -133,7 +146,7 @@ Status GraphStore::ReviveNode(NodeId id, const std::vector<LabelId>& labels,
     return Status::FailedPrecondition("node is alive");
   }
   n->alive = true;
-  n->labels = labels;
+  n->labels = std::move(labels);
   std::sort(n->labels.begin(), n->labels.end());
   n->props = std::move(props);
   ++alive_nodes_;
@@ -261,13 +274,15 @@ bool GraphStore::RelAlive(RelId id) const {
   return r != nullptr && r->alive;
 }
 
-Status GraphStore::DeleteRel(RelId id) {
+Status GraphStore::DeleteRel(RelId id, PropMap* props) {
   RelRecord* r = MutableRel(id);
   if (r == nullptr || !r->alive) {
     return Status::NotFound("relationship " + std::to_string(id.value));
   }
   r->alive = false;
   --alive_rels_;
+  PropMap gone = std::move(r->props);
+  if (props != nullptr) *props = std::move(gone);
   return Status::OK();
 }
 

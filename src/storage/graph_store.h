@@ -35,7 +35,9 @@ enum class Direction { kOutgoing, kIncoming, kBoth };
 
 /// Stored node. Labels are kept sorted; properties are keyed by interned
 /// property-key id. Adjacency is maintained as unordered id lists; deleted
-/// relationships are lazily skipped.
+/// relationships are lazily skipped. A tombstone (alive == false) is empty:
+/// its labels and properties move to the deleting transaction's undo image,
+/// and its adjacency is released once that transaction commits.
 struct NodeRecord {
   NodeId id;
   bool alive = true;
@@ -49,7 +51,8 @@ struct NodeRecord {
 
 /// Stored relationship (always directed src -> dst; queries may traverse
 /// either way). A relationship has exactly one type, per the Property Graph
-/// model used by the paper.
+/// model used by the paper. A tombstone keeps its type and endpoints (they
+/// are immutable, and adjacency is keyed by them) but no properties.
 struct RelRecord {
   RelId id;
   bool alive = true;
@@ -66,8 +69,11 @@ struct RelRecord {
 /// Invariants:
 ///  * ids are dense, allocated in creation order, never reused;
 ///  * deletions tombstone the record (alive = false) and unlink it from the
-///    label index; the record stays addressable for undo and for OLD
-///    transition variables;
+///    label index; the record stays addressable by id, but its content
+///    leaves it: labels and properties go to the caller (the transaction's
+///    undo image, which also serves OLD transition variables), and a dead
+///    node's adjacency is released at commit. Only a relationship's type
+///    and endpoints survive on its tombstone;
 ///  * the label index is exact: it contains exactly the alive nodes that
 ///    carry the label, in id order (deterministic scans);
 ///  * property indexes (see src/index) are exact in the same sense: every
@@ -130,12 +136,19 @@ class GraphStore {
 
   /// Deletes a node. Fails with FailedPrecondition if relationships are
   /// still attached (callers implement DETACH DELETE by removing them
-  /// first).
-  Status DeleteNode(NodeId id);
+  /// first). The record's labels and properties are moved into `labels`
+  /// and `props` when given, else dropped; its adjacency stays until
+  /// ReleaseAdjacency, because reviving its relationships walks it.
+  Status DeleteNode(NodeId id, std::vector<LabelId>* labels = nullptr,
+                    PropMap* props = nullptr);
 
   /// Re-inserts a tombstoned node with the given image (undo path).
-  Status ReviveNode(NodeId id, const std::vector<LabelId>& labels,
-                    PropMap props);
+  Status ReviveNode(NodeId id, std::vector<LabelId> labels, PropMap props);
+
+  /// Frees a tombstoned node's adjacency lists, once no undo can revive
+  /// its relationships (the deleting transaction committed). No-op for an
+  /// alive node.
+  void ReleaseAdjacency(NodeId id);
 
   /// Adds a label; returns true if the label was newly added.
   Result<bool> AddLabel(NodeId id, LabelId label);
@@ -161,7 +174,9 @@ class GraphStore {
   const RelRecord* GetRel(RelId id) const;
   bool RelAlive(RelId id) const;
 
-  Status DeleteRel(RelId id);
+  /// Deletes a relationship; its properties are moved into `props` when
+  /// given, else dropped.
+  Status DeleteRel(RelId id, PropMap* props = nullptr);
 
   /// Re-inserts a tombstoned relationship with the given image (undo path).
   Status ReviveRel(RelId id, PropMap props);

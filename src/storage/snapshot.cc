@@ -15,6 +15,21 @@ void SortUnique(std::vector<uint64_t>& v) {
   v.erase(std::unique(v.begin(), v.end()), v.end());
 }
 
+using Adjacency = std::shared_ptr<const std::vector<RelId>>;
+
+/// The one empty adjacency list every version without relationships
+/// shares.
+const Adjacency& EmptyAdjacency() {
+  static const Adjacency kEmpty = std::make_shared<const std::vector<RelId>>();
+  return kEmpty;
+}
+
+/// An immutable copy of `rels` (the shared empty list when empty).
+Adjacency CopyAdjacency(const std::vector<RelId>& rels) {
+  if (rels.empty()) return EmptyAdjacency();
+  return std::make_shared<const std::vector<RelId>>(rels);
+}
+
 }  // namespace
 
 // --- GraphSnapshot -----------------------------------------------------------
@@ -133,12 +148,6 @@ void RefreshFromStore(CommittedImage& img, const GraphStore& store) {
 void SnapshotManager::Arm(const GraphStore& store) {
   std::lock_guard<std::mutex> lock(mu_);
   if (armed_.load(std::memory_order_relaxed)) return;
-  // Both chunk directories must exist before any reader can call Head():
-  // the directory pointer itself is not atomic, so it may never be
-  // assigned concurrently with reads (e.g. the rel table staying empty at
-  // arm time because every relationship was dead, then growing later).
-  nodes_.EnsureTop();
-  rels_.EnsureTop();
   const uint64_t epoch = commit_epoch_.load(std::memory_order_relaxed);
   for (uint64_t id = 0; id < store.NodeIdBound(); ++id) {
     const NodeRecord* rec = store.GetNode(NodeId{id});
@@ -149,8 +158,8 @@ void SnapshotManager::Arm(const GraphStore& store) {
     v->alive = true;
     v->labels = rec->labels;
     v->props = rec->props;
-    v->out_rels = std::make_shared<const std::vector<RelId>>(rec->out_rels);
-    v->in_rels = std::make_shared<const std::vector<RelId>>(rec->in_rels);
+    v->out_rels = CopyAdjacency(rec->out_rels);
+    v->in_rels = CopyAdjacency(rec->in_rels);
     nodes_.Publish(id, v);
   }
   for (uint64_t id = 0; id < store.RelIdBound(); ++id) {
@@ -297,22 +306,27 @@ Status SnapshotManager::PublishCommit(const GraphStore& store,
 
   for (uint64_t id : touched_nodes) {
     const NodeRecord* rec = store.GetNode(NodeId{id});
+    NodeVersion* prev = nodes_.Head(id);
+    // A node created and deleted since the last publish was never visible:
+    // its empty slot already reads as dead.
+    if (!rec->alive && prev == nullptr) continue;
     auto* v = new NodeVersion();
     v->epoch = new_epoch;
     v->alive = rec->alive;
-    if (rec->alive) {
+    if (!rec->alive) {
+      v->out_rels = v->in_rels = EmptyAdjacency();
+      dead_nodes_.push_back({id, v});
+    } else {
       v->labels = rec->labels;
       v->props = rec->props;
-    }
-    NodeVersion* prev = nodes_.Head(id);
-    const bool adj = std::binary_search(adj_changed.begin(),
-                                        adj_changed.end(), id);
-    if (prev != nullptr && !adj) {
-      v->out_rels = prev->out_rels;  // adjacency unchanged: share
-      v->in_rels = prev->in_rels;
-    } else {
-      v->out_rels = std::make_shared<const std::vector<RelId>>(rec->out_rels);
-      v->in_rels = std::make_shared<const std::vector<RelId>>(rec->in_rels);
+      if (prev != nullptr && !std::binary_search(adj_changed.begin(),
+                                                 adj_changed.end(), id)) {
+        v->out_rels = prev->out_rels;  // adjacency unchanged: share
+        v->in_rels = prev->in_rels;
+      } else {
+        v->out_rels = CopyAdjacency(rec->out_rels);
+        v->in_rels = CopyAdjacency(rec->in_rels);
+      }
     }
     if (nodes_.Publish(id, v) != nullptr) superseded_nodes_.Push(v);
   }
@@ -363,6 +377,43 @@ void SnapshotManager::ReclaimBelow(uint64_t min_keep) {
   for (const auto& [key, sidecar] : *image_->indexes) {
     sidecar->Truncate(min_keep);
   }
+  RetireDeadHeads(min_keep);
+}
+
+void SnapshotManager::RetireDeadHeads(uint64_t min_keep) {
+  // Every snapshot pins at or after a head's epoch once min_keep reaches
+  // it, so each reads the node as dead, as it reads an empty slot. The
+  // superseded queue already cut the head's older versions loose: its own
+  // entry carries the same epoch and was popped first.
+  const uint64_t now = image_->epoch;
+  while (!dead_nodes_.empty() &&
+         dead_nodes_.front().version->epoch <= min_keep) {
+    nodes_.Unlink(dead_nodes_.front().id);
+    unlinked_nodes_.push_back({now, dead_nodes_.front().version});
+    dead_nodes_.pop_front();
+  }
+  if (!unlinked_nodes_.empty()) {
+    // A reader may have loaded a head just before its unlink; it pins at
+    // or below the unlink epoch. Pins are read after the unlinks, so a
+    // snapshot opened since then finds the slots empty.
+    uint64_t oldest_pin;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      oldest_pin = pins_.empty() ? UINT64_MAX : pins_.front().epoch;
+    }
+    while (!unlinked_nodes_.empty() &&
+           unlinked_nodes_.front().epoch < oldest_pin) {
+      delete unlinked_nodes_.front().version;
+      unlinked_nodes_.pop_front();
+    }
+  }
+  dead_versions_.store(dead_nodes_.size() + unlinked_nodes_.size(),
+                       std::memory_order_relaxed);
+}
+
+SnapshotManager::~SnapshotManager() {
+  // Unlinked heads are off every chain; the version tables free the rest.
+  for (const Unlinked& u : unlinked_nodes_) delete u.version;
 }
 
 void SnapshotManager::Reclaim() {

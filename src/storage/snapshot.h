@@ -52,7 +52,9 @@ struct GraphDelta;
 /// The sidecar is reclaimed when the oldest pinned snapshot advances:
 /// superseded versions are queued in epoch order (SupersededQueue) and
 /// freed by the writer, once no live snapshot can observe them, right
-/// after each publish — O(versions freed) per commit. The manager mutex
+/// after each publish — O(versions freed) per commit. Dead node heads are
+/// unlinked from their chains the same way and freed once no reader can
+/// hold them (docs/snapshots.md, "Dead-head retirement"). The manager mutex
 /// guards only the pin list, the committed-image pointer and the
 /// same-epoch snapshot cache: opening and releasing a snapshot are
 /// amortized O(1) under it, and neither builds nor frees anything.
@@ -65,7 +67,12 @@ struct GraphDelta;
 /// Immutable committed version of a node record. `out_rels` / `in_rels`
 /// are shared with the previous version when the commit did not touch the
 /// node's adjacency (adjacency only grows, and only via relationship
-/// creation, so sharing is exact).
+/// creation, so sharing is exact); every empty list is one shared empty
+/// vector. A dead version (the node was deleted at `epoch`) carries no
+/// labels, properties or adjacency, and it does not stay: once every
+/// snapshot pins at or after its epoch, the writer unlinks it and the
+/// chain slot reads empty, which snapshots treat like a dead node
+/// (docs/snapshots.md, "Dead-head retirement").
 struct NodeVersion {
   uint64_t epoch = 0;  // commit epoch at which this version became current
   bool alive = false;
@@ -77,7 +84,10 @@ struct NodeVersion {
 
 /// Immutable committed version of a relationship record. Type and
 /// endpoints are immutable in the store, so dead versions keep them (live
-/// parity: a tombstoned RelRecord keeps its type/src/dst too).
+/// parity: a tombstoned RelRecord keeps its type/src/dst too), and a dead
+/// head stays for good: StoreView::Rel reports a relationship deleted
+/// before the pinned epoch as existing, so `type()`, `startNode()` and
+/// `endNode()` of it answer on a snapshot as they do live.
 struct RelVersion {
   uint64_t epoch = 0;
   bool alive = false;
@@ -88,17 +98,22 @@ struct RelVersion {
   std::atomic<RelVersion*> prev{nullptr};
 };
 
-/// Lock-free chunked table of per-record version chains, indexed by dense
-/// record id. Chunks are allocated by the writer on demand and published
-/// with release stores; readers only ever load. Chunk memory is stable for
-/// the table's lifetime, so readers hold no locks.
+/// Lock-free table of per-record version chains, indexed by dense record
+/// id through a two-level directory: a fixed top level of kDirSize
+/// directory pointers, each directory holding kDirSize chunk pointers,
+/// each chunk kChunkSize chain heads. Directories and chunks are allocated
+/// by the writer on demand and published with release stores; readers only
+/// ever load. Nothing is resident for ids never published, and allocated
+/// memory is stable for the table's lifetime, so readers hold no locks.
 template <typename V>
 class VersionTable {
  public:
   static constexpr size_t kChunkBits = 12;
   static constexpr size_t kChunkSize = size_t{1} << kChunkBits;  // 4096
-  static constexpr size_t kMaxChunks = size_t{1} << 18;  // 1B records
-  static constexpr uint64_t kMaxRecords = kMaxChunks * kChunkSize;
+  static constexpr size_t kDirBits = 9;
+  static constexpr size_t kDirSize = size_t{1} << kDirBits;  // 512
+  static constexpr uint64_t kMaxRecords = uint64_t{1}
+                                          << (kChunkBits + 2 * kDirBits);
 
   VersionTable() = default;
   ~VersionTable() { Destroy(); }
@@ -107,8 +122,12 @@ class VersionTable {
 
   /// Newest published version for `id` (acquire), or nullptr.
   V* Head(uint64_t id) const {
-    if (top_ == nullptr || id >= kMaxRecords) return nullptr;
-    const Chunk* c = top_[id >> kChunkBits].load(std::memory_order_acquire);
+    if (id >= kMaxRecords) return nullptr;
+    const Dir* d = top_[id >> (kChunkBits + kDirBits)].load(
+        std::memory_order_acquire);
+    if (d == nullptr) return nullptr;
+    const Chunk* c = d->chunks[(id >> kChunkBits) & (kDirSize - 1)].load(
+        std::memory_order_acquire);
     if (c == nullptr) return nullptr;
     return c->slots[id & (kChunkSize - 1)].load(std::memory_order_acquire);
   }
@@ -116,70 +135,75 @@ class VersionTable {
   /// Writer-side: prepends `v` as the new head of `id`'s chain. Returns the
   /// previous head (already linked as v->prev).
   V* Publish(uint64_t id, V* v) {
-    Chunk* c = EnsureChunk(id >> kChunkBits);
-    auto& slot = c->slots[id & (kChunkSize - 1)];
+    std::atomic<V*>& slot = Slot(id);
     V* old = slot.load(std::memory_order_relaxed);
     v->prev.store(old, std::memory_order_relaxed);
     slot.store(v, std::memory_order_release);
     return old;
   }
 
-  /// Pre-allocates the chunk directory. `top_` itself is a plain pointer,
-  /// so it must be in place before the first lock-free Head() can run
-  /// concurrently with a Publish — SnapshotManager::Arm calls this before
-  /// any snapshot (and hence any reader) exists; it is never reassigned
-  /// afterwards.
-  void EnsureTop() {
-    if (top_ == nullptr) {
-      top_ = std::make_unique<std::atomic<Chunk*>[]>(kMaxChunks);
-    }
+  /// Writer-side: empties `id`'s slot, whose head must be a version with
+  /// no older one. The caller owns it from here, and frees it once no
+  /// reader can still hold it.
+  void Unlink(uint64_t id) {
+    Slot(id).store(nullptr, std::memory_order_release);
   }
 
  private:
   struct Chunk {
     std::atomic<V*> slots[kChunkSize] = {};
   };
+  struct Dir {
+    std::atomic<Chunk*> chunks[kDirSize] = {};
+  };
 
-  Chunk* EnsureChunk(size_t idx) {
-    // Fail loudly rather than indexing past top_: silently dropping a
-    // version would hand snapshot readers a stale image.
-    if (idx >= kMaxChunks) {
+  std::atomic<V*>& Slot(uint64_t id) {
+    // Fail loudly rather than indexing past the directory: silently
+    // dropping a version would hand snapshot readers a stale image.
+    if (id >= kMaxRecords) {
       std::fprintf(stderr,
                    "FATAL: snapshot version table capacity exceeded "
                    "(record id >= %llu)\n",
                    static_cast<unsigned long long>(kMaxRecords));
       std::abort();
     }
-    if (top_ == nullptr) {
-      top_ = std::make_unique<std::atomic<Chunk*>[]>(kMaxChunks);
+    std::atomic<Dir*>& dslot = top_[id >> (kChunkBits + kDirBits)];
+    Dir* d = dslot.load(std::memory_order_relaxed);
+    if (d == nullptr) {
+      d = new Dir();
+      dslot.store(d, std::memory_order_release);
     }
-    Chunk* c = top_[idx].load(std::memory_order_relaxed);
+    std::atomic<Chunk*>& cslot = d->chunks[(id >> kChunkBits) & (kDirSize - 1)];
+    Chunk* c = cslot.load(std::memory_order_relaxed);
     if (c == nullptr) {
       c = new Chunk();
-      top_[idx].store(c, std::memory_order_release);
+      cslot.store(c, std::memory_order_release);
     }
-    return c;
+    return c->slots[id & (kChunkSize - 1)];
   }
 
   void Destroy() {
-    if (top_ == nullptr) return;
-    for (size_t i = 0; i < kMaxChunks; ++i) {
-      Chunk* c = top_[i].load(std::memory_order_relaxed);
-      if (c == nullptr) continue;
-      for (size_t j = 0; j < kChunkSize; ++j) {
-        V* v = c->slots[j].load(std::memory_order_relaxed);
-        while (v != nullptr) {
-          V* p = v->prev.load(std::memory_order_relaxed);
-          delete v;
-          v = p;
+    for (std::atomic<Dir*>& dslot : top_) {
+      Dir* d = dslot.load(std::memory_order_relaxed);
+      if (d == nullptr) continue;
+      for (std::atomic<Chunk*>& cslot : d->chunks) {
+        Chunk* c = cslot.load(std::memory_order_relaxed);
+        if (c == nullptr) continue;
+        for (std::atomic<V*>& slot : c->slots) {
+          V* v = slot.load(std::memory_order_relaxed);
+          while (v != nullptr) {
+            V* p = v->prev.load(std::memory_order_relaxed);
+            delete v;
+            v = p;
+          }
         }
+        delete c;
       }
-      delete c;
+      delete d;
     }
-    top_.reset();
   }
 
-  std::unique_ptr<std::atomic<Chunk*>[]> top_;
+  std::atomic<Dir*> top_[kDirSize] = {};
 };
 
 /// Immutable copies of the store's string dictionaries as of an epoch.
@@ -383,6 +407,9 @@ class GraphSnapshot {
 class SnapshotManager {
  public:
   SnapshotManager() = default;
+  ~SnapshotManager();
+  SnapshotManager(const SnapshotManager&) = delete;
+  SnapshotManager& operator=(const SnapshotManager&) = delete;
 
   /// True once the sidecar is maintained. Until armed, commits only bump
   /// the epoch counter (one atomic add — the trigger hot path stays
@@ -405,9 +432,10 @@ class SnapshotManager {
   Status PublishCommit(const GraphStore& store, const GraphDelta& delta);
 
   /// Frees every superseded record and posting version that no pinned
-  /// snapshot can observe. Runs after every armed publish; an idle writer
-  /// calls it to free what snapshots released since its last commit.
-  /// Writer thread only; a no-op until armed.
+  /// snapshot can observe, and retires dead node heads (docs/snapshots.md).
+  /// Runs after every armed publish; an idle writer calls it to free what
+  /// snapshots released since its last commit. Writer thread only; a no-op
+  /// until armed.
   void Reclaim();
 
   uint64_t commit_epoch() const {
@@ -439,6 +467,13 @@ class SnapshotManager {
   /// Number of superseded posting versions banked across the current
   /// image's index sidecars. Any thread, like SidecarVersions().
   size_t IndexSidecarVersions() const;
+  /// Number of dead node versions still allocated: heads waiting for
+  /// every snapshot to pin at or after their epoch, plus unlinked ones
+  /// waiting out the readers that may hold them. Any thread, like
+  /// SidecarVersions().
+  size_t DeadVersions() const {
+    return dead_versions_.load(std::memory_order_relaxed);
+  }
   /// Number of live snapshots (each pins its epoch). Any thread.
   size_t PinnedSnapshots() const;
 
@@ -452,6 +487,9 @@ class SnapshotManager {
   uint64_t Install(std::shared_ptr<const CommittedImage> next);
   uint64_t MinKeepLocked() const;
   void ReclaimBelow(uint64_t min_keep);
+  /// Unlinks the dead node heads at or below `min_keep`, then frees the
+  /// unlinked ones no pinned snapshot can still hold.
+  void RetireDeadHeads(uint64_t min_keep);
   void PublishIndexBands(const SnapshotIndexImage& indexes,
                          const GraphStore& store, const GraphDelta& delta,
                          uint64_t new_epoch);
@@ -465,6 +503,20 @@ class SnapshotManager {
   // Versions that superseded an older one, in epoch order (GC queue).
   SupersededQueue<NodeVersion> superseded_nodes_;
   SupersededQueue<RelVersion> superseded_rels_;
+  // Dead node heads in epoch order, waiting for min_keep to reach them.
+  struct DeadHead {
+    uint64_t id;
+    const NodeVersion* version;
+  };
+  std::deque<DeadHead> dead_nodes_;
+  // Unlinked dead heads in unlink order, each with the epoch current when
+  // it was unlinked: freed once no snapshot pinned at or below it remains.
+  struct Unlinked {
+    uint64_t epoch;
+    const NodeVersion* version;
+  };
+  std::deque<Unlinked> unlinked_nodes_;
+  std::atomic<size_t> dead_versions_{0};  // both deques, for DeadVersions()
 
   mutable std::mutex mu_;  // guards the three members below, nothing else
   // The current committed image. Only the writer replaces it (under mu_),

@@ -132,8 +132,10 @@ Status Transaction::DeleteNode(NodeId id, bool detach) {
       PGT_RETURN_IF_ERROR(DeleteRel(rid));
     }
   }
-  DeletedNodeImage image{n->id, n->labels, n->props};
-  PGT_RETURN_IF_ERROR(store_->DeleteNode(id));
+  // The store hands the record's content over instead of keeping a copy
+  // on the tombstone.
+  DeletedNodeImage image{id, {}, {}};
+  PGT_RETURN_IF_ERROR(store_->DeleteNode(id, &image.labels, &image.props));
   CurrentDelta().deleted_nodes.push_back(image);
   ghost_nodes_[id] = image;
   undo_log_.push_back(UndoDeleteNode{std::move(image)});
@@ -146,8 +148,8 @@ Status Transaction::DeleteRel(RelId id) {
   if (r == nullptr || !r->alive) {
     return Status::NotFound("relationship " + std::to_string(id.value));
   }
-  DeletedRelImage image{r->id, r->type, r->src, r->dst, r->props};
-  PGT_RETURN_IF_ERROR(store_->DeleteRel(id));
+  DeletedRelImage image{id, r->type, r->src, r->dst, {}};
+  PGT_RETURN_IF_ERROR(store_->DeleteRel(id, &image.props));
   CurrentDelta().deleted_rels.push_back(image);
   ghost_rels_[id] = image;
   undo_log_.push_back(UndoDeleteRel{std::move(image)});
@@ -307,6 +309,11 @@ Status Transaction::Commit() {
       store_->snapshots().PublishCommit(*store_, delta_stack_.front()));
   state_ = State::kCommitted;
   undo_log_.clear();
+  // No undo can revive a deleted node's relationships any more, so its
+  // tombstone gives up the adjacency it kept for that.
+  for (const DeletedNodeImage& img : delta_stack_.front().deleted_nodes) {
+    store_->ReleaseAdjacency(img.id);
+  }
   return Status::OK();
 }
 
@@ -317,14 +324,18 @@ Status Transaction::Rollback() {
         [&](auto&& op) -> Status {
           using T = std::decay_t<decltype(op)>;
           if constexpr (std::is_same_v<T, UndoCreateNode>) {
-            return store_->DeleteNode(op.id);
+            // Earlier entries cannot revive a node this transaction
+            // created, so its tombstone keeps nothing.
+            PGT_RETURN_IF_ERROR(store_->DeleteNode(op.id));
+            store_->ReleaseAdjacency(op.id);
+            return Status::OK();
           } else if constexpr (std::is_same_v<T, UndoDeleteNode>) {
-            return store_->ReviveNode(op.image.id, op.image.labels,
-                                      op.image.props);
+            return store_->ReviveNode(op.image.id, std::move(op.image.labels),
+                                      std::move(op.image.props));
           } else if constexpr (std::is_same_v<T, UndoCreateRel>) {
             return store_->DeleteRel(op.id);
           } else if constexpr (std::is_same_v<T, UndoDeleteRel>) {
-            return store_->ReviveRel(op.image.id, op.image.props);
+            return store_->ReviveRel(op.image.id, std::move(op.image.props));
           } else if constexpr (std::is_same_v<T, UndoAddLabel>) {
             return store_->RemoveLabel(op.id, op.label).status();
           } else if constexpr (std::is_same_v<T, UndoRemoveLabel>) {

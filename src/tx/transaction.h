@@ -141,7 +141,8 @@ class Transaction {
   // --- Lifecycle -----------------------------------------------------------
 
   /// Makes the transaction's effects permanent. (The in-memory store is
-  /// already updated; commit discards the undo log.)
+  /// already updated; commit discards the undo log and releases the
+  /// adjacency of the nodes it deleted.)
   Status Commit();
 
   /// Restores the exact pre-transaction state.

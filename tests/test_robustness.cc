@@ -520,7 +520,24 @@ TEST_F(RobustnessTest, EveryIntrospectionRouteAnswersWithItsColumns) {
     ASSERT_TRUE(r.ok()) << q << " -> " << r.status();
     EXPECT_EQ(r->columns, c.columns) << q;
     if (c.rows > 0) EXPECT_EQ(r->rows.size(), c.rows) << q;
+    // Standalone, the call returns that same table.
+    auto alone = db.Execute("CALL " + c.name + "()");
+    ASSERT_TRUE(alone.ok()) << c.name << " -> " << alone.status();
+    EXPECT_EQ(alone->columns, r->columns) << c.name;
+    ASSERT_EQ(alone->rows.size(), r->rows.size()) << c.name;
+    for (size_t i = 0; i < r->rows.size(); ++i) {
+      ASSERT_EQ(alone->rows[i].size(), r->rows[i].size()) << c.name;
+      for (size_t j = 0; j < r->rows[i].size(); ++j) {
+        EXPECT_EQ(alone->rows[i][j].ToString(), r->rows[i][j].ToString())
+            << c.name << " row " << i << " column " << r->columns[j];
+      }
+    }
   }
+  // Inside a larger query, a YIELD-less call still passes the row through.
+  auto inner = db.Execute("CALL pgt.health() RETURN 1 AS one");
+  ASSERT_TRUE(inner.ok()) << inner.status();
+  EXPECT_EQ(inner->columns, Columns{"one"});
+  EXPECT_EQ(inner->rows.size(), 1u);
   // One line per report line.
   auto lines = db.Execute("CALL pgt.analyzeTriggers() YIELD line RETURN line");
   ASSERT_TRUE(lines.ok()) << lines.status();
@@ -706,6 +723,91 @@ TEST_F(RobustnessTest, ParametersNestedPastTheValueDepthCapAreRefused) {
     EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st;
     EXPECT_NE(st.message().find("$p"), std::string::npos) << st;
   }
+}
+
+// --- Checked integer arithmetic ---------------------------------------------
+
+/// One integer edge: the expression and either its result (rendered) or the
+/// text its kTypeError must contain.
+struct IntEdge {
+  std::string expr;
+  std::string value;  // empty: must fail
+  std::string error;
+};
+
+const std::vector<IntEdge>& IntEdges() {
+  static const std::vector<IntEdge> kEdges = {
+      {"9223372036854775807 + 1", "", "integer overflow in '+'"},
+      {"9223372036854775806 + 1", "9223372036854775807", ""},
+      {"-9223372036854775807 - 2", "", "integer overflow in '-'"},
+      {"-9223372036854775807 - 1", "-9223372036854775808", ""},
+      {"9223372036854775807 * 3", "", "integer overflow in '*'"},
+      {"4611686018427387904 * -2", "-9223372036854775808", ""},
+      {"(-9223372036854775807 - 1) / -1", "", "integer overflow in '/'"},
+      {"(-9223372036854775807 - 1) / 1", "-9223372036854775808", ""},
+      {"(-9223372036854775807 - 1) % -1", "0", ""},
+      {"7 % -1", "0", ""},
+      {"-(-9223372036854775807 - 1)", "", "integer overflow in unary '-'"},
+      {"-9223372036854775807", "-9223372036854775807", ""},
+      {"abs(-9223372036854775807 - 1)", "", "abs: integer overflow"},
+      {"abs(-9223372036854775807)", "9223372036854775807", ""},
+      {"range(9223372036854775805, 9223372036854775807, 2)",
+       "[9223372036854775805, 9223372036854775807]", ""},
+      {"range(-9223372036854775807, -9223372036854775807 - 1, -1)",
+       "[-9223372036854775807, -9223372036854775808]", ""},
+      {"range(0, -9223372036854775807 - 1, -9223372036854775807 - 1)",
+       "[0, -9223372036854775808]", ""},
+      {"range(5, 1)", "[]", ""},
+      {"range(0, 9223372036854775807)", "", "range: would produce more than"},
+  };
+  return kEdges;
+}
+
+// Signed overflow used to wrap (or, for INT64_MIN / -1 and % -1, kill the
+// process with SIGFPE). Each edge answers exactly, or fails the statement
+// with a kTypeError naming the operator: ad hoc, and inside a trigger WHEN
+// and a trigger action, where the activating transaction rolls back.
+TEST_F(RobustnessTest, IntegerOverflowIsATypeErrorEverywhere) {
+  for (const IntEdge& e : IntEdges()) {
+    SCOPED_TRACE(e.expr);
+    Database db;
+    auto r = db.Execute("RETURN " + e.expr + " AS v");
+    if (!e.value.empty()) {
+      ASSERT_TRUE(r.ok()) << r.status();
+      EXPECT_EQ(r->rows[0][0].ToString(), e.value);
+      continue;
+    }
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kTypeError) << r.status();
+    EXPECT_NE(r.status().message().find(e.error), std::string::npos)
+        << r.status();
+
+    Exec(db, "CREATE TRIGGER W AFTER CREATE ON 'Probe' FOR EACH NODE "
+             "WHEN " + e.expr + " IS NOT NULL BEGIN CREATE (:Fired) END");
+    auto when = db.Execute("CREATE (:Probe)");
+    ASSERT_FALSE(when.ok());
+    EXPECT_EQ(when.status().code(), StatusCode::kTypeError) << when.status();
+    EXPECT_NE(when.status().message().find(e.error), std::string::npos)
+        << when.status();
+    Exec(db, "DROP TRIGGER W");
+
+    Exec(db, "CREATE TRIGGER A AFTER CREATE ON 'Probe' FOR EACH NODE "
+             "BEGIN CREATE (:Fired {v: " + e.expr + "}) END");
+    auto action = db.Execute("CREATE (:Probe)");
+    ASSERT_FALSE(action.ok());
+    EXPECT_EQ(action.status().code(), StatusCode::kTypeError)
+        << action.status();
+    EXPECT_EQ(Count(db, "MATCH (n) RETURN count(n) AS c"), 0);
+  }
+  // Whole statements that bind the minimum first.
+  Database db;
+  for (const char* q : {"WITH -9223372036854775807 - 1 AS m RETURN m / -1",
+                        "WITH -9223372036854775807 - 1 AS m RETURN -m"}) {
+    EXPECT_EQ(db.Execute(q).status().code(), StatusCode::kTypeError) << q;
+  }
+  auto mod = db.Execute("WITH -9223372036854775807 - 1 AS m RETURN m % -1 AS r");
+  ASSERT_TRUE(mod.ok()) << mod.status();
+  EXPECT_EQ(mod->rows[0][0].int_value(), 0);
 }
 
 }  // namespace

@@ -183,6 +183,75 @@ TEST_F(SnapshotTest, DeletedItemsStayVisibleAtTheirEpoch) {
   EXPECT_EQ(at.rows[0][1].int_value(), 7);
 }
 
+// A deleted node's dead head is banked while a pin older than the delete
+// could still walk past it, then unlinked and freed by the idle writer's
+// Reclaim(): the empty slot reads as a dead node at every new pin.
+TEST_F(SnapshotTest, DeadNodeHeadsRetireOnceNoPinPrecedesTheDelete) {
+  Run("CREATE (:Doomed {k: 1}), (:Doomed {k: 2}), (:Kept {k: 3})");
+  const SnapshotManager& mgr = db_.store().snapshots();
+  std::shared_ptr<const GraphSnapshot> before = Snap();
+  Run("MATCH (d:Doomed) DELETE d");
+  EXPECT_EQ(mgr.DeadVersions(), 2u);
+  ASSERT_NE(before->Node(NodeId{0}), nullptr);
+  EXPECT_TRUE(before->Node(NodeId{0})->alive);
+  EXPECT_EQ(RunAt(*before, "MATCH (d:Doomed) RETURN sum(d.k) AS s")
+                .at(0, 0)
+                .int_value(),
+            3);
+
+  // A pin at the delete epoch resolves the dead head itself. Once the
+  // older pin goes, the next publish unlinks the head, but the pin at the
+  // delete epoch may still hold it, so it stays allocated (an early free
+  // is a use-after-free under ASan).
+  std::shared_ptr<const GraphSnapshot> at_delete = Snap();
+  const NodeVersion* dead = at_delete->Node(NodeId{0});
+  ASSERT_NE(dead, nullptr);
+  EXPECT_FALSE(dead->alive);
+  before.reset();
+  Run("CREATE (:Other)");
+  EXPECT_EQ(at_delete->Node(NodeId{0}), nullptr);
+  EXPECT_FALSE(dead->alive);
+  EXPECT_TRUE(dead->props.empty());
+  EXPECT_EQ(mgr.DeadVersions(), 2u);
+
+  at_delete.reset();
+  db_.store().snapshots().Reclaim();
+  EXPECT_EQ(mgr.DeadVersions(), 0u);
+  EXPECT_EQ(mgr.SidecarVersions(), 0u);
+  std::shared_ptr<const GraphSnapshot> after = Snap();
+  EXPECT_EQ(after->Node(NodeId{0}), nullptr);
+  EXPECT_EQ(after->Node(NodeId{1}), nullptr);
+  EXPECT_TRUE(after->NodeAlive(NodeId{2}));
+  EXPECT_EQ(RunAt(*after, "MATCH (n) RETURN count(n) AS c").at(0, 0).int_value(),
+            2);
+
+  // A node created and deleted between publishes never gets a version.
+  Run("CREATE (:Flash) WITH 1 AS one MATCH (f:Flash) DELETE f");
+  EXPECT_EQ(mgr.DeadVersions(), 0u);
+}
+
+// Dead relationship heads stay: a snapshot reports a relationship deleted
+// before its epoch as existing, like the live store does, so its type and
+// endpoints answer the same on both paths.
+TEST_F(SnapshotTest, DeletedRelationshipKeepsItsHeaderOnSnapshots) {
+  Run("CREATE (:A {k: 1})-[:Tie {w: 7}]->(:B {k: 2})");
+  Snap();  // arm
+  Run("MATCH ()-[t:Tie]->() DELETE t");
+  std::shared_ptr<const GraphSnapshot> snap = Snap();
+  Params p;
+  p["r"] = Value::Rel(RelId{0});
+  const std::string q =
+      "RETURN type($r) AS t, id(startNode($r)) AS s, id(endNode($r)) AS d, "
+      "$r.w AS w";
+  auto live = db_.Execute(q, p);
+  auto at = db_.QueryAt(*snap, q, p);
+  ASSERT_TRUE(live.ok()) << live.status();
+  ASSERT_TRUE(at.ok()) << at.status();
+  EXPECT_EQ(Render(*at), Render(*live));
+  EXPECT_EQ(at->rows[0][0].string_value(), "Tie");
+  EXPECT_TRUE(at->rows[0][3].is_null());
+}
+
 TEST_F(SnapshotTest, LabelsInternedAfterTheSnapshotDoNotExistInIt) {
   Run("CREATE (:Seed)");
   std::shared_ptr<const GraphSnapshot> snap = Snap();

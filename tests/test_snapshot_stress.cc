@@ -34,6 +34,7 @@ constexpr int kItems = 64;
 constexpr int kWriterCommits = 120;
 constexpr int kReaderThreads = 4;
 constexpr int kChurnCommits = 20000;
+constexpr int kDeleteChurnRounds = 3000;
 
 class SnapshotStressTest : public ::testing::Test {
  protected:
@@ -271,6 +272,106 @@ TEST_F(SnapshotStressTest, ReleasedPinsAreReclaimedByTheNextWriterCommit) {
   EXPECT_EQ(mgr.IndexSidecarVersions(), 0u);
 
   ExpectHeadsMatchLive(db_, "after the readers");
+}
+
+// Deleted records stop holding memory: 2 readers pin and release snapshots
+// while the writer creates and detach-deletes nodes and relationships, so
+// dead heads are unlinked and freed while readers hold them. Each reader
+// resolves every node id of its snapshot, runs a query, then reads the
+// versions it resolved again: a snapshot keeps every version it resolved
+// valid, so a head freed under a pin is a use-after-free under ASan (and a
+// race under TSan). One pin is held across a delete for part of the churn.
+TEST_F(SnapshotStressTest, DeleteChurnRetiresDeadVersions) {
+  Run("CREATE (:Keeper {k: 7})");
+  Run("CREATE (:Item {k: 0, a: 100, b: 0})");
+  ASSERT_TRUE(db_.OpenSnapshot().ok());
+  const NodeId keeper{0};
+
+  std::atomic<bool> done{false};
+  std::atomic<int> breaks{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&] {
+      std::vector<std::pair<const NodeVersion*, bool>> seen;
+      for (long mine = 0; !done.load(std::memory_order_acquire) || mine < 5;
+           ++mine) {
+        std::shared_ptr<const GraphSnapshot> snap = db_.store().OpenSnapshot();
+        if (snap == nullptr) {
+          ++breaks;
+          continue;
+        }
+        seen.clear();
+        for (uint64_t id = 0; id < snap->NodeIdBound(); ++id) {
+          const NodeVersion* v = snap->Node(NodeId{id});
+          if (v != nullptr) seen.emplace_back(v, v->alive);
+        }
+        // Every pair commits whole: two endpoints with v = 1, a tie w = 2.
+        auto pairs = db_.QueryAt(
+            *snap, "MATCH (a:Churn)-[t:Tie]->(b:Churn) "
+                   "RETURN count(t) AS c, sum(a.v + b.v + t.w) AS s");
+        if (!pairs.ok() ||
+            pairs->rows[0][1].int_value() != 4 * pairs->rows[0][0].int_value()) {
+          ++breaks;
+        }
+        for (const auto& [v, alive] : seen) {
+          if (v->alive != alive || (alive && v->props.empty())) ++breaks;
+        }
+      }
+    });
+  }
+  std::shared_ptr<const GraphSnapshot> held;
+  for (int i = 0; i < kDeleteChurnRounds; ++i) {
+    Run("CREATE (:Churn {v: 1})-[:Tie {w: 2}]->(:Churn {v: 1})");
+    if (i % 3 == 2) Run("MATCH (c:Churn) DETACH DELETE c");
+    if (i == kDeleteChurnRounds / 4) {
+      held = db_.store().OpenSnapshot();
+      Run("MATCH (k:Keeper) DELETE k");
+    }
+    if (i == kDeleteChurnRounds / 2) {
+      // The pin held across the delete still reads the node and its props
+      // (no ASSERT here: the readers must be joined first).
+      const NodeVersion* k = held->Node(keeper);
+      EXPECT_TRUE(k != nullptr && k->alive);
+      auto kept = db_.QueryAt(*held, "MATCH (k:Keeper) RETURN k.k AS k");
+      EXPECT_TRUE(kept.ok() && kept->rows.size() == 1 &&
+                  kept->rows[0][0].int_value() == 7)
+          << (kept.ok() ? kept->ToTable() : kept.status().ToString());
+      held.reset();
+    }
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(breaks.load(), 0);
+
+  const SnapshotManager& mgr = db_.store().snapshots();
+  EXPECT_EQ(mgr.PinnedSnapshots(), 0u);
+  Run("MATCH (i:Item {k: 0}) SET i.a = 99, i.b = 1");
+  EXPECT_EQ(mgr.SidecarVersions(), 0u);
+  EXPECT_EQ(mgr.DeadVersions(), 0u);
+
+  // Deleted ids read as absent at new pins, and their live tombstones are
+  // empty; a dead relationship keeps only its type and endpoints.
+  const GraphStore& store = db_.store();
+  std::shared_ptr<const GraphSnapshot> now = db_.store().OpenSnapshot();
+  size_t dead_nodes = 0;
+  for (uint64_t id = 0; id < store.NodeIdBound(); ++id) {
+    const NodeRecord* n = store.GetNode(NodeId{id});
+    if (n->alive) continue;
+    ++dead_nodes;
+    EXPECT_EQ(now->Node(NodeId{id}), nullptr) << "node " << id;
+    EXPECT_TRUE(n->labels.empty() && n->props.empty() &&
+                n->out_rels.empty() && n->in_rels.empty())
+        << "node " << id;
+  }
+  EXPECT_GT(dead_nodes, 0u);
+  for (uint64_t id = 0; id < store.RelIdBound(); ++id) {
+    const RelRecord* r = store.GetRel(RelId{id});
+    if (r->alive) continue;
+    EXPECT_FALSE(now->RelAlive(RelId{id}));
+    EXPECT_TRUE(r->props.empty()) << "rel " << id;
+  }
+  now.reset();
+  ExpectHeadsMatchLive(db_, "after the churn");
 }
 
 // The introspection counters are read off the writer thread: bench_e2e's

@@ -5,7 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "src/common/rng.h"
+#include "src/ivm/ivm_manager.h"
+#include "src/trigger/database.h"
 
 namespace pgt {
 namespace {
@@ -185,6 +191,105 @@ TEST(DeltaTest, MergeAndSummary) {
   EXPECT_NE(a.Summary().find("+2n"), std::string::npos);
   a.Clear();
   EXPECT_TRUE(a.Empty());
+}
+
+// Everything a DETACH DELETE touches, rendered: every record (tombstones
+// included) with labels, properties and adjacency in list order, the label
+// index, every property index's band postings, and each maintained IVM
+// state.
+std::string DumpDeleteFootprint(Database& db) {
+  const GraphStore& store = db.store();
+  std::string s;
+  auto props = [&](const PropMap& m) {
+    std::string out = "{";
+    for (const auto& [k, v] : m) {
+      out += store.PropKeyName(k) + "=" + v.ToString() + ",";
+    }
+    return out + "}";
+  };
+  auto ids = [](const std::vector<RelId>& rels) {
+    std::string out = "(";
+    for (RelId r : rels) out += std::to_string(r.value) + ",";
+    return out + ")";
+  };
+  for (uint64_t i = 0; i < store.NodeIdBound(); ++i) {
+    const NodeRecord* n = store.GetNode(NodeId{i});
+    s += "n" + std::to_string(i) + (n->alive ? "+" : "-") + "[";
+    for (LabelId l : n->labels) s += store.LabelName(l) + ",";
+    s += "]" + props(n->props) + ids(n->out_rels) + ids(n->in_rels) + "\n";
+  }
+  for (uint64_t i = 0; i < store.RelIdBound(); ++i) {
+    const RelRecord* r = store.GetRel(RelId{i});
+    s += "r" + std::to_string(i) + (r->alive ? "+" : "-") +
+         store.RelTypeName(r->type) + std::to_string(r->src.value) + "->" +
+         std::to_string(r->dst.value) + props(r->props) + "\n";
+  }
+  for (uint32_t l = 0; l < store.LabelDictSize(); ++l) {
+    s += "label " + store.LabelName(l) + ":";
+    for (NodeId id : store.NodesByLabel(l)) s += std::to_string(id.value) + ",";
+    s += "\n";
+  }
+  // Hash bands iterate in no fixed order, so the band lines are sorted.
+  std::vector<std::string> bands;
+  store.indexes().ForEach([&](const index::PropertyIndex& idx) {
+    idx.ForEachBandPosting(
+        [&](const Value& v, const std::vector<uint64_t>& posting) {
+          std::string line = "index " + idx.spec().name + " " + v.ToString() + ":";
+          for (uint64_t id : posting) line += std::to_string(id) + ",";
+          bands.push_back(line + "\n");
+        });
+  });
+  std::sort(bands.begin(), bands.end());
+  for (const std::string& line : bands) s += line;
+  for (const ivm::TriggerIvmState* st : db.ivm().States()) {
+    s += "ivm " + st->name() + " mode=" +
+         std::to_string(static_cast<int>(st->mode())) +
+         " tuples=" + std::to_string(st->tuples()) +
+         " bytes=" + std::to_string(st->bytes()) + "\n";
+  }
+  return s;
+}
+
+// The tombstone hands its content to the undo image and keeps its
+// adjacency until commit, so rolling a DETACH DELETE back restores the
+// node exactly — and the restored node is live again for triggers.
+TEST(DetachDeleteRollbackTest, RestoresRecordIndexesAdjacencyAndIvmState) {
+  Database db;
+  auto exec = [&db](const std::string& q) {
+    auto r = db.Execute(q);
+    ASSERT_TRUE(r.ok()) << q << " -> " << r.status();
+  };
+  exec("CREATE INDEX ON :W(name)");
+  exec("CREATE RANGE INDEX ON :W(stock)");
+  exec("CREATE (a:W:Hub {name: 'a', stock: 3}), (b:W {name: 'b', stock: 9}), "
+       "(a)-[:R {w: 1}]->(b), (b)-[:R {w: 2}]->(a), (a)-[:Self]->(a)");
+  exec("CREATE TRIGGER Take AFTER CREATE ON 'Order' FOR EACH NODE "
+       "WHEN MATCH (w:W {name: NEW.wh}) "
+       "BEGIN SET w.stock = w.stock - 1 END");
+  exec("CREATE (:Order {wh: 'a'})");  // the first firing seeds IVM state
+  const ivm::TriggerIvmState* st = db.ivm().Find("Take");
+  ASSERT_NE(st, nullptr);
+  ASSERT_EQ(st->mode(), ivm::IvmMode::kMaintained);
+
+  const std::string before = DumpDeleteFootprint(db);
+  auto r = db.ExecuteTx(
+      {"MATCH (w:W {name: 'a'}) DETACH DELETE w", "RETURN 1 / 0 AS boom"});
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(DumpDeleteFootprint(db), before);
+  EXPECT_TRUE(db.ivm().VerifyAgainstStore().ok());
+
+  exec("CREATE (:Order {wh: 'a'})");
+  auto stock = db.Execute("MATCH (w:W {name: 'a'}) RETURN w.stock AS s");
+  ASSERT_TRUE(stock.ok()) << stock.status();
+  EXPECT_EQ(stock->rows[0][0].int_value(), 1);
+
+  // Committed, the same delete leaves an empty tombstone.
+  exec("MATCH (w:W {name: 'a'}) DETACH DELETE w");
+  const NodeRecord* gone = db.store().GetNode(NodeId{0});
+  EXPECT_FALSE(gone->alive);
+  EXPECT_TRUE(gone->labels.empty() && gone->props.empty() &&
+              gone->out_rels.empty() && gone->in_rels.empty());
+  EXPECT_TRUE(db.ivm().VerifyAgainstStore().ok());
 }
 
 // Property test: a random interleaving of mutations must roll back to the

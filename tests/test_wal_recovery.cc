@@ -42,9 +42,13 @@ wal::WalOptions Opts(wal::MemVfs* vfs, uint32_t group_size = 1) {
 /// Observable-state dump: tests/test_plan_differential.cc's DumpGraph
 /// (alive nodes and rels in id order) extended with the dictionaries'
 /// sizes, the committed-transaction counter, the trigger catalog, index
-/// definitions, and the attached schema. Tombstone *content* is
-/// deliberately excluded: a recovered store keeps dead ids as zero-content
-/// placeholders, which no query can distinguish from the originals.
+/// definitions, and the attached schema. A tombstone that still holds
+/// labels or properties is dumped with them: a recovered store keeps dead
+/// ids as zero-content placeholders, and a live store empties a tombstone
+/// when it deletes, so on both sides no tombstone line appears (empty ones
+/// are skipped, so the lines do not depend on the id bounds). A dead
+/// relationship's type and endpoints are left out: the live tombstone
+/// keeps them, the recovered one does not.
 std::string DumpState(Database& db) {
   std::ostringstream os;
   const GraphStore& store = db.store();
@@ -66,6 +70,26 @@ std::string DumpState(Database& db) {
     const RelRecord* r = store.GetRel(id);
     os << "r" << id.value << ":" << store.RelTypeName(r->type) << " "
        << r->src.value << "->" << r->dst.value << "{";
+    for (const auto& [k, v] : r->props) {
+      os << store.PropKeyName(k) << "=" << v.ToString() << ",";
+    }
+    os << "}\n";
+  }
+  for (uint64_t i = 0; i < store.NodeIdBound(); ++i) {
+    const NodeRecord* n = store.GetNode(NodeId{i});
+    if (n->alive || (n->labels.empty() && n->props.empty())) continue;
+    os << "dead n" << i << "[";
+    for (LabelId l : n->labels) os << store.LabelName(l) << ",";
+    os << "]{";
+    for (const auto& [k, v] : n->props) {
+      os << store.PropKeyName(k) << "=" << v.ToString() << ",";
+    }
+    os << "}\n";
+  }
+  for (uint64_t i = 0; i < store.RelIdBound(); ++i) {
+    const RelRecord* r = store.GetRel(RelId{i});
+    if (r->alive || r->props.empty()) continue;
+    os << "dead r" << i << "{";
     for (const auto& [k, v] : r->props) {
       os << store.PropKeyName(k) << "=" << v.ToString() << ",";
     }
